@@ -543,27 +543,20 @@ def net_stream_throughput(
 # Figure 13: latency breakdown
 # ----------------------------------------------------------------------
 def fs_latency_breakdown(
-    stack: str, block_size: int = 512 * KB, ops: int = 12,
-    source: str = "timers",
+    stack: str, block_size: int = 512 * KB, ops: int = 12
 ) -> Dict[str, float]:
     """Per-operation latency split (microseconds) for 512 KB random
     reads: file system vs block/transport vs storage (Figure 13(a)).
 
-    For Solros the proxy's internal timers provide the split; for the
-    virtio baseline the storage term is probed with a raw NVMe read
-    and the relay-transport term from the relay model, with the
-    remainder attributed to the (Phi-resident) file system.
-
-    ``source`` selects where the Solros split comes from: ``"timers"``
-    reads the proxy's ``ProxyStats`` accumulators, ``"spans"`` enables
-    repro.obs tracing and derives the same numbers from the span
-    categories (``fs`` and ``device``) via ``accounting_view``.  The
-    spans sit on the same clock boundaries as the timers, so both
-    sources agree exactly — asserted by bench_fig13.
+    For Solros the split is derived from repro.obs spans: the run is
+    traced, and the ``fs`` and ``device`` categories' interval unions
+    give the proxy's file-system and storage time (tracing never
+    changes simulated time).  For the virtio baseline the storage term
+    is probed with a raw NVMe read and the relay-transport term from
+    the relay model, with the remainder attributed to the
+    (Phi-resident) file system.
     """
-    if source not in ("timers", "spans"):
-        raise ValueError(f"unknown breakdown source: {source!r}")
-    setup = setup_fs_stack(stack, max_threads=1, trace=(source == "spans"))
+    setup = setup_fs_stack(stack, max_threads=1, trace=True)
     eng = setup.engine
     file_bytes = 64 * MB
     alloc_core = (
@@ -601,18 +594,9 @@ def fs_latency_breakdown(
             * phi.params.branchy_mult
             / 1000.0
         )
-        if source == "spans":
-            from ..obs import accounting_view
-
-            acct = accounting_view(setup.obs.tracer, eng)
-            split = acct.breakdown()
-            fs_ns = split.get("fs", 0.0)
-            storage_ns = split.get("device", 0.0)
-        else:
-            fs_ns = stats.time_fs
-            storage_ns = stats.time_storage
-        fs_us = fs_ns / stats.requests / 1000.0 + stub_us
-        storage_us = storage_ns / max(1, stats.requests) / 1000.0
+        split = setup.obs.tracer.category_union_ns()
+        fs_us = split.get("fs", 0) / stats.requests / 1000.0 + stub_us
+        storage_us = split.get("device", 0) / max(1, stats.requests) / 1000.0
         transport_us = max(0.0, total_us - fs_us - storage_us)
         setup.system.shutdown()
     elif stack == "virtio":

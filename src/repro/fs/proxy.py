@@ -26,7 +26,7 @@ from ..faults.breaker import CircuitBreaker
 from ..faults.plan import InjectedFault
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, ctx_of
 from ..sim.engine import Engine
 from ..transport.rpc import RpcChannel
 from .buffercache import BufferCache
@@ -56,11 +56,6 @@ __all__ = ["SolrosFsProxy", "ProxyStats"]
 PROXY_OP_UNITS = 400  # per-RPC proxy bookkeeping on the host
 
 
-def _sctx(span, fallback=None):
-    """Context of ``span``, or ``fallback`` when no span was opened."""
-    return span.ctx() if span is not None else fallback
-
-
 class ProxyStats:
     def __init__(self) -> None:
         self.requests = 0
@@ -70,10 +65,6 @@ class ProxyStats:
         self.buffered_writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # Simulated-time breakdown for Figure 13(a).
-        self.time_fs = 0
-        self.time_storage = 0
-        self.time_transport = 0
 
     def reset(self) -> None:
         self.__init__()
@@ -283,7 +274,7 @@ class SolrosFsProxy:
             raise BadFileDescriptor(f"fid {fid}") from None
 
     # ------------------------------------------------------------------
-    # Read (the Figure 6 data paths)
+    # Read / write (the Figure 6 data paths)
     # ------------------------------------------------------------------
     def _read(
         self, core: Core, session: _Session, msg: Tread, ctx=None
@@ -297,133 +288,21 @@ class SolrosFsProxy:
             return b""
         if self.prefetcher is not None:
             self.prefetcher.record_access(inode, msg.target_node)
-        # Spans open/close at the same engine.now instants as the
-        # legacy timer regions, so the span-derived breakdown and
-        # ProxyStats agree by construction.
-        traced = self.tracer.enabled and ctx is not None
-        t0 = self.engine.now
-        fs_span = (
-            self.tracer.begin("fs.fiemap", "fs", parent=ctx, core=core)
-            if traced
-            else None
-        )
+        fs_span = self.tracer.child("fs.fiemap", "fs", ctx, core=core)
         extents = yield from self.fs.fiemap(core, inode, msg.offset, count)
-        decision, cached, missing = self._decide(
-            msg.target_node, flags, extents
+        decision, missing = self._decide(msg.target_node, flags, extents)
+        self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
+
+        yield from self._transfer(
+            core, "read", decision.mode == P2P, msg.target_node, count,
+            extents, missing, ctx,
         )
-        if fs_span is not None:
-            self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
-        self.stats.time_fs += self.engine.now - t0
-
-        device = self.fs.device
-        if decision.mode == P2P and self._p2p_allowed(device):
-            try:
-                yield from self._read_p2p(
-                    core, msg, extents, count, ctx, traced, device
-                )
-            except InjectedFault:
-                # Injected device failure on the zero-copy path:
-                # degrade this request to the host-staged buffered
-                # path (nothing landed in co-processor memory, so all
-                # extents are re-read) and let the breaker decide for
-                # the requests after it.
-                self._p2p_failed(device)
-                yield from self._read_buffered(
-                    core, msg, extents, list(extents), count, ctx,
-                    traced, device,
-                )
-        else:
-            yield from self._read_buffered(
-                core, msg, extents, missing, count, ctx, traced, device
-            )
-
         self.stats.bytes_read += count
+        device = self.fs.device
         data = b"".join(device.read_extent_data(e) for e in extents)
         skip = msg.offset % self.fs.sb.block_size
         return data[skip : skip + count]
 
-    def _read_p2p(
-        self, core: Core, msg: Tread, extents, count: int, ctx, traced,
-        device,
-    ) -> Generator:
-        # Zero copy: the NVMe DMA engine lands data directly in
-        # co-processor memory; one doorbell, one interrupt.
-        self.stats.p2p_reads += 1
-        if self._c_p2p is not None:
-            self._c_p2p.inc()
-        t1 = self.engine.now
-        dev_span = (
-            self.tracer.begin(
-                "nvme.read", "device", parent=ctx, core=core,
-                nbytes=count, path="p2p",
-            )
-            if traced
-            else None
-        )
-        try:
-            yield from device.submit_read(
-                core, extents, msg.target_node, coalesce=True,
-                ctx=_sctx(dev_span, ctx),
-            )
-        except InjectedFault:
-            if dev_span is not None:
-                self.tracer.end(dev_span, error=True)
-            self.stats.time_storage += self.engine.now - t1
-            raise
-        if dev_span is not None:
-            self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
-        self._p2p_succeeded(device)
-
-    def _read_buffered(
-        self, core: Core, msg: Tread, extents, missing, count: int, ctx,
-        traced, device,
-    ) -> Generator:
-        # Buffered: stage misses in host RAM through the shared
-        # cache, then push everything with a host DMA engine.
-        self.stats.buffered_reads += 1
-        if self._c_buffered is not None:
-            self._c_buffered.inc()
-        pages = (count + 4095) // 4096
-        yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
-        if missing:
-            t1 = self.engine.now
-            dev_span = (
-                self.tracer.begin(
-                    "nvme.read", "device", parent=ctx, core=core,
-                    nbytes=count, path="buffered",
-                )
-                if traced
-                else None
-            )
-            yield from device.submit_read(
-                core, missing, self.host_cpu.node, coalesce=True,
-                ctx=_sctx(dev_span, ctx),
-            )
-            if dev_span is not None:
-                self.tracer.end(dev_span)
-            self.stats.time_storage += self.engine.now - t1
-            if self.cache is not None:
-                self.cache.insert(device, missing)
-        t2 = self.engine.now
-        dma_span = (
-            self.tracer.begin(
-                "dma.push", "transport", parent=ctx, core=core,
-                nbytes=count,
-            )
-            if traced
-            else None
-        )
-        yield from self.fabric.dma_copy(
-            core, self.host_cpu.node, msg.target_node, count
-        )
-        if dma_span is not None:
-            self.tracer.end(dma_span)
-        self.stats.time_transport += self.engine.now - t2
-
-    # ------------------------------------------------------------------
-    # Write
-    # ------------------------------------------------------------------
     def _write(
         self, core: Core, session: _Session, msg: Twrite, ctx=None
     ) -> Generator:
@@ -433,133 +312,107 @@ class SolrosFsProxy:
         if msg.count == 0:
             yield 0
             return 0
-        traced = self.tracer.enabled and ctx is not None
-        t0 = self.engine.now
-        fs_span = (
-            self.tracer.begin("fs.allocate+fiemap", "fs", parent=ctx, core=core)
-            if traced
-            else None
-        )
+        fs_span = self.tracer.child("fs.allocate+fiemap", "fs", ctx, core=core)
         yield from self.fs._ensure_allocated(core, inode, msg.offset + msg.count)
         extents = yield from self.fs.fiemap(core, inode, msg.offset, msg.count)
-        decision, cached, missing = self._decide(
-            msg.source_node, flags, extents
-        )
-        if fs_span is not None:
-            self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
-        self.stats.time_fs += self.engine.now - t0
+        decision, _missing = self._decide(msg.source_node, flags, extents)
+        self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
 
-        device = self.fs.device
         if msg.data is not None:
             # Functional truth: scatter the bytes into device blocks.
             self.fs._store_bytes(inode, msg.offset, msg.data, extents)
-
-        if decision.mode == P2P and self._p2p_allowed(device):
-            try:
-                yield from self._write_p2p(
-                    core, msg, extents, ctx, traced, device
-                )
-            except InjectedFault:
-                # Degrade this write to the buffered path; the bytes
-                # were already scattered functionally above, so only
-                # the timing/DMA story changes.
-                self._p2p_failed(device)
-                yield from self._write_buffered(
-                    core, msg, extents, ctx, traced, device
-                )
-        else:
-            yield from self._write_buffered(
-                core, msg, extents, ctx, traced, device
-            )
-
+        # A write stores every extent, cached or not.
+        yield from self._transfer(
+            core, "write", decision.mode == P2P, msg.source_node, msg.count,
+            extents, extents, ctx,
+        )
         if msg.offset + msg.count > inode.size:
             inode.size = msg.offset + msg.count
             self.fs._dirty_inodes.add(inode.ino)
         self.stats.bytes_written += msg.count
         return msg.count
 
-    def _write_p2p(
-        self, core: Core, msg: Twrite, extents, ctx, traced, device
+    def _transfer(
+        self, core: Core, op: str, p2p: bool, node: str, nbytes: int,
+        extents, missing, ctx,
     ) -> Generator:
-        self.stats.p2p_writes += 1
-        if self._c_p2p is not None:
-            self._c_p2p.inc()
-        t1 = self.engine.now
-        dev_span = (
-            self.tracer.begin(
-                "nvme.write", "device", parent=ctx, core=core,
-                nbytes=msg.count, path="p2p",
-            )
-            if traced
-            else None
-        )
-        try:
-            yield from device.submit_write(
-                core, extents, msg.source_node, coalesce=True,
-                ctx=_sctx(dev_span, ctx),
-            )
-        except InjectedFault:
-            if dev_span is not None:
-                self.tracer.end(dev_span, error=True)
-            self.stats.time_storage += self.engine.now - t1
-            raise
-        if dev_span is not None:
-            self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
-        if self.cache is not None:
-            # The DMA bypassed host RAM: stale cache copies must go.
-            self.cache.invalidate(device, extents)
-        self._p2p_succeeded(device)
+        """Move one request's data between co-processor memory ``node``
+        and the disk on the chosen path.
 
-    def _write_buffered(
-        self, core: Core, msg: Twrite, extents, ctx, traced, device
+        * **P2P** (zero copy): the NVMe DMA engine reads or writes
+          co-processor memory directly; one doorbell, one interrupt.  A
+          P2P write then drops the stale host-cache copies it bypassed.
+        * **Buffered**: stage the data in host RAM through the shared
+          cache and move it with a host DMA engine.  A read computes,
+          fetches its cache misses, then pushes; a write pulls,
+          computes, then stores.
+
+        An injected device fault on the P2P path degrades this request
+        to the buffered path (nothing landed, so every extent moves
+        again) and lets the breaker decide for the requests after it.
+        The transfer is counted once, on the path that completed it.
+        """
+        device = self.fs.device
+        write = op == "write"
+        submit = device.submit_write if write else device.submit_read
+        p2p = p2p and self._p2p_allowed(device)
+        if p2p:
+            span = self.tracer.child(
+                f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
+                path="p2p",
+            )
+            try:
+                yield from submit(
+                    core, extents, node, coalesce=True, ctx=ctx_of(span, ctx)
+                )
+            except InjectedFault:
+                self.tracer.end(span, error=True)
+                self._p2p_failed(device)
+                p2p, missing = False, extents
+            else:
+                self.tracer.end(span)
+                if write and self.cache is not None:
+                    self.cache.invalidate(device, extents)
+                self._p2p_succeeded(device)
+        if not p2p:
+            host = self.host_cpu.node
+            if write:
+                yield from self._dma(core, "dma.pull", node, host, nbytes, ctx)
+            pages = (nbytes + 4095) // 4096
+            yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
+            if missing:
+                span = self.tracer.child(
+                    f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
+                    path="buffered",
+                )
+                yield from submit(
+                    core, missing, host, coalesce=True, ctx=ctx_of(span, ctx)
+                )
+                self.tracer.end(span)
+                if self.cache is not None:
+                    self.cache.insert(device, missing)
+            if not write:
+                yield from self._dma(core, "dma.push", host, node, nbytes, ctx)
+        field = f"{'p2p' if p2p else 'buffered'}_{op}s"
+        setattr(self.stats, field, getattr(self.stats, field) + 1)
+        counter = self._c_p2p if p2p else self._c_buffered
+        if counter is not None:
+            counter.inc()
+
+    def _dma(
+        self, core: Core, name: str, src: str, dst: str, nbytes: int, ctx
     ) -> Generator:
-        self.stats.buffered_writes += 1
-        if self._c_buffered is not None:
-            self._c_buffered.inc()
-        t2 = self.engine.now
-        dma_span = (
-            self.tracer.begin(
-                "dma.pull", "transport", parent=ctx, core=core,
-                nbytes=msg.count,
-            )
-            if traced
-            else None
-        )
-        yield from self.fabric.dma_copy(
-            core, msg.source_node, self.host_cpu.node, msg.count
-        )
-        if dma_span is not None:
-            self.tracer.end(dma_span)
-        self.stats.time_transport += self.engine.now - t2
-        pages = (msg.count + 4095) // 4096
-        yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
-        t1 = self.engine.now
-        dev_span = (
-            self.tracer.begin(
-                "nvme.write", "device", parent=ctx, core=core,
-                nbytes=msg.count, path="buffered",
-            )
-            if traced
-            else None
-        )
-        yield from device.submit_write(
-            core, extents, self.host_cpu.node, coalesce=True,
-            ctx=_sctx(dev_span, ctx),
-        )
-        if dev_span is not None:
-            self.tracer.end(dev_span)
-        self.stats.time_storage += self.engine.now - t1
-        if self.cache is not None:
-            self.cache.insert(device, extents)
+        span = self.tracer.child(name, "transport", ctx, core=core, nbytes=nbytes)
+        yield from self.fabric.dma_copy(core, src, dst, nbytes)
+        self.tracer.end(span)
 
     # ------------------------------------------------------------------
     # Policy glue
     # ------------------------------------------------------------------
     def _decide(
         self, target_node: str, flags: int, extents
-    ) -> Tuple[PathDecision, list, list]:
-        cached: list = []
+    ) -> Tuple[PathDecision, list]:
+        """The path for ``extents`` and the ones missing from the cache."""
         missing: list = list(extents)
         hit_fraction = 0.0
         if self.cache is not None:
@@ -572,4 +425,4 @@ class SolrosFsProxy:
             o_buffer=bool(flags & O_BUFFER),
             cache_hit_fraction=hit_fraction,
         )
-        return decision, cached, missing
+        return decision, missing

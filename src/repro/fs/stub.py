@@ -17,6 +17,7 @@ import random
 from typing import Any, Generator, Optional
 
 from ..hw.cpu import CPU, Core
+from ..obs.tracer import ctx_of
 from ..sched.qos import QOS_NORMAL, Qos, RetryPolicy, SchedRejected
 from ..transport.rpc import RemoteCallError, RpcChannel
 from .ninep import Tclunk, Tfsync, Tmkdir, Topen, Tread, Treaddir, Tremove, Tstat, Twrite, wire_bytes
@@ -27,10 +28,6 @@ __all__ = ["SolrosFsBackend"]
 # Stub CPU work (host-unit ns; runs on the Phi so pays its multiplier).
 STUB_BASE_UNITS = 350          # VFS glue + RPC marshalling
 STUB_PAGE_UNITS = 120          # per-page scatter-gather construction
-
-
-def _sctx(span):
-    return span.ctx() if span is not None else None
 
 
 class SolrosFsBackend(FsBackend):
@@ -86,14 +83,10 @@ class SolrosFsBackend(FsBackend):
         trace root; everything downstream (ring phases, proxy, devices)
         hangs off the context returned here.  None when tracing is off.
         """
-        tracer = self.channel.tracer
-        if not tracer.enabled:
-            return None
-        return tracer.begin(f"fs.{op}", "stub", parent=None, core=core, **attrs)
+        return self.channel.tracer.root(f"fs.{op}", "stub", core=core, **attrs)
 
-    def _finish(self, span, **attrs) -> None:
-        if span is not None:
-            self.channel.tracer.end(span, **attrs)
+    def _finish(self, span) -> None:
+        self.channel.tracer.end(span)
 
     def _call(self, core: Core, msg: Any, ctx=None) -> Generator:
         """Ship one 9P message, absorbing transient failures.
@@ -162,7 +155,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "open", path=path)
         try:
             yield from self._charge(core)
-            fid = yield from self._call(core, Topen(path, flags), ctx=_sctx(span))
+            fid = yield from self._call(core, Topen(path, flags), ctx=ctx_of(span))
             return fid
         finally:
             self._finish(span)
@@ -171,7 +164,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "close")
         try:
             yield from self._charge(core)
-            yield from self._call(core, Tclunk(handle), ctx=_sctx(span))
+            yield from self._call(core, Tclunk(handle), ctx=ctx_of(span))
         finally:
             self._finish(span)
 
@@ -188,7 +181,7 @@ class SolrosFsBackend(FsBackend):
                     target_node=self.phi_cpu.node,
                     buffer_id=self._next_buffer(),
                 ),
-                ctx=_sctx(span),
+                ctx=ctx_of(span),
             )
             return data
         finally:
@@ -216,7 +209,7 @@ class SolrosFsBackend(FsBackend):
                     buffer_id=self._next_buffer(),
                     data=data,
                 ),
-                ctx=_sctx(span),
+                ctx=ctx_of(span),
             )
             return written
         finally:
@@ -226,7 +219,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "fsync")
         try:
             yield from self._charge(core)
-            yield from self._call(core, Tfsync(handle), ctx=_sctx(span))
+            yield from self._call(core, Tfsync(handle), ctx=ctx_of(span))
         finally:
             self._finish(span)
 
@@ -234,7 +227,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "stat", path=path)
         try:
             yield from self._charge(core)
-            result = yield from self._call(core, Tstat(path), ctx=_sctx(span))
+            result = yield from self._call(core, Tstat(path), ctx=ctx_of(span))
             return result
         finally:
             self._finish(span)
@@ -243,7 +236,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "unlink", path=path)
         try:
             yield from self._charge(core)
-            yield from self._call(core, Tremove(path), ctx=_sctx(span))
+            yield from self._call(core, Tremove(path), ctx=ctx_of(span))
         finally:
             self._finish(span)
 
@@ -251,7 +244,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "mkdir", path=path)
         try:
             yield from self._charge(core)
-            yield from self._call(core, Tmkdir(path), ctx=_sctx(span))
+            yield from self._call(core, Tmkdir(path), ctx=ctx_of(span))
         finally:
             self._finish(span)
 
@@ -259,7 +252,7 @@ class SolrosFsBackend(FsBackend):
         span = self._root(core, "readdir", path=path)
         try:
             yield from self._charge(core)
-            names = yield from self._call(core, Treaddir(path), ctx=_sctx(span))
+            names = yield from self._call(core, Treaddir(path), ctx=ctx_of(span))
             return names
         finally:
             self._finish(span)

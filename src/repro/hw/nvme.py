@@ -222,14 +222,12 @@ class NvmeDevice:
         extra_ns: int = 0,
     ) -> Generator:
         p = self.params
-        span = None
-        if self.tracer.enabled and ctx is not None:
-            # One span per NVMe command; parallel commands overlap, so
-            # per-category accounting must use interval unions.
-            span = self.tracer.begin(
-                f"nvme.cmd.{cmd.op}", "device", parent=ctx,
-                nbytes=cmd.nbytes, target=cmd.target,
-            )
+        # One span per NVMe command; parallel commands overlap, so
+        # per-category accounting must use interval unions.
+        span = self.tracer.child(
+            f"nvme.cmd.{cmd.op}", "device", ctx, nbytes=cmd.nbytes,
+            target=cmd.target,
+        )
         if self._h_cmd_bytes is not None:
             self._h_cmd_bytes.record(cmd.nbytes)
         yield self._slots.request()
@@ -256,8 +254,7 @@ class NvmeDevice:
                 self.stats.bytes_written += cmd.nbytes
         finally:
             self._slots.release()
-        if span is not None:
-            self.tracer.end(span)
+        self.tracer.end(span)
         if interrupt:
             yield from self._interrupt()
 

@@ -5,7 +5,7 @@ surface: a fixed set of span categories and a metric catalog.  This
 checker extracts every emission site from the AST —
 
 * span categories: the second positional argument of
-  ``tracer.begin(name, category, ...)``,
+  ``tracer.begin/root/child(name, category, ...)``,
 * metric names: the first argument of ``.counter()/.gauge()/
   .histogram()/.meter()`` registry calls,
 
@@ -31,6 +31,7 @@ RULE = "obs-conformance"
 
 OBS_DOC = "docs/OBSERVABILITY.md"
 _METRIC_METHODS = ("counter", "gauge", "histogram", "meter")
+_SPAN_METHODS = ("begin", "root", "child")
 _SEGMENT_RE = re.compile(r"^[a-z0-9_*-]+$")
 
 
@@ -147,12 +148,12 @@ def _metric_sites(mod: Module) -> Iterable[Tuple[str, int, int]]:
 
 
 def _span_sites(mod: Module) -> Iterable[Tuple[str, int, int]]:
-    """``(category, line, col)`` of ``tracer.begin`` calls."""
+    """``(category, line, col)`` of ``tracer.begin/root/child`` calls."""
     for node in ast.walk(mod.tree):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "begin"
+            and node.func.attr in _SPAN_METHODS
             and len(node.args) >= 2
         ):
             continue

@@ -425,15 +425,11 @@ class SolrosNetProxy:
                 # Trace-aware stubs append the request context as a
                 # fifth element; legacy 4-tuples still unpack fine.
                 ctx = msg[4] if len(msg) > 4 else None
-                span = None
-                if self.tracer.enabled and ctx is not None:
-                    span = self.tracer.begin(
-                        "net.tcp_send", "net", parent=ctx, core=core,
-                        nbytes=nbytes,
-                    )
+                span = self.tracer.child(
+                    "net.tcp_send", "net", ctx, core=core, nbytes=nbytes
+                )
                 yield from psock.conn.send(core, payload, nbytes)
-                if span is not None:
-                    self.tracer.end(span)
+                self.tracer.end(span)
                 self.stats.messages_out += 1
                 self.stats.bytes_out += nbytes
                 if self._m_out is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..hw.cpu import Core
+from ..obs.tracer import ctx_of
 from ..sched.qos import QOS_NORMAL, Qos
 from ..sim.engine import SimError
 from ..sim.primitives import Store
@@ -61,23 +62,18 @@ class SolrosNetApi:
     def connect(self, core: Core, addr: SocketAddr) -> Generator:
         """Open an outbound connection; returns a SolrosSocket."""
         tracer = self.channel.tracer
-        span = (
-            tracer.begin("net.connect", "net", parent=None, core=core)
-            if tracer.enabled
-            else None
-        )
+        span = tracer.root("net.connect", "net", core=core)
         try:
             yield from core.syscall()
             yield from core.compute(STUB_NET_UNITS, "branchy")
             sock_id = yield from self.channel.rpc.call(
                 core, "net", ("connect", addr),
-                ctx=span.ctx() if span is not None else None,
+                ctx=ctx_of(span),
                 **self._qos_kwargs(),
             )
             return SolrosSocket(self, sock_id)
         finally:
-            if span is not None:
-                tracer.end(span)
+            tracer.end(span)
 
     def listen(
         self,
@@ -152,17 +148,11 @@ class SolrosSocket:
         if nbytes < 0:
             raise SimError(f"negative send size: {nbytes}")
         tracer = self.api.channel.tracer
-        span = (
-            tracer.begin(
-                "net.send", "net", parent=None, core=core, nbytes=nbytes
-            )
-            if tracer.enabled
-            else None
-        )
+        span = tracer.root("net.send", "net", core=core, nbytes=nbytes)
         try:
             yield from core.syscall()
             yield from core.compute(STUB_NET_UNITS, "branchy")
-            ctx = span.ctx() if span is not None else None
+            ctx = ctx_of(span)
             record = (
                 ("send", self.sock_id, payload, nbytes, ctx)
                 if ctx is not None
@@ -172,8 +162,7 @@ class SolrosSocket:
                 core, record, nbytes + EVENT_HDR_BYTES, ctx=ctx
             )
         finally:
-            if span is not None:
-                tracer.end(span)
+            tracer.end(span)
 
     def recv(self, core: Core) -> Generator:
         """Block for the next message; ``(None, 0)`` on EOF.
@@ -184,24 +173,19 @@ class SolrosSocket:
         if self._eof:
             return None, 0
         tracer = self.api.channel.tracer
-        span = (
-            tracer.begin("net.recv", "net", parent=None, core=core)
-            if tracer.enabled
-            else None
-        )
+        span = tracer.root("net.recv", "net", core=core)
         yield from core.syscall()
         store = self.api.channel.route_store(self.sock_id)
         event, slot = yield store.get()
         yield from core.compute(STUB_NET_UNITS, "branchy")
         ring = self.api.channel.inbound
-        if span is not None and slot.trace is None:
+        if slot.trace is None:
             # Inbound events carry no sender context; adopt ours so the
             # copy-out phase appears under this recv.
-            slot.trace = span.ctx()
+            slot.trace = ctx_of(span)
         yield from ring.copy_from(core, slot)
         yield from ring.set_done(core, slot)
-        if span is not None:
-            tracer.end(span, nbytes=event.nbytes, kind=event.kind)
+        tracer.end(span, nbytes=event.nbytes, kind=event.kind)
         if event.kind == "eof":
             self._eof = True
             self.api.channel.sock_stores.pop(self.sock_id, None)

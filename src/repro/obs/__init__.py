@@ -13,7 +13,6 @@ Three pieces:
 See ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
 """
 
-from .adapter import accounting_view
 from .export import (
     chrome_trace,
     metrics_json,
@@ -34,7 +33,7 @@ from .metrics import (
     MetricsRegistry,
     RateMeter,
 )
-from .tracer import NULL_TRACER, NullTracer, Span, SpanContext, Tracer
+from .tracer import NULL_TRACER, NullTracer, Span, SpanContext, Tracer, ctx_of
 
 __all__ = [
     "Span",
@@ -42,6 +41,7 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "ctx_of",
     "Counter",
     "Gauge",
     "HistogramMetric",
@@ -56,5 +56,4 @@ __all__ = [
     "write_chrome_trace",
     "metrics_json",
     "write_metrics_json",
-    "accounting_view",
 ]

@@ -12,9 +12,11 @@ Design constraints:
 
 * **Zero simulated-time overhead.** Spans only *read* ``engine.now``;
   enabling tracing never changes a benchmark's simulated result.
-* **Zero cost when disabled.** Components hold a :class:`NullTracer`
-  by default and guard instrumentation with ``tracer.enabled`` — one
-  attribute load on the hot path, nothing else.
+* **Near-zero cost when disabled.** Components hold a
+  :class:`NullTracer` by default and open spans through
+  :meth:`Tracer.root` / :meth:`Tracer.child`, which return None when
+  tracing is off (or the request carries no context); ``end(None)`` is
+  a no-op, so instrumented code needs no ``if traced`` branches.
 * **Explicit context propagation.** There is no ambient "current
   span": context crosses process boundaries as a
   :class:`SpanContext` riding on :class:`~repro.transport.rpc.RpcMessage`
@@ -27,9 +29,16 @@ Categories used by the stack (see ``docs/OBSERVABILITY.md``):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "SpanContext", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = [
+    "Span",
+    "SpanContext",
+    "Tracer",
+    "NullTracer",
+    "NULL_TRACER",
+    "ctx_of",
+]
 
 
 class SpanContext:
@@ -188,32 +197,36 @@ class Tracer:
             self.dropped += 1
         return span
 
-    def end(self, span: Span, **attrs: Any) -> Span:
-        """Close ``span`` at the current simulated time."""
+    def root(
+        self, name: str, category: str, core: Optional[Any] = None, **attrs: Any
+    ) -> Span:
+        """Open a new trace's root span."""
+        return self.begin(name, category, core=core, **attrs)
+
+    def child(
+        self,
+        name: str,
+        category: str,
+        parent: Optional[Any],
+        core: Optional[Any] = None,
+        **attrs: Any,
+    ) -> Optional[Span]:
+        """Open a span under ``parent``; None when there is no parent
+        (the request is untraced), so :meth:`end` is then a no-op."""
+        if parent is None:
+            return None
+        return self.begin(name, category, parent=parent, core=core, **attrs)
+
+    def end(self, span: Optional[Span], **attrs: Any) -> Optional[Span]:
+        """Close ``span`` at the current simulated time (None: no-op)."""
+        if span is None:
+            return None
         span.end_ns = self.engine.now
         if attrs:
             if span.attrs is None:
                 span.attrs = {}
             span.attrs.update(attrs)
         return span
-
-    def timed(
-        self,
-        name: str,
-        category: str,
-        gen: Generator,
-        parent: Optional[Any] = None,
-        core: Optional[Any] = None,
-        **attrs: Any,
-    ) -> Generator:
-        """Run sub-generator ``gen`` inside a span (Accounting.timed's
-        shape): ``result = yield from tracer.timed(...)``."""
-        span = self.begin(name, category, parent=parent, core=core, **attrs)
-        try:
-            result = yield from gen
-        finally:
-            self.end(span)
-        return result
 
     # ------------------------------------------------------------------
     # Queries
@@ -318,8 +331,8 @@ class Tracer:
 
 
 class NullTracer:
-    """The zero-overhead default: components check ``enabled`` first,
-    but every method is also a safe no-op."""
+    """The default when tracing is off: :meth:`root`/:meth:`child`
+    return None and every other method is a safe no-op."""
 
     enabled = False
 
@@ -328,12 +341,14 @@ class NullTracer:
     def begin(self, name, category, parent=None, core=None, start_ns=None, **attrs):
         return self._SPAN
 
+    def root(self, name, category, core=None, **attrs):
+        return None
+
+    def child(self, name, category, parent, core=None, **attrs):
+        return None
+
     def end(self, span, **attrs):
         return span
-
-    def timed(self, name, category, gen, parent=None, core=None, **attrs):
-        result = yield from gen
-        return result
 
     def finished_spans(self):
         return []
@@ -358,3 +373,9 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+def ctx_of(span: Optional[Span], fallback: Optional[SpanContext] = None):
+    """The context to propagate from ``span``, or ``fallback`` when no
+    span was opened."""
+    return span.ctx() if span is not None else fallback

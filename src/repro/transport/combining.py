@@ -107,19 +107,15 @@ class CombiningQueue:
         req = _Request(self.cpu, core, op, self._seq, self.name)
         prev: Optional[_Request] = yield from self._tail.swap(core, req)
         if prev is not None:
-            span = None
-            if self.tracer.enabled and ctx is not None:
-                span = self.tracer.begin(
-                    "combining.wait", "transport", parent=ctx, core=core,
-                    queue=self.name,
-                )
+            span = self.tracer.child(
+                "combining.wait", "transport", ctx, core=core, queue=self.name
+            )
             # Join the queue behind prev and spin on our own line.
             yield from prev.next.store(core, req)
             status = yield from req.status.wait_until(
                 core, lambda v: v != _WAITING
             )
-            if span is not None:
-                self.tracer.end(span, combined=status == _DONE)
+            self.tracer.end(span, combined=status == _DONE)
             if status == _DONE:
                 return req.result
             # We were promoted to combiner: our op is still pending.

@@ -323,12 +323,10 @@ class RingBuffer:
             raise SimError(f"element size must be positive: {size}")
         if size + self.policy.header_bytes > self.capacity:
             raise SimError(f"element larger than ring: {size}")
-        span = None
-        if self.tracer.enabled and ctx is not None:
-            span = self.tracer.begin(
-                "rb.enqueue", "transport", parent=ctx, core=core,
-                ring=self.name, size=size,
-            )
+        span = self.tracer.child(
+            "rb.enqueue", "transport", ctx, core=core, ring=self.name,
+            size=size,
+        )
         yield from core.compute(RB_OP_WORK_UNITS, "branchy")
         if self.faults is not None:
             # Transient slot stall: the producer loses the slot for a
@@ -341,13 +339,11 @@ class RingBuffer:
         )
         if result is _WOULD_BLOCK:
             self.stats.would_blocks += 1
-            if span is not None:
-                self.tracer.end(span, would_block=True)
+            self.tracer.end(span, would_block=True)
             return None
         result.trace = ctx
         self._set_occupancy()
-        if span is not None:
-            self.tracer.end(span)
+        self.tracer.end(span)
         return result
 
     def _enqueue_op(self, core: Core, size: int) -> Generator:
@@ -388,18 +384,15 @@ class RingBuffer:
         """Fill the reserved slot (rb_copy_to_rb_buf)."""
         if slot.state != _RESERVED:
             raise SimError(f"copy_to on {slot.state} slot")
-        span = None
-        if self.tracer.enabled and slot.trace is not None:
-            span = self.tracer.begin(
-                "rb.copy_in", "transport", parent=slot.trace, core=core,
-                ring=self.name, size=slot.size,
-            )
+        span = self.tracer.child(
+            "rb.copy_in", "transport", slot.trace, core=core, ring=self.name,
+            size=slot.size,
+        )
         yield from self._data_copy(core, slot.size, into_ring=True)
         slot.data = data
         if SANITIZER.enabled:
             SANITIZER.on_slot_copy(self, slot.seq)
-        if span is not None:
-            self.tracer.end(span)
+        self.tracer.end(span)
 
     def set_ready(self, core: Core, slot: Slot) -> Generator:
         """Mark the slot dequeueable (rb_set_ready)."""
@@ -409,13 +402,12 @@ class RingBuffer:
             SANITIZER.on_slot_phase(self, slot.seq, "ready")
         yield from self._slot_header_write(core, writer_is_sender=True)
         slot.state = _READY
-        if self.tracer.enabled and slot.trace is not None:
-            # Queued-residency span: open now, ended when the receiver
-            # claims the slot in try_dequeue.
-            slot.qspan = self.tracer.begin(
-                "rb.queued", "transport", parent=slot.trace, core=core,
-                ring=self.name, size=slot.size,
-            )
+        # Queued-residency span: open now, ended when the receiver
+        # claims the slot in try_dequeue.
+        slot.qspan = self.tracer.child(
+            "rb.queued", "transport", slot.trace, core=core, ring=self.name,
+            size=slot.size,
+        )
         self._wake(self._data_waiters)
 
     # ------------------------------------------------------------------
@@ -471,15 +463,12 @@ class RingBuffer:
         """Copy the payload out (rb_copy_from_rb_buf); returns it."""
         if slot.state != _CONSUMED:
             raise SimError(f"copy_from on {slot.state} slot")
-        span = None
-        if self.tracer.enabled and slot.trace is not None:
-            span = self.tracer.begin(
-                "rb.copy_out", "transport", parent=slot.trace, core=core,
-                ring=self.name, size=slot.size,
-            )
+        span = self.tracer.child(
+            "rb.copy_out", "transport", slot.trace, core=core, ring=self.name,
+            size=slot.size,
+        )
         yield from self._data_copy(core, slot.size, into_ring=False)
-        if span is not None:
-            self.tracer.end(span)
+        self.tracer.end(span)
         return slot.data
 
     def set_done(self, core: Core, slot: Slot) -> Generator:

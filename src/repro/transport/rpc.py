@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, ctx_of
 from ..sim.engine import Engine, Event, Interrupt, SimError
 from .ringbuf import RingBuffer, RingPolicy
 
@@ -291,14 +291,11 @@ class RpcChannel:
         done = self.engine.event()
         self._pending[req_id] = done
         self.calls += 1
-        span = None
-        send_ctx = ctx
-        if self.tracer.enabled and ctx is not None:
-            span = self.tracer.begin(
-                f"rpc.{method}", "transport", parent=ctx, core=core,
-                channel=self.name, size=size,
-            )
-            send_ctx = span.ctx()
+        span = self.tracer.child(
+            f"rpc.{method}", "transport", ctx, core=core, channel=self.name,
+            size=size,
+        )
+        send_ctx = ctx_of(span, ctx)
         if self._g_inflight is not None:
             self._g_inflight.add(1)
         msg = RpcMessage(
@@ -316,8 +313,7 @@ class RpcChannel:
                 self._pending.pop(req_id, None)
                 if self._g_inflight is not None:
                     self._g_inflight.add(-1)
-                if span is not None:
-                    self.tracer.end(span, error=True, timeout=True)
+                self.tracer.end(span, error=True, timeout=True)
                 if self.faults is not None:
                     self.faults.rpc_timeout()
                 raise RemoteCallError(method, RpcTimeout(method, timeout_ns))
@@ -326,8 +322,7 @@ class RpcChannel:
             self._g_inflight.add(-1)
         if self._m_calls is not None:
             self._m_calls.add(size + response.size)
-        if span is not None:
-            self.tracer.end(span, error=response.is_error)
+        self.tracer.end(span, error=response.is_error)
         if response.is_error:
             raise RemoteCallError(method, response.payload)
         return response.payload
@@ -417,27 +412,22 @@ class RpcChannel:
         out so a control-plane scheduler can receive in one process and
         execute in another (its worker pool) with identical semantics.
         """
-        span = None
-        hctx = msg.trace
-        if self.tracer.enabled and msg.trace is not None:
-            span = self.tracer.begin(
-                f"rpc.serve.{msg.method}", "proxy", parent=msg.trace,
-                core=core, channel=self.name,
-            )
-            hctx = span.ctx()
+        span = self.tracer.child(
+            f"rpc.serve.{msg.method}", "proxy", msg.trace, core=core,
+            channel=self.name,
+        )
+        hctx = ctx_of(span, msg.trace)
         if self.faults is not None and self.faults.proxy_request(self.name):
             # Injected proxy crash: the request vanishes without a
             # reply.  The client recovers via timeout + re-issue.
-            if span is not None:
-                self.tracer.end(span, error=True, dropped=True)
+            self.tracer.end(span, error=True, dropped=True)
             return
         if msg.oneway:
             try:
                 yield from handler(core, msg.method, msg.payload, hctx)
             except Exception:
                 pass  # nowhere to report a one-way failure
-            if span is not None:
-                self.tracer.end(span, oneway=True)
+            self.tracer.end(span, oneway=True)
             return
         cached = (
             self._dedup_done.get(msg.dedup) if msg.dedup is not None else None
@@ -470,8 +460,7 @@ class RpcChannel:
                     msg.req_id, msg.method, error, response_size,
                     is_error=True, trace=msg.trace,
                 )
-        if span is not None:
-            self.tracer.end(span, error=reply.is_error)
+        self.tracer.end(span, error=reply.is_error)
         yield from self.response_ring.send(
             core, reply, reply.size, ctx=msg.trace
         )

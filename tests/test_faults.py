@@ -245,28 +245,32 @@ def test_nic_drop_charges_retransmit():
 # ----------------------------------------------------------------------
 # Circuit breaker: P2P -> buffered degradation
 # ----------------------------------------------------------------------
-def test_breaker_opens_and_degrades_to_buffered():
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_breaker_opens_and_degrades_to_buffered(op):
     """Persistent P2P-only NVMe errors trip the per-device breaker;
-    reads keep completing on the host-staged buffered path, and once
-    the faults stop the half-open probe closes the breaker again."""
+    transfers keep completing on the host-staged buffered path, each
+    counted once on the path that completed it, and once the faults
+    stop the half-open probe closes the breaker again."""
     plan = FaultPlan(
         seed=9,
-        nvme=NvmeFaults(read_error_rate=1.0, error_scope="p2p"),
+        nvme=NvmeFaults(error_scope="p2p", **{f"{op}_error_rate": 1.0}),
     )
     eng, sys_ = boot(
         plan,
         fault_breaker_threshold=2,
         fault_breaker_reset_ns=200_000,
     )
-    moved = run_io(eng, sys_, n_ops=4)
-    assert moved == 4 * BLOCK  # every read completed, degraded
+    moved = run_io(eng, sys_, n_ops=4, op=op)
+    assert moved == 4 * BLOCK  # every transfer completed, degraded
     counts = sys_.faults_state()["counts"]
     assert counts["faults.breaker.trips"] >= 1
     assert counts["faults.fallback.buffered"] >= 3
-    assert counts["faults.nvme.read_errors"] >= 2
+    assert counts[f"faults.nvme.{op}_errors"] >= 2
+    stats = sys_.control.fs_proxy.stats
+    assert getattr(stats, f"p2p_{op}s") + getattr(stats, f"buffered_{op}s") == 4
     # Faults stop: the half-open probe should succeed and re-close.
     sys_.faults.armed = False
-    run_io(eng, sys_, n_ops=8)
+    run_io(eng, sys_, n_ops=8, op=op)
     snaps = sys_.faults_state()["breakers"]
     assert [b["state"] for b in snaps] == [CLOSED]
     assert OPEN != CLOSED  # vocabulary sanity

@@ -289,6 +289,8 @@ def test_obs_conformance_accepts_documented_names(tmp_path):
                 metrics.counter("sched.submitted")
                 metrics.counter(f"ring.{name}.bytes")
                 tracer.begin("fs.open", "stub", core=core)
+                span = tracer.root("fs.open", "stub", core=core)
+                tracer.child("rpc.9p", "stub", span, core=core)
         """,
     }, rules=["obs-conformance"])
     assert findings == []
@@ -309,6 +311,21 @@ def test_obs_conformance_flags_undocumented_and_misnamed(tmp_path):
     assert "naming scheme" in messages
     assert "not documented" in messages
     assert "span category 'bogus'" in messages
+
+
+def test_obs_conformance_reads_root_and_child_categories(tmp_path):
+    _write_obs_doc(tmp_path)
+    findings, _ = run_fixture(tmp_path, {
+        "src/repro/obs_use.py": """
+            def op(tracer, core, ctx):
+                span = tracer.root("fs.open", "rootcat", core=core)
+                tracer.child("rpc.9p", "childcat", ctx, core=core)
+                return span
+        """,
+    }, rules=["obs-conformance"])
+    assert sorted(f.message.split("'")[1] for f in findings) == [
+        "childcat", "rootcat",
+    ]
 
 
 def test_obs_conformance_without_doc_only_checks_naming(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for repro.obs: tracer, metrics, exporters, and the
-end-to-end Solros integration (spans agree with the proxy timers)."""
+end-to-end Solros integration (span totals agree with an outside
+oracle)."""
 
 import json
 
@@ -15,12 +16,14 @@ from repro.obs import (
     RateMeter,
     SpanContext,
     Tracer,
-    accounting_view,
     chrome_trace,
+    ctx_of,
     disable_capture,
     enable_capture,
     metrics_json,
 )
+from repro.fs.blockdev import BlockDevice
+from repro.fs.extfs import ExtFS
 from repro.fs.vfs import O_CREAT, O_RDWR
 from repro.sim import Engine
 
@@ -119,20 +122,29 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     span = NULL_TRACER.begin("x", "stub", core=None, whatever=1)
     assert NULL_TRACER.end(span) is span
+    assert NULL_TRACER.root("x", "stub", whatever=1) is None
+    assert NULL_TRACER.child("y", "stub", SpanContext(1, 1)) is None
+    assert NULL_TRACER.end(None) is None
     assert NULL_TRACER.finished_spans() == []
     assert NULL_TRACER.category_union_ns() == {}
 
+
+def test_root_child_helpers_and_ctx_of():
     eng = Engine()
-
-    def inner(eng):
-        yield 30
-        return 9
-
-    def main(eng):
-        result = yield from NULL_TRACER.timed("y", "stub", inner(eng))
-        return result
-
-    assert eng.run_process(main(eng)) == 9
+    tracer = Tracer(eng)
+    root = tracer.root("req", "stub", size=4)
+    assert root.parent_id is None and root.attrs == {"size": 4}
+    child = tracer.child("rpc", "transport", ctx_of(root), ring="r")
+    assert (child.trace_id, child.parent_id) == (root.trace_id, root.span_id)
+    # An untraced request (no parent context) opens nothing, and
+    # closing the missing span is a no-op.
+    assert tracer.child("rpc", "transport", None) is None
+    assert tracer.end(None, error=True) is None
+    assert len(tracer.spans) == 2
+    fallback = SpanContext(7, 8)
+    assert ctx_of(None) is None
+    assert ctx_of(None, fallback) is fallback
+    assert ctx_of(child, fallback).span_id == child.span_id
 
 
 # ----------------------------------------------------------------------
@@ -302,25 +314,44 @@ def test_solros_read_produces_linked_span_tree():
             assert s.start_ns >= by_id[s.parent_id].start_ns
 
 
-def test_span_totals_match_proxy_timers_exactly():
+def test_span_totals_match_an_outside_oracle(monkeypatch):
+    """Fig. 13(a) is read off the ``fs`` and ``device`` span unions.
+
+    Check them against timers wrapped around the host file system's
+    data-path calls and the block device from outside the stack; the
+    workload is sequential, so each union equals the summed call
+    durations exactly."""
     eng, system = _build_traced_system()
-    tracer = system.obs.tracer
-    stats = system.control.fs_proxy.stats
+    phi = system.dataplane(0)
+    core = phi.core(0)
+    # Create the file first: its directory-block write is metadata I/O
+    # outside the read/write data path that the spans cover.
+    fd = eng.run_process(phi.fs.open(core, "/bench", O_CREAT | O_RDWR))
+    eng.run_process(phi.fs.close(core, fd))
+
+    totals = {"fs": 0, "device": 0}
+
+    def timed(owner, name, category):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            start = eng.now
+            result = yield from original(*args, **kwargs)
+            totals[category] += eng.now - start
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    timed(ExtFS, "fiemap", "fs")
+    timed(ExtFS, "_ensure_allocated", "fs")
+    timed(BlockDevice, "submit_read", "device")
+    timed(BlockDevice, "submit_write", "device")
     _read_workload(eng, system)
 
-    union = tracer.category_union_ns()
-    # The fs and device spans sit on the same engine.now boundaries as
-    # the proxy's time_fs/time_storage timer regions, and this workload
-    # is sequential, so union == timer total exactly.
-    assert union["fs"] == stats.time_fs
-    assert union["device"] == stats.time_storage
-
-    # The legacy-Accounting adapter reports the same numbers.
-    acct = accounting_view(tracer, eng)
-    split = acct.breakdown()
-    assert split["fs"] == stats.time_fs
-    assert split["device"] == stats.time_storage
-    assert acct.total() == sum(union.values())
+    union = system.obs.tracer.category_union_ns()
+    assert totals["fs"] > 0 and totals["device"] > 0
+    assert union["fs"] == totals["fs"]
+    assert union["device"] == totals["device"]
 
 
 def test_tracing_never_changes_simulated_time():
@@ -406,3 +437,31 @@ def test_run_one_reports_errors_without_aborting(tmp_path, capsys):
     assert "ERROR: RuntimeError('boom')" in out
     assert "SHAPE-CHECK FAILED: shape" in out
     assert "test_c_passes: ok" in out
+
+
+def test_bench_cli_exports_trace_and_metrics(tmp_path):
+    """``python -m repro.bench fig13 --trace-out ... --metrics-out ...``
+    writes a Perfetto trace with every fs-path span category and a
+    metrics document holding counters and gauges."""
+    from repro.bench.cli import main
+
+    trace_path = tmp_path / "trace.json"
+    metrics_path = tmp_path / "metrics.json"
+    assert main([
+        "fig13", "--trace-out", str(trace_path),
+        "--metrics-out", str(metrics_path),
+    ]) == 0
+
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    spans = [e for e in events if e.get("ph") == "X"]
+    assert spans, "trace has no span events"
+    cats = {e["cat"] for e in spans}
+    assert {"stub", "transport", "proxy", "fs", "device"} <= cats
+    for e in spans:
+        assert e["dur"] >= 0 and e["ts"] >= 0
+        assert "trace" in e["args"] and "span" in e["args"]
+
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics, "metrics JSON is empty"
+    kinds = {m["type"] for reg in metrics.values() for m in reg.values()}
+    assert {"counter", "gauge"} <= kinds
