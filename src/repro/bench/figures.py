@@ -586,17 +586,17 @@ def fs_latency_breakdown(
     if stack.startswith("solros"):
         from ..fs.stub import STUB_BASE_UNITS, STUB_PAGE_UNITS
 
-        proxy = setup.system.control.fs_proxy
-        stats = proxy.stats
         phi = setup.system.machine.phi(0)
         stub_us = (
             (STUB_BASE_UNITS + STUB_PAGE_UNITS * pages)
             * phi.params.branchy_mult
             / 1000.0
         )
+        # Per read: only the measured reads open fs/device spans (the
+        # proxy also serves the Topen/Tclunk, which have none).
         split = setup.obs.tracer.category_union_ns()
-        fs_us = split.get("fs", 0) / stats.requests / 1000.0 + stub_us
-        storage_us = split.get("device", 0) / max(1, stats.requests) / 1000.0
+        fs_us = split.get("fs", 0) / ops / 1000.0 + stub_us
+        storage_us = split.get("device", 0) / ops / 1000.0
         transport_us = max(0.0, total_us - fs_us - storage_us)
         setup.system.shutdown()
     elif stack == "virtio":
