@@ -315,7 +315,7 @@ class SolrosFsProxy:
         fs_span = self.tracer.child("fs.allocate+fiemap", "fs", ctx, core=core)
         yield from self.fs._ensure_allocated(core, inode, msg.offset + msg.count)
         extents = yield from self.fs.fiemap(core, inode, msg.offset, msg.count)
-        decision, _missing = self._decide(msg.source_node, flags, extents)
+        decision, _ = self._decide(msg.source_node, flags, extents)
         self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
 
         if msg.data is not None:

@@ -85,9 +85,6 @@ class SolrosFsBackend(FsBackend):
         """
         return self.channel.tracer.root(f"fs.{op}", "stub", core=core, **attrs)
 
-    def _finish(self, span) -> None:
-        self.channel.tracer.end(span)
-
     def _call(self, core: Core, msg: Any, ctx=None) -> Generator:
         """Ship one 9P message, absorbing transient failures.
 
@@ -158,7 +155,7 @@ class SolrosFsBackend(FsBackend):
             fid = yield from self._call(core, Topen(path, flags), ctx=ctx_of(span))
             return fid
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def close(self, core: Core, handle: Any) -> Generator:
         span = self._root(core, "close")
@@ -166,7 +163,7 @@ class SolrosFsBackend(FsBackend):
             yield from self._charge(core)
             yield from self._call(core, Tclunk(handle), ctx=ctx_of(span))
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def pread(self, core: Core, handle: Any, offset: int, nbytes: int) -> Generator:
         span = self._root(core, "pread", offset=offset, nbytes=nbytes)
@@ -185,7 +182,7 @@ class SolrosFsBackend(FsBackend):
             )
             return data
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def pwrite(
         self,
@@ -213,7 +210,7 @@ class SolrosFsBackend(FsBackend):
             )
             return written
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def fsync(self, core: Core, handle: Any) -> Generator:
         span = self._root(core, "fsync")
@@ -221,7 +218,7 @@ class SolrosFsBackend(FsBackend):
             yield from self._charge(core)
             yield from self._call(core, Tfsync(handle), ctx=ctx_of(span))
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def stat(self, core: Core, path: str) -> Generator:
         span = self._root(core, "stat", path=path)
@@ -230,7 +227,7 @@ class SolrosFsBackend(FsBackend):
             result = yield from self._call(core, Tstat(path), ctx=ctx_of(span))
             return result
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def unlink(self, core: Core, path: str) -> Generator:
         span = self._root(core, "unlink", path=path)
@@ -238,7 +235,7 @@ class SolrosFsBackend(FsBackend):
             yield from self._charge(core)
             yield from self._call(core, Tremove(path), ctx=ctx_of(span))
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def mkdir(self, core: Core, path: str) -> Generator:
         span = self._root(core, "mkdir", path=path)
@@ -246,7 +243,7 @@ class SolrosFsBackend(FsBackend):
             yield from self._charge(core)
             yield from self._call(core, Tmkdir(path), ctx=ctx_of(span))
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
 
     def readdir(self, core: Core, path: str) -> Generator:
         span = self._root(core, "readdir", path=path)
@@ -255,4 +252,4 @@ class SolrosFsBackend(FsBackend):
             names = yield from self._call(core, Treaddir(path), ctx=ctx_of(span))
             return names
         finally:
-            self._finish(span)
+            self.channel.tracer.end(span)
