@@ -981,9 +981,9 @@ def faults_chaos_run(
     proxy crash is survived by the RPC timeout + idempotent re-issue,
     and latency spikes/stalls only stretch the clock.
 
-    Returns per-op latencies (measured inside the workers — leftover
-    timeout timers may extend ``engine.now`` after the last
-    completion), throughput, and the injector's own accounting.
+    Returns per-op latencies (measured inside the workers), throughput
+    over the window that closes at the last operation, and the
+    injector's own accounting.
     """
     from ..faults import FaultPlan, NvmeFaults, ProxyFaults, RingFaults
     from ..sim.stats import percentile
@@ -1021,9 +1021,10 @@ def faults_chaos_run(
     n_blocks = file_bytes // block_size
     latencies: List[int] = []
     moved = [0]
-    # engine.now keeps advancing after the last completion while
-    # leftover RPC-timeout timers drain, so the throughput window
-    # closes at the last *operation*, recorded inside the workers.
+    # Answered RPCs cancel their timeout timers, so the run ends with
+    # the workers, but engine.now then also covers each worker's final
+    # close: the throughput window closes at the last *operation*,
+    # recorded inside the workers.
     last_done = [0]
 
     def worker(t):

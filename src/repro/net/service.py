@@ -175,7 +175,10 @@ class SolrosNetProxy:
         self.listeners: Dict[int, _SharedListener] = {}
         self.loads: Dict[int, int] = {}  # phi_index -> active conns
         self._next_sock = 0
+        # Live service processes in spawn order (finished ones are
+        # pruned once the list doubles; see _spawn).
         self._procs: list = []
+        self._prune_at = 64
         self._running = True
         self._worker_core_base = 8
         # Observability (off by default).
@@ -272,7 +275,11 @@ class SolrosNetProxy:
 
     def _spawn(self, gen: Generator, name: str):
         proc = self.engine.spawn(self._guard(gen), name=name)
-        self._procs.append(proc)
+        procs = self._procs
+        if len(procs) >= self._prune_at:
+            procs[:] = [p for p in procs if p.alive]
+            self._prune_at = max(64, 2 * len(procs))
+        procs.append(proc)
         return proc
 
     @staticmethod

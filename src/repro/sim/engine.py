@@ -25,11 +25,40 @@ Example::
 
     eng.spawn(main(eng), name="main")
     eng.run()
+
+Scheduling
+----------
+Work is a callback plus one argument, ``fn(arg)``, never a closure.
+Work due later sits in a heap as ``[when, seq, fn, arg]``; work due
+*now* (a triggered event's delivery, a process kick-off, an interrupt,
+``yield 0``) sits in a FIFO **now-queue** as ``(fn, arg)``.  At each
+instant :meth:`Engine.run` first runs the heap entries due at ``now``,
+then drains the now-queue, then advances the clock to the next heap
+entry.  This is exactly ``(time, seq)`` order: a heap entry due at
+``now`` was scheduled before the clock reached ``now``, so its sequence
+number is smaller than that of every now-queue entry, and while the
+clock stands at ``now`` nothing new can be scheduled into the heap at
+``now`` (a positive delay lands later, a zero delay on the now-queue).
+
+Waiting on an already-triggered event (an uncontended ``Lock.acquire``
+or ``Resource.request``) costs one entry, not two: if the event's own
+delivery is still the last queued entry, that entry is replaced by one
+that delivers the event and then runs the waiter's callback (nothing
+could run between the two, so the order is unchanged); otherwise one
+``(callback, event)`` entry is queued.
+
+Timers are cancellable by lazy deletion.  When :meth:`Engine.any_of`
+resolves, each losing :meth:`Engine.timeout` that has no other waiter
+is marked dead in place; :meth:`Engine.run` discards dead entries
+without advancing the clock, so a drained simulation ends at its last
+real event, not at a stale deadline.  A dead timer that is waited on
+again is restored and fires at its deadline (at once if that passed).
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -114,7 +143,7 @@ class Event:
             raise SimError(f"event already triggered: {self!r}")
         self._state = _SUCCEEDED
         self._value = value
-        self.engine._queue_triggered(self)
+        self.engine._queue.append((_deliver, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -128,7 +157,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._state = _FAILED
         self._value = exc
-        self.engine._queue_triggered(self)
+        self.engine._queue.append((_deliver, self))
         return self
 
     # ------------------------------------------------------------------
@@ -138,12 +167,20 @@ class Event:
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._state == _PENDING:
             self._callbacks.append(callback)
-        else:
-            # Already triggered: deliver on the next engine step so the
-            # caller observes uniform asynchronous semantics.
-            if self._state == _FAILED:
-                self._failure_consumed = True
-            self.engine._schedule(0, lambda: callback(self))
+            return
+        # Already triggered: deliver asynchronously, at the current
+        # instant, after everything already queued.
+        if self._state == _FAILED:
+            self._failure_consumed = True
+        queue = self.engine._queue
+        if queue:
+            last = queue[-1]
+            if last[1] is self and last[0] is _deliver:
+                # Our own delivery is the last queued entry: ride on it.
+                # (Not via _callbacks, which interrupt may still edit.)
+                queue[-1] = (_deliver_then, (self, callback))
+                return
+        queue.append((callback, self))
 
     def _remove_callback(self, callback: Callable[["Event"], None]) -> None:
         try:
@@ -151,12 +188,48 @@ class Event:
         except ValueError:
             pass
 
-    def _deliver(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        if callbacks and self._state == _FAILED:
-            self._failure_consumed = True
+
+def _deliver(event: Event) -> None:
+    """Run ``event``'s callbacks (a now-queue entry)."""
+    callbacks = event._callbacks
+    if callbacks:
+        event._callbacks = []
+        if event._state == _FAILED:
+            event._failure_consumed = True
         for callback in callbacks:
-            callback(self)
+            callback(event)
+
+
+def _deliver_then(pair: tuple) -> None:
+    """Deliver an event, then run one more callback on it."""
+    event, callback = pair
+    _deliver(event)
+    callback(event)
+
+
+class _Timer(Event):
+    """An :meth:`Engine.timeout` event; ``_entry`` is its heap entry
+    (``None`` for a zero delay, which is never cancelled)."""
+
+    __slots__ = ("_entry",)
+
+    def _add_callback(self, callback: Callable[[Event], None]) -> None:
+        entry = self._entry
+        if entry is not None and entry[2] is None:
+            # Waited on again after any_of cancelled it: undo the cancel.
+            engine = self.engine
+            if any(e is entry for e in engine._heap):
+                entry[2] = self.succeed
+            elif entry[0] <= engine._now:
+                # Discarded by run() and past its deadline: it would
+                # have fired unobserved, so it is simply triggered.
+                self._entry = None
+                self._state = _SUCCEEDED
+                self._value = entry[3]
+            else:
+                entry[2] = self.succeed
+                heappush(engine._heap, entry)
+        Event._add_callback(self, callback)
 
 
 class Process(Event):
@@ -179,8 +252,9 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         self._resume_cb = self._on_event
-        # Kick off on the next engine step.
-        engine._schedule(0, lambda: self._step(None, None))
+        # Kick off at the current instant.  Wake-ups are (_wake, self)
+        # entries: the plain function needs no per-process bound method.
+        engine._queue.append((_wake, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "running", _SUCCEEDED: "done", _FAILED: "failed"}
@@ -198,29 +272,31 @@ class Process(Event):
         if self._waiting_on is not None:
             self._waiting_on._remove_callback(self._resume_cb)
             self._waiting_on = None
-        self.engine._schedule(0, lambda: self._step(None, Interrupt(cause)))
+        self._throw_in(Interrupt(cause))
 
     # ------------------------------------------------------------------
     # Generator driving
     # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, None)
+        if event._state == _SUCCEEDED:
+            self._step(event._value)
         else:
-            self._step(None, event.value)
+            self._step(None, event._value)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(
+        self, value: Any = None, exc: Optional[BaseException] = None
+    ) -> None:
         if self._state != _PENDING:
             return  # interrupted after completion; nothing to do
         engine = self.engine
         prev = engine._active
         engine._active = self
         try:
-            if exc is not None:
-                command = self._gen.throw(exc)
-            else:
+            if exc is None:
                 command = self._gen.send(value)
+            else:
+                command = self._gen.throw(exc)
         except StopIteration as stop:
             self._finish_ok(stop.value)
             return
@@ -229,21 +305,29 @@ class Process(Event):
             return
         finally:
             engine._active = prev
-        self._dispatch(command)
+        # The two common commands inline; everything else (zero, float
+        # and negative delays, bad commands) goes through _dispatch.
+        if type(command) is int and command > 0:
+            heappush(
+                engine._heap,
+                [engine._now + command, next(engine._seq), _wake, self],
+            )
+        elif isinstance(command, Event):
+            self._waiting_on = command
+            command._add_callback(self._resume_cb)
+        else:
+            self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
         # Invalid commands are thrown back *into* the generator (rather
         # than failing the process outright) so that try/finally blocks
         # in user code still run.
-        if isinstance(command, Event):
-            self._waiting_on = command
-            command._add_callback(self._resume_cb)
-        elif isinstance(command, (int, float)):
+        if isinstance(command, (int, float)):
             delay = int(command)  # time is integer nanoseconds
             if delay < 0:
                 self._throw_in(SimError(f"negative delay: {command}"))
                 return
-            self.engine._schedule(delay, lambda: self._step(None, None))
+            self.engine._schedule(delay, _wake, self)
         elif hasattr(command, "send") and hasattr(command, "throw"):
             # A generator was yielded directly — almost always a
             # sub-coroutine called without ``yield from``, which would
@@ -264,30 +348,39 @@ class Process(Event):
             )
 
     def _throw_in(self, error: BaseException) -> None:
-        self.engine._schedule(0, lambda: self._step(None, error))
+        self.engine._queue.append((self._throw, error))
+
+    def _throw(self, error: BaseException) -> None:
+        self._step(None, error)
 
     def _finish_ok(self, value: Any) -> None:
         self._state = _SUCCEEDED
         self._value = value
-        self.engine._queue_triggered(self)
+        self.engine._queue.append((_deliver, self))
 
     def _finish_fail(self, error: BaseException) -> None:
         self._state = _FAILED
         self._value = error
         self.engine._register_failure(self, error)
-        self.engine._queue_triggered(self)
+        self.engine._queue.append((_deliver, self))
+
+
+_wake = Process._step  # _wake(process): resume it with None
 
 
 class Engine:
-    """The simulation engine: event heap, clock, and process registry."""
+    """The simulation engine: clock, event heap, now-queue, and
+    process registry."""
 
     def __init__(self) -> None:
         self._now = 0
-        self._heap: List = []
+        self._heap: List[list] = []
+        self._queue: deque = deque()
         self._seq = count()
         self._active: Optional[Process] = None
         self._unhandled: List[tuple] = []
         self._nprocs = 0
+        self._events = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -301,6 +394,12 @@ class Engine:
     def active_process(self) -> Optional[Process]:
         """The process currently being stepped, if any."""
         return self._active
+
+    @property
+    def events_processed(self) -> int:
+        """Entries executed by all :meth:`run` calls so far (updated
+        when each ``run`` returns; dead timers are not counted)."""
+        return self._events
 
     # ------------------------------------------------------------------
     # Process / event creation
@@ -318,8 +417,14 @@ class Engine:
         """An event that succeeds ``delay`` ns from now with ``value``."""
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
-        ev = Event(self)
-        self._schedule(int(delay), lambda: ev.succeed(value))
+        ev = _Timer(self)
+        delay = int(delay)
+        if delay:
+            ev._entry = [self._now + delay, next(self._seq), ev.succeed, value]
+            heappush(self._heap, ev._entry)
+        else:
+            ev._entry = None
+            self._queue.append((ev.succeed, value))
         return ev
 
     def all_of(self, events: Iterable[Event]) -> Event:
@@ -353,12 +458,14 @@ class Engine:
         """An event that triggers as soon as any input event triggers.
 
         Succeeds with ``(index, value)`` of the first event, or fails
-        with the first failure.
+        with the first failure.  Losing :meth:`timeout` inputs that
+        nobody else waits on are cancelled.
         """
         events = list(events)
         done = Event(self)
         if not events:
             raise SimError("any_of requires at least one event")
+        callbacks: List[Callable[[Event], None]] = []
 
         def make_cb(index: int) -> Callable[[Event], None]:
             def on_one(ev: Event) -> None:
@@ -368,21 +475,27 @@ class Engine:
                     done.succeed((index, ev.value))
                 else:
                     done.fail(ev.value)
+                for other, callback in zip(events, callbacks):
+                    if type(other) is _Timer and other._state == _PENDING:
+                        other._remove_callback(callback)
+                        if not other._callbacks and other._entry is not None:
+                            other._entry[2] = None  # dead: run() drops it
 
             return on_one
 
         for i, ev in enumerate(events):
-            ev._add_callback(make_cb(i))
+            callbacks.append(make_cb(i))
+            ev._add_callback(callbacks[-1])
         return done
 
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
-    def _schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
-
-    def _queue_triggered(self, event: Event) -> None:
-        self._schedule(0, event._deliver)
+    def _schedule(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
+        if delay:
+            heappush(self._heap, [self._now + delay, next(self._seq), fn, arg])
+        else:
+            self._queue.append((fn, arg))
 
     def _register_failure(self, proc: Process, error: BaseException) -> None:
         # If nobody waits on the process by the time the failure is
@@ -397,26 +510,55 @@ class Engine:
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run until the heap drains, ``until`` ns is reached, or the
+        """Run until no work is left, ``until`` ns is reached, or the
         event budget ``max_events`` is exhausted.
 
         Returns the final simulation time.  Re-raises the first process
         failure that no other process consumed.
         """
+        heap = self._heap
+        queue = self._queue
+        popleft = queue.popleft
+        # processed == stop raises; 0 is never reached after an increment.
+        stop = 0 if max_events is None else max_events + 1
         processed = 0
-        while self._heap:
-            when, _seq, callback = self._heap[0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            heapq.heappop(self._heap)
-            self._now = when
-            callback()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise SimulationLimitExceeded(
-                    f"exceeded {max_events} events at t={self._now}ns"
-                )
+        now = self._now
+        try:
+            while True:
+                # 1. Heap entries due now: scheduled before the clock
+                #    reached ``now``, so they precede the now-queue.
+                while heap and heap[0][0] == now:
+                    _when, _seq, fn, arg = heappop(heap)
+                    if fn is None:
+                        continue  # cancelled timer
+                    fn(arg)
+                    processed += 1
+                    if processed == stop:
+                        raise SimulationLimitExceeded(
+                            f"exceeded {max_events} events at t={now}ns"
+                        )
+                # 2. The now-queue, in FIFO order, including whatever
+                #    its entries queue at this instant.
+                while queue:
+                    fn, arg = popleft()
+                    fn(arg)
+                    processed += 1
+                    if processed == stop:
+                        raise SimulationLimitExceeded(
+                            f"exceeded {max_events} events at t={now}ns"
+                        )
+                # 3. Advance the clock to the next live heap entry.
+                while heap and heap[0][2] is None:
+                    heappop(heap)
+                if not heap:
+                    break
+                when = heap[0][0]
+                if until is not None and when > until:
+                    self._now = until
+                    break
+                self._now = now = when
+        finally:
+            self._events += processed
         self._check_failures()
         return self._now
 
@@ -444,9 +586,9 @@ class Engine:
     def _check_failures(self) -> None:
         """Raise the first process failure that no waiter consumed.
 
-        Called once the event heap drains (or the until-limit hits), so
-        that waiters registered at any point during the run get the
-        chance to consume the failure first.
+        Called once the engine runs out of work (or the until-limit
+        hits), so that waiters registered at any point during the run
+        get the chance to consume the failure first.
         """
         while self._unhandled:
             proc, error = self._unhandled.pop(0)

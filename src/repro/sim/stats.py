@@ -89,7 +89,7 @@ def cdf_points(
     step = max(1, n // npoints)
     for i in range(0, n, step):
         points.append((float(ordered[i]), 100.0 * (i + 1) / n))
-    if points[-1][0] != ordered[-1]:
+    if points[-1][1] != 100.0:
         points.append((float(ordered[-1]), 100.0))
     return points
 

@@ -31,6 +31,10 @@ def run_fixture(tmp_path, files, rules=None):
     return run_checkers(project, only=rules)
 
 
+# One determinism finding: a wall-clock read in a simulated package.
+CLOCK_READ = "import time\n\n\ndef stamp():\n    return time.time()\n"
+
+
 def rules_of(findings):
     return [f.rule for f in findings]
 
@@ -429,26 +433,6 @@ def test_lock_phase_ordered_ring_protocol_is_clean(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# unused-import
-# ----------------------------------------------------------------------
-def test_unused_import_flagged_and_init_exempt(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/x.py": """
-            import os
-            import json
-
-            def f():
-                return json.dumps({})
-        """,
-        "src/repro/__init__.py": """
-            from .x import f
-        """,
-    }, rules=["unused-import"])
-    assert len(findings) == 1
-    assert "'os' imported but unused" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # Suppression + baseline workflow
 # ----------------------------------------------------------------------
 def test_inline_allow_suppresses_finding(tmp_path):
@@ -467,36 +451,40 @@ def test_inline_allow_suppresses_finding(tmp_path):
 
 def test_file_level_allow_suppresses_whole_file(tmp_path):
     findings, suppressed = run_fixture(tmp_path, {
-        "src/repro/x.py": """
-            # lint: allow-file(unused-import)
-            import os
-            import sys
+        "src/repro/sim/x.py": """
+            # lint: allow-file(determinism)
+            import time
+
+            def stamps():
+                return time.time(), time.monotonic()
         """,
-    }, rules=["unused-import"])
+    }, rules=["determinism"])
     assert findings == [] and suppressed == 2
 
 
 def test_baseline_roundtrip(tmp_path):
     files = {
-        "src/repro/x.py": "import os\n",
+        "src/repro/sim/x.py": CLOCK_READ,
     }
     for rel, text in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(text)
     project = load_project(tmp_path)
-    findings, _ = run_checkers(project, only=["unused-import"])
+    findings, _ = run_checkers(project, only=["determinism"])
     assert len(findings) == 1
     write_baseline(tmp_path, project, findings)
     baseline = load_baseline(tmp_path)
     new, old = split_baselined(project, findings, baseline)
     assert new == [] and len(old) == 1
     # Fingerprints are content-based: a new finding is NOT covered.
-    (tmp_path / "src/repro/x.py").write_text("import os\nimport sys\n")
+    (tmp_path / "src/repro/sim/x.py").write_text(
+        CLOCK_READ + "\n\ndef tick():\n    return time.monotonic()\n"
+    )
     project2 = load_project(tmp_path)
-    findings2, _ = run_checkers(project2, only=["unused-import"])
+    findings2, _ = run_checkers(project2, only=["determinism"])
     new2, old2 = split_baselined(project2, findings2, baseline)
-    assert len(new2) == 1 and "'sys'" in new2[0].message
+    assert len(new2) == 1 and "time.monotonic()" in new2[0].message
     assert len(old2) == 1
 
 
@@ -528,12 +516,12 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
 
 
 def test_cli_json_output(tmp_path, capsys):
-    p = tmp_path / "src/repro/x.py"
+    p = tmp_path / "src/repro/sim/x.py"
     p.parent.mkdir(parents=True)
-    p.write_text("import os\n")
+    p.write_text(CLOCK_READ)
     assert lint_main(["--root", str(tmp_path), "--json"]) == 1
     out = capsys.readouterr().out
-    assert '"unused-import"' in out
+    assert '"determinism"' in out
 
 
 def test_repo_is_clean_under_baseline(capsys):

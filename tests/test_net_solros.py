@@ -250,3 +250,40 @@ def test_solros_echo_latency_between_host_and_phi_linux(env):
     solros_rtt = sum(samples) / len(samples)
     # Sanity: a 64-byte Solros echo lands in the tens of microseconds.
     assert 10_000 < solros_rtt < 250_000
+
+
+def test_service_forgets_finished_connection_processes(env):
+    """Connection-per-request echoes spawn a feeder per connection; the
+    service keeps only a bounded list of them, live ones in spawn order."""
+    eng, system, tb, proxy, apis = env
+    phi = system.dataplane(0)
+    port = 9500
+
+    def server(eng):
+        core = phi.core(0)
+        listener = yield from apis[0].listen(core, port)
+        while True:
+            sock = yield from listener.accept(core)
+            payload, n = yield from sock.recv(core)
+            yield from sock.send(core, payload, n)
+            yield from sock.close(core)
+
+    def clients(eng, n):
+        core = tb.client_cpu.core(0)
+        for j in range(n):
+            conn = yield from tb.client.connect(core, SocketAddr("host", port))
+            yield from conn.send(core, f"req{j}", 64)
+            yield from conn.recv(core)
+            yield from conn.close(core)
+
+    workers = list(proxy._procs)  # started by attach, never finish
+    eng.spawn(server(eng))
+    sizes = []
+    for n in (60, 180):
+        proc = eng.spawn(clients(eng, n))
+        eng.run()
+        assert proc.ok
+        sizes.append(len(proxy._procs))
+    assert proxy.stats.accepts == 240
+    assert max(sizes) <= 128, sizes
+    assert proxy._procs[: len(workers)] == workers

@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+import heapq
+import itertools
 
-from repro.sim import Engine, Interrupt, SimError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import Engine, Interrupt, Lock, Resource, SimError
 from repro.sim.engine import SimulationLimitExceeded
 
 
@@ -310,3 +314,307 @@ def test_nested_generator_delegation():
 
     assert eng.run_process(outer(eng)) == "inner-done"
     assert eng.now == 30
+
+
+# ----------------------------------------------------------------------
+# Entry accounting and timer cancellation
+# ----------------------------------------------------------------------
+def _entries(body):
+    eng = Engine()
+    eng.run_process(body(eng))
+    return eng.events_processed
+
+
+@pytest.mark.parametrize("make", [Lock, Resource])
+def test_uncontended_acquire_costs_one_entry(make):
+    """Yielding an already-granted Lock/Resource event costs one entry,
+    the same as a ``yield 0``."""
+
+    def empty(eng):
+        return
+        yield
+
+    def sleeps(eng):
+        for _ in range(10):
+            yield 0
+
+    def acquires(eng):
+        sync = make(eng)
+        for _ in range(10):
+            yield sync.acquire() if make is Lock else sync.request()
+            sync.release()
+
+    base = _entries(empty)
+    assert _entries(sleeps) == base + 10
+    assert _entries(acquires) == base + 10
+
+
+def test_events_processed_accumulates_across_runs():
+    eng = Engine()
+
+    def ticker(eng):
+        for _ in range(5):
+            yield 10
+
+    eng.spawn(ticker(eng))
+    eng.run(until=25)
+    first = eng.events_processed
+    assert first == 3  # kick-off and the wake-ups at 10 and 20
+    eng.run()
+    assert eng.events_processed == first + 4  # 30, 40, 50, delivery
+
+
+def test_any_of_cancels_a_losing_timer():
+    eng = Engine()
+
+    def main(eng):
+        which, _ = yield eng.any_of([eng.timeout(10, "fast"), eng.timeout(1_000)])
+        return which
+
+    proc = eng.spawn(main(eng))
+    assert eng.run() == 10  # not the stale 1 000 ns deadline
+    assert proc.value == 0
+    assert eng._heap == []
+
+
+def test_shared_timer_still_fires():
+    eng = Engine()
+    shared = eng.timeout(100, "tick")
+    log = []
+
+    def racer(eng):
+        which, _ = yield eng.any_of([eng.timeout(10), shared])
+        log.append((eng.now, "racer", which))
+
+    def sleeper(eng):
+        value = yield shared
+        log.append((eng.now, "sleeper", value))
+
+    eng.spawn(racer(eng))
+    eng.spawn(sleeper(eng))
+    assert eng.run() == 100
+    assert log == [(10, "racer", 0), (100, "sleeper", "tick")]
+
+
+@pytest.mark.parametrize("wait_at", [50, 150])
+def test_cancelled_timer_waited_on_again_still_fires(wait_at):
+    eng = Engine()
+
+    def main(eng):
+        timer = eng.timeout(100, "late")
+        yield eng.any_of([eng.timeout(10), timer])
+        yield wait_at - eng.now
+        value = yield timer
+        return eng.now, value
+
+    assert eng.run_process(main(eng)) == (max(100, wait_at), "late")
+
+
+# ----------------------------------------------------------------------
+# Order oracle: Engine against a heap-only reference scheduler
+# ----------------------------------------------------------------------
+class RefEngine:
+    """The reference semantics: one heap of ``(time, seq, thunk)``;
+    every delivery and every wake-up is its own entry."""
+
+    def __init__(self):
+        self.now, self.heap, self.seq = 0, [], itertools.count()
+
+    def at(self, delay, thunk):
+        heapq.heappush(self.heap, (self.now + delay, next(self.seq), thunk))
+
+    def run(self):
+        while self.heap:
+            self.now, _, thunk = heapq.heappop(self.heap)
+            thunk()
+
+    def event(self):
+        return RefEvent(self)
+
+    def spawn(self, gen):
+        return RefProcess(self, gen)
+
+    def timeout(self, delay, value=None):
+        ev = RefEvent(self)
+        self.at(delay, lambda: ev.succeed(value))
+        return ev
+
+    def combine(self, events, on_fire):
+        done = RefEvent(self)
+        for i, ev in enumerate(events):
+            ev._add_callback(lambda ev, i=i: done.state or on_fire(done, i, ev))
+        return done
+
+    def any_of(self, events):
+        def fire(done, i, ev):
+            done.succeed((i, ev.value)) if ev.state == 1 else done.fail(ev.value)
+        return self.combine(events, fire)
+
+    def all_of(self, events):
+        left = [len(events)]
+
+        def fire(done, i, ev):
+            left[0] -= 1
+            if ev.state != 1:
+                done.fail(ev.value)
+            elif not left[0]:
+                done.succeed([e.value for e in events])
+        return self.combine(events, fire)
+
+
+class RefEvent:
+    def __init__(self, eng):
+        self.eng, self.state, self.value, self.cbs = eng, 0, None, []
+
+    triggered = property(lambda self: self.state != 0)
+
+    def succeed(self, value=None, state=1):
+        assert self.state == 0
+        self.state, self.value = state, value
+        self.eng.at(0, self._deliver)
+        return self
+
+    def fail(self, exc):
+        return self.succeed(exc, state=2)
+
+    def _deliver(self):
+        cbs, self.cbs = self.cbs, []
+        for cb in cbs:
+            cb(self)
+
+    def _add_callback(self, cb):
+        if self.state == 0:
+            self.cbs.append(cb)
+        else:
+            self.eng.at(0, lambda: cb(self))
+
+
+class RefProcess(RefEvent):
+    def __init__(self, eng, gen):
+        super().__init__(eng)
+        self.gen, self.waiting = gen, None
+        eng.at(0, lambda: self._step(None, None))
+
+    def interrupt(self, cause=None):
+        if self.state == 0:
+            if self.waiting is not None and self._resume in self.waiting.cbs:
+                self.waiting.cbs.remove(self._resume)
+            self.waiting = None
+            self.eng.at(0, lambda: self._step(None, Interrupt(cause)))
+
+    def _resume(self, ev):
+        self.waiting = None
+        self._step(*((ev.value, None) if ev.state == 1 else (None, ev.value)))
+
+    def _step(self, value, exc):
+        if self.state:
+            return
+        try:
+            cmd = self.gen.send(value) if exc is None else self.gen.throw(exc)
+        except StopIteration as stop:
+            return self.succeed(stop.value)
+        except Exception as error:
+            return self.fail(error)
+        if isinstance(cmd, int):
+            self.eng.at(cmd, lambda: self._step(None, None))
+        else:
+            self.waiting = cmd
+            cmd._add_callback(self._resume)
+
+
+N_EVENTS = 3
+_op = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0, 0, 1, 2, 5])),
+    st.tuples(st.just("timer"), st.sampled_from([0, 1, 2, 5])),
+    st.tuples(st.just("trigger"), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("wait"), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("ready"), st.just(0)),
+    st.tuples(st.just("lock"), st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("all"), st.integers(0, N_EVENTS - 1), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("any"), st.integers(0, N_EVENTS - 1), st.sampled_from([1, 2, 5])),
+    st.tuples(st.just("any_keep"), st.integers(0, N_EVENTS - 1), st.sampled_from([1, 4])),
+    st.tuples(st.just("interrupt"), st.integers(0, 5)),
+)
+_bodies = st.recursive(
+    st.lists(_op, max_size=6),
+    lambda inner: st.lists(
+        st.one_of(_op, st.tuples(st.just("spawn"), inner, st.booleans())), max_size=6
+    ),
+    max_leaves=30,
+)
+_programs = st.lists(_bodies, min_size=1, max_size=4)
+
+
+def play(eng, program):
+    """Run ``program`` on ``eng`` and return its ``(now, tag)`` log."""
+    log = []
+    events = [eng.event() for _ in range(N_EVENTS)]
+    lock = Lock(eng)
+    procs = []
+
+    def body(tag, ops):
+        for i, op in enumerate(ops):
+            here = f"{tag}.{i}"
+            kind = op[0]
+            try:
+                if kind == "sleep":
+                    yield op[1]
+                elif kind == "timer":
+                    here += f"={(yield eng.timeout(op[1], here))}"
+                elif kind == "trigger":
+                    if not events[op[1]].triggered:
+                        events[op[1]].succeed(here)
+                elif kind == "wait":
+                    here += f"={(yield events[op[1]])}"
+                elif kind == "ready":
+                    yield eng.event().succeed(here)
+                elif kind == "lock":
+                    yield lock.acquire()
+                    try:
+                        yield op[1]
+                    finally:
+                        lock.release()
+                elif kind == "all":
+                    here += f"={(yield eng.all_of([events[op[1]], events[op[2]]]))}"
+                elif kind in ("any", "any_keep"):
+                    timer = eng.timeout(op[2], "t")
+                    here += f"={(yield eng.any_of([events[op[1]], timer]))}"
+                    if kind == "any_keep":
+                        here += f"={(yield timer)}"
+                elif kind == "interrupt":
+                    if op[1] < len(procs):
+                        procs[op[1]].interrupt(here)
+                else:  # spawn
+                    child = spawn(here, op[1])
+                    if op[2]:
+                        here += f"={(yield child)}"
+            except Exception as error:  # noqa: BLE001 - logged and compared
+                here += f"!{type(error).__name__}"
+            log.append((eng.now, here))
+        return tag
+
+    def spawn(tag, ops):
+        procs.append(eng.spawn(body(tag, ops)))
+        return procs[-1]
+
+    for j, ops in enumerate(program):
+        spawn(str(j), ops)
+    try:
+        eng.run()
+    except Exception as error:  # noqa: BLE001 - an unconsumed failure
+        log.append(("run", type(error).__name__))
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_programs)
+def test_engine_matches_reference_order(program):
+    """Random programs log the same ``(now, tag)`` sequence on Engine
+    as on the reference scheduler."""
+    expected = play(RefEngine(), program)
+    if expected and expected[-1][0] == "run":
+        expected.pop()  # the reference does not re-raise failures
+    got = play(Engine(), program)
+    if got and got[-1][0] == "run":
+        got.pop()
+    assert got == expected

@@ -141,3 +141,34 @@ def test_rpc_latency_is_microseconds_not_milliseconds():
 
     dt = eng.run_process(client(eng))
     assert 1_000 < dt < 100_000  # 1 us .. 100 us
+
+
+def test_answered_call_cancels_its_timeout_timer():
+    """A call answered before ``timeout_ns`` leaves no live timer, so the
+    run ends when the untimed call's run does, not at the deadline."""
+
+    def run(timeout_ns):
+        eng = Engine()
+        m = build_machine(eng)
+        ch = make_channel(eng, m)
+        ch.start_client(m.phi_core(0, 60))
+        ch.start_server([m.host_core(1)], echo_handler)
+        live = []
+
+        def client(eng):
+            result = yield from ch.call(
+                m.phi_core(0, 0), "open", None, timeout_ns=timeout_ns
+            )
+            live.extend(e for e in eng._heap if e[2] is not None)
+            ch.stop()
+            return result
+
+        proc = eng.spawn(client(eng))
+        end = eng.run()
+        assert proc.value == ("open", None)
+        return end, live
+
+    untimed_end, _ = run(None)
+    end, live = run(50_000_000)
+    assert end == untimed_end < 50_000_000
+    assert not any(e[0] >= 50_000_000 for e in live)
