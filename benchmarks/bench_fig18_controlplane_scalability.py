@@ -12,21 +12,20 @@ GB/s aggregate hides: each co-processor's throughput share and the
 p50/p99 latency of individual delegated reads.
 """
 
-from repro.bench import (
-    controlplane_aggregate_read,
-    controlplane_scheduled_read,
-    render_table,
-)
+from repro.bench import controlplane_aggregate_read, render_table
+from repro.sched import SchedConfig
 
 
 def run_figure():
     rows = []
     for n_phis in (1, 2, 3, 4):
-        gbps = controlplane_aggregate_read(n_phis)
-        rows.append([n_phis, gbps])
+        rows.append([n_phis, controlplane_aggregate_read(n_phis)["gbps"]])
     sched_rows = []
     for n_phis in (2, 4):
-        r = controlplane_scheduled_read(n_phis, policy="drr")
+        # Two credits per reader thread: admission never rejects.
+        r = controlplane_aggregate_read(
+            n_phis, SchedConfig("drr", source_credits=16)
+        )
         sched_rows.append([
             n_phis,
             round(r["gbps"], 2),

@@ -8,7 +8,6 @@ paper-reported vs measured values.
 from .figures import (
     FS_STACKS,
     controlplane_aggregate_read,
-    controlplane_scheduled_read,
     faults_chaos_run,
     fs_random_io,
     sched_qos_overload,
@@ -34,7 +33,6 @@ __all__ = [
     "tcp_echo_samples",
     "net_stream_throughput",
     "controlplane_aggregate_read",
-    "controlplane_scheduled_read",
     "sched_qos_overload",
     "sched_qos_unloaded",
     "faults_chaos_run",

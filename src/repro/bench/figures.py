@@ -28,6 +28,7 @@ from ..fs import BlockDevice, ExtFS, LocalFsBackend, NfsClientBackend, O_RDWR, V
 from ..hw import KB, MB, build_machine, default_params
 from ..net import SocketAddr
 from ..net.testbed import NetTestbed
+from ..sched import SchedConfig
 from ..sim import Engine
 from ..transport import RingBuffer, RingPolicy, TwoLockQueue
 from ..sim.primitives import WouldBlock
@@ -44,7 +45,6 @@ __all__ = [
     "tcp_echo_samples",
     "net_stream_throughput",
     "controlplane_aggregate_read",
-    "controlplane_scheduled_read",
     "sched_qos_overload",
     "sched_qos_unloaded",
     "faults_chaos_run",
@@ -667,72 +667,23 @@ def net_latency_breakdown(config: str, n_messages: int = 60) -> Dict[str, float]
 # ----------------------------------------------------------------------
 def controlplane_aggregate_read(
     n_phis: int,
-    threads_per_phi: int = 8,
-    block_size: int = 512 * KB,
-    ops_per_thread: int = 8,
-) -> float:
-    """Aggregate GB/s with ``n_phis`` co-processors hammering the
-    shared control plane at once."""
-    eng = Engine()
-    cfg = SolrosConfig(disk_blocks=DEFAULT_DISK_BLOCKS, max_inodes=64)
-    system = SolrosSystem(eng, cfg)
-    eng.run_process(system.boot(n_phis=n_phis))
-    file_bytes = 128 * MB
-    host_core = system.machine.host_core(0)
-    eng.run_process(
-        system.control.fs.preallocate(host_core, BENCH_FILE, file_bytes)
-    )
-    rng = random.Random(7)
-    n_blocks = file_bytes // block_size
-    moved = [0]
-
-    def worker(phi_index, t):
-        dp = system.dataplane(phi_index)
-        core = dp.core(t)
-        fd = yield from dp.fs.open(core, BENCH_FILE)
-        for _ in range(ops_per_thread):
-            offset = rng.randrange(n_blocks) * block_size
-            data = yield from dp.fs.pread(core, fd, block_size, offset)
-            moved[0] += len(data)
-        yield from dp.fs.close(core, fd)
-
-    start = eng.now
-    procs = [
-        eng.spawn(worker(p, t))
-        for p in range(n_phis)
-        for t in range(threads_per_phi)
-    ]
-    eng.run()
-    assert all(pr.ok for pr in procs)
-    elapsed = eng.now - start
-    system.shutdown()
-    return moved[0] / elapsed
-
-
-# ----------------------------------------------------------------------
-# Control-plane QoS scheduling (repro.sched)
-# ----------------------------------------------------------------------
-def controlplane_scheduled_read(
-    n_phis: int,
-    policy: str = "drr",
+    sched: Optional[SchedConfig] = None,
     threads_per_phi: int = 8,
     block_size: int = 512 * KB,
     ops_per_thread: int = 8,
 ) -> Dict:
-    """Figure 18 companion: the same aggregate-read scenario routed
-    through the control-plane scheduler, so we can report what the
-    plain GB/s number hides — per-co-processor throughput share and
-    the p50/p99 of individual delegated reads."""
+    """Aggregate GB/s and per-read p50/p99 with ``n_phis``
+    co-processors hammering the shared control plane at once.
+
+    With ``sched`` the reads go through the control-plane scheduler,
+    and the result also reports what the plain GB/s number hides:
+    per-co-processor throughput share and the scheduler's accounting.
+    """
     from ..sim.stats import percentile
 
     eng = Engine()
     cfg = SolrosConfig(
-        disk_blocks=DEFAULT_DISK_BLOCKS,
-        max_inodes=64,
-        sched_policy=policy,
-        sched_workers_min=2,
-        sched_workers_max=8,
-        sched_source_credits=threads_per_phi * 2,
+        disk_blocks=DEFAULT_DISK_BLOCKS, max_inodes=64, sched=sched
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=n_phis))
@@ -767,23 +718,26 @@ def controlplane_scheduled_read(
     eng.run()
     assert all(pr.ok for pr in procs)
     elapsed = eng.now - start
-    sched = system.scheduler
-    state = sched.state()
-    # Open/close RPCs also count bytes (their wire size), but the reads
-    # dominate by >3 orders of magnitude; shares are effectively data.
-    shares = state["shares"]
-    system.shutdown()
-    return {
+    result = {
         "gbps": moved[0] / elapsed,
         "p50_us": percentile(latencies, 50) / 1000.0,
         "p99_us": percentile(latencies, 99) / 1000.0,
-        "shares": shares,
-        "workers_high_water": state["workers_high_water"],
-        "completed": state["completed"],
-        "rejected": state["rejected"],
     }
+    state = system.sched_state()
+    if state is not None:
+        # Open/close RPCs also count bytes (their wire size), but the
+        # reads dominate by >3 orders of magnitude; shares are
+        # effectively data.
+        for key in ("shares", "workers_high_water", "completed",
+                    "rejected"):
+            result[key] = state[key]
+    system.shutdown()
+    return result
 
 
+# ----------------------------------------------------------------------
+# Control-plane QoS scheduling (repro.sched)
+# ----------------------------------------------------------------------
 def _sched_qos_config(policy: str) -> SolrosConfig:
     """The QoS benchmark's scheduler sizing.
 
@@ -797,12 +751,7 @@ def _sched_qos_config(policy: str) -> SolrosConfig:
     return SolrosConfig(
         disk_blocks=DEFAULT_DISK_BLOCKS,
         max_inodes=64,
-        sched_policy=policy,
-        sched_workers_min=2,
-        sched_workers_max=2,
-        sched_rt_reserve=1,
-        sched_class_capacity=64,
-        sched_source_credits=32,
+        sched=SchedConfig(policy, workers_max=2),
     )
 
 
@@ -998,12 +947,10 @@ def faults_chaos_run(
         ),
         ring=RingFaults(stall_rate=0.01, pcie_degrade_rate=0.03),
         proxy=ProxyFaults(crash_at_requests=(5,), restart_after_ns=300_000),
+        rpc_timeout_ns=rpc_timeout_ns,
     )
     cfg = SolrosConfig(
-        disk_blocks=DEFAULT_DISK_BLOCKS,
-        max_inodes=64,
-        fault_plan=plan,
-        rpc_timeout_ns=rpc_timeout_ns,
+        disk_blocks=DEFAULT_DISK_BLOCKS, max_inodes=64, fault_plan=plan
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=1))

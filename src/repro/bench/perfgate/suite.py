@@ -25,9 +25,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from ...sched import SchedConfig
 from ...sim.stats import percentile
 from ..figures import (
-    controlplane_scheduled_read,
+    controlplane_aggregate_read,
     fs_random_io,
     ringbuf_copy_bandwidth,
     ringbuf_local_pairs_per_sec,
@@ -187,8 +188,9 @@ def _run_tcp_rtt() -> Dict[str, float]:
 def _run_sched_dispatch() -> Dict[str, float]:
     """Delegated reads routed through the drr+priority control-plane
     scheduler: dispatch overhead shows up in the p50."""
-    result = controlplane_scheduled_read(
-        2, "drr+priority", threads_per_phi=4, ops_per_thread=6
+    result = controlplane_aggregate_read(
+        2, SchedConfig("drr+priority", source_credits=8),
+        threads_per_phi=4, ops_per_thread=6,
     )
     return {
         "sched.read.p50_us": result["p50_us"],

@@ -28,6 +28,8 @@ from .policy import DataPathPolicy
 
 __all__ = ["ControlPlaneOS"]
 
+FS_PROXY_WORKERS = 4  # fixed per-channel pool without a scheduler
+
 
 class ControlPlaneOS:
     """Host-side OS object."""
@@ -44,7 +46,7 @@ class ControlPlaneOS:
         self.fs_proxy: Optional[SolrosFsProxy] = None
         self.prefetcher = None
         # Control-plane request scheduler (repro.sched); built during
-        # format_storage() when config.sched_policy is set.
+        # format_storage() when config.sched is set.
         self.scheduler = None
         # Fault injector (repro.faults); built during format_storage()
         # when config.fault_plan is set.
@@ -88,8 +90,6 @@ class ControlPlaneOS:
             self.host,
             cache=self.cache,
             policy=self.policy,
-            breaker_threshold=cfg.fault_breaker_threshold,
-            breaker_reset_ns=cfg.fault_breaker_reset_ns,
         )
         self.fs_proxy.faults = self.faults
         if cfg.enable_prefetch:
@@ -106,24 +106,12 @@ class ControlPlaneOS:
                 min_planes=cfg.prefetch_min_planes,
             )
             self.fs_proxy.prefetcher = self.prefetcher
-        if cfg.sched_policy is not None:
+        if cfg.sched is not None:
             from ..sched.scheduler import RequestScheduler
 
             self.scheduler = RequestScheduler(
-                self.engine,
-                self.host,
-                cfg.sched_policy,
-                class_capacity=cfg.sched_class_capacity,
-                source_credits=cfg.sched_source_credits,
-                shed_expired=cfg.sched_shed_expired,
-                drr_quantum=cfg.sched_drr_quantum,
-                workers_min=cfg.sched_workers_min,
-                workers_max=cfg.sched_workers_max,
-                grow_depth_per_worker=cfg.sched_grow_depth_per_worker,
-                idle_shrink_ns=cfg.sched_idle_shrink_ns,
-                rt_reserve=cfg.sched_rt_reserve,
+                self.engine, self.host, cfg.sched,
                 core_alloc=self.alloc_worker_cores,
-                record_decisions=cfg.sched_record_decisions,
             )
         if self.obs is not None and self.obs.enabled:
             self.fs_proxy.set_obs(self.obs.tracer, self.obs.metrics)
@@ -150,22 +138,19 @@ class ControlPlaneOS:
 
         With a scheduler configured, the channel gets a single ring
         puller feeding the shared scheduler (whose elastic pool does
-        the execution); otherwise the classic fixed per-channel pool.
+        the execution); otherwise a fixed pool of
+        ``FS_PROXY_WORKERS`` drains the ring FIFO.
         """
         if self.fs_proxy is None:
             raise SimError("format_storage() first")
         if self.faults is not None:
             channel.set_faults(self.faults)
-        if self.scheduler is not None:
-            first = self.alloc_worker_cores(1)
-            self.fs_proxy.serve(
-                channel, phi_cpu, first_core=first,
-                scheduler=self.scheduler, source=phi_cpu.name,
-            )
-            return
-        workers = self.config.fs_proxy_workers
+        workers = FS_PROXY_WORKERS if self.scheduler is None else 1
         first = self.alloc_worker_cores(workers)
-        self.fs_proxy.serve(channel, phi_cpu, n_workers=workers, first_core=first)
+        self.fs_proxy.serve(
+            channel, phi_cpu, n_workers=workers, first_core=first,
+            scheduler=self.scheduler,
+        )
 
     def alloc_worker_cores(self, n: int) -> int:
         """Reserve ``n`` consecutive host cores; returns the first index.

@@ -92,7 +92,7 @@ class SolrosSystem:
     @property
     def scheduler(self):
         """The control-plane request scheduler, or None when the
-        legacy direct-drain path is active (``sched_policy=None``)."""
+        legacy direct-drain path is active (``config.sched=None``)."""
         return self.control.scheduler
 
     def sched_state(self) -> Optional[dict]:

@@ -19,7 +19,7 @@ same plan yields byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..sim.engine import SimError
 
@@ -122,13 +122,24 @@ class NicFaults:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """The complete, seeded chaos schedule for one simulation run."""
+    """The complete, seeded chaos schedule for one simulation run,
+    plus the recovery bounds that ride with it.
+
+    ``rpc_timeout_ns`` bounds every delegated call's wait (None keeps
+    wait-forever semantics); set it when the plan can crash proxies,
+    so stubs recover via ``ETIMEDOUT`` + idempotent re-issue.  The
+    P2P circuit breaker opens after ``breaker_threshold`` consecutive
+    failures and half-opens ``breaker_reset_ns`` later.
+    """
 
     seed: int = 0
     nvme: NvmeFaults = field(default_factory=NvmeFaults)
     ring: RingFaults = field(default_factory=RingFaults)
     proxy: ProxyFaults = field(default_factory=ProxyFaults)
     nic: NicFaults = field(default_factory=NicFaults)
+    rpc_timeout_ns: Optional[int] = None
+    breaker_threshold: int = 3
+    breaker_reset_ns: int = 2_000_000
 
     @property
     def quiet(self) -> bool:

@@ -90,8 +90,6 @@ class SolrosFsProxy:
         host_cpu: CPU,
         cache: Optional[BufferCache] = None,
         policy: Optional[DataPathPolicy] = None,
-        breaker_threshold: int = 3,
-        breaker_reset_ns: int = 2_000_000,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -108,11 +106,10 @@ class SolrosFsProxy:
         self.prefetcher = None
         # Fault injection + recovery (repro.faults).  With an injector
         # wired, P2P submissions are guarded by a per-device circuit
-        # breaker and degrade to the buffered path on injected faults;
-        # without one, neither gate is ever consulted.
+        # breaker (bounds from its plan) and degrade to the buffered
+        # path on injected faults; without one, neither gate is ever
+        # consulted.
         self.faults = None
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset_ns = breaker_reset_ns
         self._breakers: Dict[str, CircuitBreaker] = {}
         # Observability (off by default).
         self.tracer = NULL_TRACER
@@ -139,11 +136,12 @@ class SolrosFsProxy:
         """The breaker guarding P2P submissions to ``device_node``."""
         b = self._breakers.get(device_node)
         if b is None:
+            plan = self.faults.plan
             b = CircuitBreaker(
                 self.engine,
                 device_node,
-                failure_threshold=self.breaker_threshold,
-                reset_ns=self.breaker_reset_ns,
+                failure_threshold=plan.breaker_threshold,
+                reset_ns=plan.breaker_reset_ns,
                 injector=self.faults,
             )
             b.set_obs(self.tracer, self.metrics)
@@ -182,15 +180,15 @@ class SolrosFsProxy:
         n_workers: int = 4,
         first_core: int = 0,
         scheduler=None,
-        source: Optional[str] = None,
     ) -> None:
-        """Attach a co-processor's RPC channel and start proxy workers.
+        """Attach a co-processor's RPC channel and start ``n_workers``
+        ring drainers on consecutive host cores from ``first_core``.
 
-        Without a ``scheduler`` this starts the classic fixed pool: one
-        server loop per core draining the ring FIFO.  With one (a
-        ``repro.sched.RequestScheduler``), a single puller on
-        ``first_core`` feeds the scheduler and execution happens on its
-        shared elastic worker pool instead — ``n_workers`` is ignored.
+        Without a ``scheduler`` they are the classic fixed pool, each
+        executing requests FIFO.  With one (a
+        ``repro.sched.RequestScheduler``) they are pullers feeding it,
+        tagged with the co-processor's name, and execution happens on
+        its shared elastic worker pool instead.
         """
         session = _Session(phi_cpu)
         self._sessions[id(channel)] = session
@@ -199,18 +197,12 @@ class SolrosFsProxy:
             result = yield from self.handle(core, session, payload, ctx)
             return result
 
-        if scheduler is not None:
-            channel.start_scheduled_server(
-                self.host_cpu.core(first_core),
-                scheduler,
-                source or phi_cpu.name,
-                handler,
-            )
-            return
         cores = [
             self.host_cpu.core(first_core + i) for i in range(n_workers)
         ]
-        channel.start_server(cores, handler)
+        channel.start_server(
+            cores, handler, scheduler=scheduler, source=phi_cpu.name
+        )
 
     # ------------------------------------------------------------------
     # Request dispatch

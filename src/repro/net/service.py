@@ -238,20 +238,18 @@ class SolrosNetProxy:
             channel.rpc.set_faults(injector)
             channel.outbound.faults = injector
             channel.inbound.faults = injector
-        channel.rpc.default_timeout_ns = dataplane.config.rpc_timeout_ns
 
         # Control RPC servicing.
         channel.rpc.start_client(dataplane.cpu.cores[-2])
         rpc_core = self.host_cpu.core(self._alloc_core())
-        handler = (
-            lambda core, method, payload: self._rpc(core, phi_index, payload)
+        channel.rpc.start_server(
+            [rpc_core],
+            lambda core, method, payload, ctx: self._rpc(
+                core, phi_index, payload
+            ),
+            scheduler=self.scheduler,
+            source=f"net.phi{phi_index}",
         )
-        if self.scheduler is not None:
-            channel.rpc.start_scheduled_server(
-                rpc_core, self.scheduler, f"net.phi{phi_index}", handler
-            )
-        else:
-            channel.rpc.start_server([rpc_core], handler)
 
         # Outbound pullers (host DMA engines pull outgoing data).
         for _ in range(self.workers_per_channel):

@@ -49,7 +49,7 @@ from .qos import (
     SchedError,
     SchedRejected,
 )
-from .scheduler import RequestScheduler, SchedRequest, SchedStats
+from .scheduler import RequestScheduler, SchedConfig, SchedRequest, SchedStats
 from .workers import ElasticWorkerPool
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
     "RequestScheduler",
     "RetryPolicy",
     "SCHED_POLICIES",
+    "SchedConfig",
     "SchedDeadlineExceeded",
     "SchedError",
     "SchedRejected",

@@ -239,9 +239,7 @@ class DrrPriorityPolicy(DispatchPolicy):
 SCHED_POLICIES = ("fifo", "priority", "edf", "drr", "drr+priority")
 
 
-def make_policy(
-    name: str, drr_quantum: int = DEFAULT_DRR_QUANTUM
-) -> DispatchPolicy:
+def make_policy(name: str) -> DispatchPolicy:
     """Instantiate a dispatch policy by config name."""
     if name == "fifo":
         return FifoPolicy()
@@ -250,9 +248,9 @@ def make_policy(
     if name == "edf":
         return EdfPolicy()
     if name == "drr":
-        return DrrPolicy(drr_quantum)
+        return DrrPolicy()
     if name == "drr+priority":
-        return DrrPriorityPolicy(drr_quantum)
+        return DrrPriorityPolicy()
     raise SimError(
         f"unknown scheduler policy {name!r} (one of {SCHED_POLICIES})"
     )

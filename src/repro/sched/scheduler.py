@@ -2,7 +2,7 @@
 
 One :class:`RequestScheduler` serves a whole control plane: every
 co-processor's RPC channel gets a *puller* (see
-:meth:`repro.transport.rpc.RpcChannel.start_scheduled_server`) that
+:meth:`repro.transport.rpc.RpcChannel.start_server`) that
 drains its request ring and submits into this scheduler, and a shared
 :class:`~repro.sched.workers.ElasticWorkerPool` executes admitted
 requests in the order the dispatch policy decides.
@@ -21,21 +21,46 @@ Division of labor:
   handler via the channel's ``serve_one``, account service time and
   per-source shares.
 
-Everything is deterministic: with ``record_decisions=True`` the
-scheduler appends one tuple per decision, and two runs with identical
-seeds produce identical logs (asserted in ``tests/test_sched.py``).
+Everything is deterministic: with ``SchedConfig(record_decisions=True)``
+the scheduler appends one tuple per decision, and two runs with
+identical seeds produce identical logs (asserted in
+``tests/test_sched.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..sim.engine import Engine, SimError
-from .policy import DEFAULT_DRR_QUANTUM, make_policy
+from .policy import make_policy
 from .qos import SchedDeadlineExceeded, SchedRejected, clamp_class
 from .workers import ElasticWorkerPool
 
-__all__ = ["RequestScheduler", "SchedRequest", "SchedStats"]
+__all__ = ["RequestScheduler", "SchedConfig", "SchedRequest", "SchedStats"]
+
+CLASS_CAPACITY = 64  # queued requests per priority class
+RT_RESERVE = 1       # workers pinned to CLASS_RT (class-aware policies)
+
+
+@dataclass(frozen=True)
+class SchedConfig:
+    """How the control plane schedules delegated RPCs.
+
+    ``policy`` names the dispatch order ("fifo", "priority", "edf",
+    "drr", "drr+priority"); ``source_credits`` bounds the outstanding
+    requests per co-processor; the ``workers_*``/``grow_*``/``idle_*``
+    knobs size the elastic pool; ``record_decisions`` keeps a decision
+    log for determinism checks.
+    """
+
+    policy: str = "fifo"
+    source_credits: int = 32
+    workers_min: int = 2
+    workers_max: int = 8
+    grow_depth_per_worker: int = 2
+    idle_shrink_ns: int = 200_000
+    record_decisions: bool = False
 
 
 class SchedRequest:
@@ -88,12 +113,11 @@ class SchedRequest:
 
 
 class _SourceStats:
-    __slots__ = ("requests", "bytes", "wait_ns")
+    __slots__ = ("requests", "bytes")
 
     def __init__(self) -> None:
         self.requests = 0
         self.bytes = 0
-        self.wait_ns: List[int] = []
 
 
 class SchedStats:
@@ -105,10 +129,7 @@ class SchedStats:
         self.rejected = 0
         self.shed = 0
         self.completed = 0
-        self.wait_ns: List[int] = []
-        self.service_ns: List[int] = []
         self.per_source: Dict[str, _SourceStats] = {}
-        self.depth_high_water = 0
 
     def source(self, name: str) -> _SourceStats:
         stats = self.per_source.get(name)
@@ -137,31 +158,17 @@ class RequestScheduler:
         self,
         engine: Engine,
         host_cpu,
-        policy: str = "fifo",
-        *,
-        class_capacity: int = 64,
-        source_credits: int = 32,
-        shed_expired: bool = True,
-        drr_quantum: int = DEFAULT_DRR_QUANTUM,
-        workers_min: int = 2,
-        workers_max: int = 8,
-        grow_depth_per_worker: int = 2,
-        idle_shrink_ns: int = 200_000,
-        rt_reserve: int = 1,
+        config: SchedConfig = SchedConfig(),
         core_alloc: Optional[Callable[[int], int]] = None,
-        record_decisions: bool = False,
-        name: str = "sched",
     ):
-        if class_capacity < 1 or source_credits < 1:
+        if config.source_credits < 1:
             raise SimError("admission bounds must be >= 1")
         self.engine = engine
         self.host_cpu = host_cpu
-        self.name = name
-        self.policy = make_policy(policy, drr_quantum)
-        self.class_capacity = class_capacity
-        self.source_credits = source_credits
-        self.shed_expired = shed_expired
-        self.record_decisions = record_decisions
+        self.name = "sched"
+        self.policy = make_policy(config.policy)
+        self.source_credits = config.source_credits
+        self.record_decisions = config.record_decisions
         self.stats = SchedStats()
         self.decision_log: List[Tuple] = []
         self._outstanding: Dict[str, int] = {}  # queued + in service
@@ -176,11 +183,11 @@ class RequestScheduler:
         self.pool = ElasticWorkerPool(
             engine,
             self,
-            min_workers=workers_min,
-            max_workers=workers_max,
-            grow_depth_per_worker=grow_depth_per_worker,
-            idle_shrink_ns=idle_shrink_ns,
-            rt_reserve=rt_reserve if self.policy.class_aware else 0,
+            min_workers=config.workers_min,
+            max_workers=config.workers_max,
+            grow_depth_per_worker=config.grow_depth_per_worker,
+            idle_shrink_ns=config.idle_shrink_ns,
+            rt_reserve=RT_RESERVE if self.policy.class_aware else 0,
         )
         # Observability (off by default).
         self.metrics = None
@@ -282,13 +289,10 @@ class RequestScheduler:
         self._outstanding[source] = self._outstanding.get(source, 0) + 1
         self.policy.push(req)
         self.stats.admitted += 1
-        depth = len(self.policy)
-        if depth > self.stats.depth_high_water:
-            self.stats.depth_high_water = depth
         self._gauge_depth(cls)
         self._log("admit", now, source, cls, seq)
         self.pool.wake(cls)
-        self.pool.maybe_grow(depth)
+        self.pool.maybe_grow(len(self.policy))
         return None
 
     def _admit(
@@ -296,7 +300,7 @@ class RequestScheduler:
     ) -> Optional[SchedRejected]:
         if not self._running or self._draining:
             return SchedRejected("scheduler stopping", self._retry_hint())
-        if self.policy.class_depth(cls) >= self.class_capacity:
+        if self.policy.class_depth(cls) >= CLASS_CAPACITY:
             return SchedRejected(f"class {cls} queue full", self._retry_hint())
         if self._outstanding.get(source, 0) >= self.source_credits:
             return SchedRejected(
@@ -321,11 +325,7 @@ class RequestScheduler:
             return None
         self._gauge_depth(req.cls)
         now = self.engine.now
-        if (
-            self.shed_expired
-            and req.deadline is not None
-            and now > req.deadline
-        ):
+        if req.deadline is not None and now > req.deadline:
             req.shed = True
             self._log("shed", now, req.source, req.cls, req.seq)
         else:
@@ -349,19 +349,14 @@ class RequestScheduler:
                         req.response_size,
                     )
                 return
-            wait = now - req.t_submit
-            self.stats.wait_ns.append(wait)
             src = self.stats.source(req.source)
-            src.wait_ns.append(wait)
             if self._h_wait is not None:
-                self._h_wait.record(wait)
+                self._h_wait.record(now - req.t_submit)
             yield from req.channel.serve_one(
                 core, req.msg, req.handler, req.response_size
             )
-            service = self.engine.now - now
-            self.stats.service_ns.append(service)
             if self._h_service is not None:
-                self._h_service.record(service)
+                self._h_service.record(self.engine.now - now)
             self.stats.completed += 1
             src.requests += 1
             src.bytes += req.cost

@@ -17,7 +17,6 @@ for zero-copy DMA instead (§4.3.1).
 
 from __future__ import annotations
 
-import inspect
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
@@ -135,37 +134,6 @@ class RpcMessage:
         return f"<Rpc #{self.req_id} {self.method} {self.size}B>"
 
 
-def _adapt_handler(handler: Callable[..., Generator]) -> Callable[..., Generator]:
-    """Normalize server handlers to the 4-argument form.
-
-    Legacy handlers take ``(core, method, payload)``; trace-aware ones
-    take ``(core, method, payload, ctx)``.  Arity is inspected once at
-    ``start_server`` time, never per message.
-    """
-    try:
-        params = list(inspect.signature(handler).parameters.values())
-    except (TypeError, ValueError):  # builtins/partials without signatures
-        return handler
-    if any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in params):
-        return handler
-    positional = [
-        p
-        for p in params
-        if p.kind
-        in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    ]
-    if len(positional) >= 4:
-        return handler
-
-    def legacy(core: Core, method: str, payload: Any, ctx) -> Generator:
-        return handler(core, method, payload)
-
-    return legacy
-
-
 class RpcChannel:
     """A request ring + response ring between a client (data-plane) and
     a server (control-plane)."""
@@ -177,7 +145,6 @@ class RpcChannel:
         client_cpu: CPU,
         server_cpu: CPU,
         policy: Optional[RingPolicy] = None,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         name: str = "rpc",
     ):
         self.engine = engine
@@ -189,7 +156,7 @@ class RpcChannel:
         self.request_ring = RingBuffer(
             engine,
             fabric,
-            ring_bytes,
+            DEFAULT_RING_BYTES,
             master_cpu=client_cpu,
             sender_cpu=client_cpu,
             receiver_cpu=server_cpu,
@@ -199,7 +166,7 @@ class RpcChannel:
         self.response_ring = RingBuffer(
             engine,
             fabric,
-            ring_bytes,
+            DEFAULT_RING_BYTES,
             master_cpu=client_cpu,
             sender_cpu=server_cpu,
             receiver_cpu=client_cpu,
@@ -235,10 +202,12 @@ class RpcChannel:
         self.response_ring.set_obs(tracer, metrics)
 
     def set_faults(self, injector) -> None:
-        """Wire a fault injector into the channel and both rings."""
+        """Wire a fault injector into the channel and both rings, and
+        bound every call's wait by its plan's ``rpc_timeout_ns``."""
         self.faults = injector
         self.request_ring.faults = injector
         self.response_ring.faults = injector
+        self.default_timeout_ns = injector.plan.rpc_timeout_ns
 
     def next_dedup(self) -> int:
         """A fresh idempotency sequence number for one logical call."""
@@ -273,7 +242,7 @@ class RpcChannel:
         Raises :class:`RemoteCallError` if the handler raised.
         ``ctx`` (a span context) links the call into the caller's trace.
         ``priority``/``deadline`` annotate the request for a scheduled
-        server (ignored by plain ``start_server`` loops).
+        server (ignored without a scheduler).
 
         ``timeout_ns`` (or the channel's ``default_timeout_ns``) bounds
         the wait for the response: on expiry the call raises
@@ -360,44 +329,63 @@ class RpcChannel:
         cores: Sequence[Core],
         handler: Callable[..., Generator],
         response_size: int = DEFAULT_MSG_BYTES,
+        scheduler=None,
+        source: Optional[str] = None,
     ) -> None:
-        """Launch one proxy worker per core.
+        """Launch one ring-draining process per core.
 
-        ``handler(core, method, payload)`` is a generator returning the
-        result object; exceptions are shipped back to the caller.  A
-        handler taking a fourth positional argument also receives the
-        request's span context (None when tracing is off).
+        ``handler(core, method, payload, ctx)`` is a generator returning
+        the result object; exceptions are shipped back to the caller.
+        ``ctx`` is the request's span context (None when tracing is off).
+
+        Without a ``scheduler`` each process is a proxy worker that
+        executes requests in ring order.  With one (a
+        ``repro.sched.RequestScheduler``) each process is a *puller*
+        that submits requests tagged with ``source`` (the co-processor
+        they come from); admission rejections are answered on the
+        puller's core, and admitted requests execute later on the
+        scheduler's shared worker pool via :meth:`serve_one`.
         """
         if not cores:
             raise RpcError("need at least one server core")
-        handler = _adapt_handler(handler)
+        kind = "srv"
+        if scheduler is not None:
+            kind = "pull"
+            scheduler.register_source(source, self)
         for core in cores:
             proc = self.engine.spawn(
-                self._server_loop(core, handler, response_size),
-                name=f"{self.name}.srv{core.cid}",
+                self._server_loop(
+                    core, handler, response_size, scheduler, source
+                ),
+                name=f"{self.name}.{kind}{core.cid}",
             )
             self._servers.append(proc)
 
     def _server_loop(
         self,
         core: Core,
-        handler: Callable[[Core, str, Any], Generator],
-        response_size: int,
-    ) -> Generator:
-        try:
-            yield from self._serve(core, handler, response_size)
-        except Interrupt:
-            pass  # clean shutdown via stop()
-
-    def _serve(
-        self,
-        core: Core,
         handler: Callable[..., Generator],
         response_size: int,
+        scheduler,
+        source: Optional[str],
     ) -> Generator:
-        while self._running:
-            msg: RpcMessage = yield from self.request_ring.recv(core)
-            yield from self.serve_one(core, msg, handler, response_size)
+        try:
+            while self._running:
+                msg: RpcMessage = yield from self.request_ring.recv(core)
+                if scheduler is None:
+                    yield from self.serve_one(
+                        core, msg, handler, response_size
+                    )
+                    continue
+                verdict = scheduler.submit(
+                    source, self, msg, handler, response_size
+                )
+                if verdict is not None:
+                    yield from self.reply_error(
+                        core, msg, verdict, response_size
+                    )
+        except Interrupt:
+            pass  # clean shutdown via stop()
 
     def serve_one(
         self,
@@ -487,56 +475,6 @@ class RpcChannel:
         yield from self.response_ring.send(
             core, reply, reply.size, ctx=msg.trace
         )
-
-    # ------------------------------------------------------------------
-    # Scheduled server (control-plane QoS path, repro.sched)
-    # ------------------------------------------------------------------
-    def start_scheduled_server(
-        self,
-        core: Core,
-        scheduler,
-        source: str,
-        handler: Callable[..., Generator],
-        response_size: int = DEFAULT_MSG_BYTES,
-    ) -> None:
-        """Drain the request ring into a control-plane scheduler.
-
-        One *puller* process on ``core`` receives requests and submits
-        them to ``scheduler`` (a ``repro.sched.RequestScheduler``)
-        tagged with ``source`` (the co-processor's name).  Admission
-        rejections are answered immediately on this core; admitted
-        requests execute later on the scheduler's shared worker pool
-        via :meth:`serve_one`.
-        """
-        handler = _adapt_handler(handler)
-        scheduler.register_source(source, self)
-        proc = self.engine.spawn(
-            self._scheduled_pull(core, scheduler, source, handler,
-                                 response_size),
-            name=f"{self.name}.pull{core.cid}",
-        )
-        self._servers.append(proc)
-
-    def _scheduled_pull(
-        self,
-        core: Core,
-        scheduler,
-        source: str,
-        handler: Callable[..., Generator],
-        response_size: int,
-    ) -> Generator:
-        try:
-            while self._running:
-                msg: RpcMessage = yield from self.request_ring.recv(core)
-                verdict = scheduler.submit(
-                    source, self, msg, handler, response_size
-                )
-                if verdict is not None:
-                    yield from self.reply_error(
-                        core, msg, verdict, response_size
-                    )
-        except Interrupt:
-            pass  # clean shutdown via stop()
 
     # ------------------------------------------------------------------
     # Shutdown (tests / examples)

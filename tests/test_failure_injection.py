@@ -121,7 +121,7 @@ def test_rpc_handler_crash_does_not_kill_server_loop():
     ch = RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
     calls = {"n": 0}
 
-    def handler(core, method, payload):
+    def handler(core, method, payload, ctx):
         calls["n"] += 1
         yield 0
         if calls["n"] == 1:

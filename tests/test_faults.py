@@ -8,6 +8,7 @@ plan, and the satellite regressions (retry-delay clamping, deadline
 cut-off, RemoteCallError cause flattening).
 """
 
+import json
 import random
 
 import pytest
@@ -37,15 +38,9 @@ FILE_BYTES = 512 * KB
 BLOCK = 16 * KB
 
 
-def boot(plan=None, timeout_ns=None, **cfg_kwargs):
+def boot(plan=None):
     eng = Engine()
-    cfg = SolrosConfig(
-        disk_blocks=4096,
-        max_inodes=32,
-        fault_plan=plan,
-        rpc_timeout_ns=timeout_ns,
-        **cfg_kwargs,
-    )
+    cfg = SolrosConfig(disk_blocks=4096, max_inodes=32, fault_plan=plan)
     sys_ = SolrosSystem(eng, cfg)
     eng.run_process(sys_.boot(n_phis=1))
     # Setup I/O (preallocation) is not under test: keep the plan's
@@ -93,11 +88,11 @@ def run_io(eng, sys_, n_ops=6, op="read", max_tries=None):
 SURFACE_MATRIX = [
     pytest.param(
         FaultPlan(seed=3, nvme=NvmeFaults(read_error_rate=1.0)),
-        None, "read", "EIO", id="nvme-read-error",
+        "read", "EIO", id="nvme-read-error",
     ),
     pytest.param(
         FaultPlan(seed=3, nvme=NvmeFaults(write_error_rate=1.0)),
-        None, "write", "EIO", id="nvme-write-error",
+        "write", "EIO", id="nvme-write-error",
     ),
     pytest.param(
         FaultPlan(
@@ -105,18 +100,19 @@ SURFACE_MATRIX = [
             proxy=ProxyFaults(
                 crash_at_requests=(1,), restart_after_ns=10**12
             ),
+            rpc_timeout_ns=200_000,
         ),
-        200_000, "read", "ETIMEDOUT", id="proxy-crash",
+        "read", "ETIMEDOUT", id="proxy-crash",
     ),
 ]
 
 
-@pytest.mark.parametrize("plan,timeout_ns,op,errno", SURFACE_MATRIX)
-def test_errno_surfaces_at_call_site(plan, timeout_ns, op, errno):
+@pytest.mark.parametrize("plan,op,errno", SURFACE_MATRIX)
+def test_errno_surfaces_at_call_site(plan, op, errno):
     """With certain failure and a tiny retry budget, the injected
     errno reaches the co-processor call site as a single-layer
     RemoteCallError whose cause is marked transient."""
-    eng, sys_ = boot(plan, timeout_ns)
+    eng, sys_ = boot(plan)
     with pytest.raises(RemoteCallError) as exc:
         run_io(eng, sys_, op=op, max_tries=2)
     err = exc.value
@@ -131,23 +127,23 @@ def test_errno_surfaces_at_call_site(plan, timeout_ns, op, errno):
 RECOVERY_MATRIX = [
     pytest.param(
         FaultPlan(seed=5, nvme=NvmeFaults(read_error_rate=0.25)),
-        None, "read", "faults.nvme.read_errors", id="nvme-read-error",
+        "read", "faults.nvme.read_errors", id="nvme-read-error",
     ),
     pytest.param(
         FaultPlan(seed=5, nvme=NvmeFaults(write_error_rate=0.25)),
-        None, "write", "faults.nvme.write_errors", id="nvme-write-error",
+        "write", "faults.nvme.write_errors", id="nvme-write-error",
     ),
     pytest.param(
         FaultPlan(seed=5, nvme=NvmeFaults(latency_spike_rate=0.5)),
-        None, "read", "faults.nvme.latency_spikes", id="nvme-latency-spike",
+        "read", "faults.nvme.latency_spikes", id="nvme-latency-spike",
     ),
     pytest.param(
         FaultPlan(seed=5, ring=RingFaults(stall_rate=0.2)),
-        None, "read", "faults.ring.stalls", id="ring-stall",
+        "read", "faults.ring.stalls", id="ring-stall",
     ),
     pytest.param(
         FaultPlan(seed=5, ring=RingFaults(pcie_degrade_rate=0.5)),
-        None, "read", "faults.pcie.degraded", id="pcie-degrade",
+        "read", "faults.pcie.degraded", id="pcie-degrade",
     ),
     pytest.param(
         FaultPlan(
@@ -155,14 +151,15 @@ RECOVERY_MATRIX = [
             proxy=ProxyFaults(
                 crash_at_requests=(3,), restart_after_ns=300_000
             ),
+            rpc_timeout_ns=500_000,
         ),
-        500_000, "read", "faults.proxy.crashes", id="proxy-crash",
+        "read", "faults.proxy.crashes", id="proxy-crash",
     ),
 ]
 
 
-@pytest.mark.parametrize("plan,timeout_ns,op,counter", RECOVERY_MATRIX)
-def test_recovery_converges(plan, timeout_ns, op, counter):
+@pytest.mark.parametrize("plan,op,counter", RECOVERY_MATRIX)
+def test_recovery_converges(plan, op, counter):
     """At moderate rates the whole workload completes within the
     default retry budget, and the injector accounted for every hit."""
     moved_clean = None
@@ -171,7 +168,7 @@ def test_recovery_converges(plan, timeout_ns, op, counter):
     clean.shutdown()
     eng0.run()
 
-    eng, sys_ = boot(plan, timeout_ns)
+    eng, sys_ = boot(plan)
     moved = run_io(eng, sys_, op=op)
     counts = sys_.faults_state()["counts"]
     assert moved == moved_clean == 6 * BLOCK
@@ -198,8 +195,9 @@ def test_proxy_crash_mid_read_recovers():
     plan = FaultPlan(
         seed=7,
         proxy=ProxyFaults(crash_at_requests=(3,), restart_after_ns=300_000),
+        rpc_timeout_ns=500_000,
     )
-    eng, sys_ = boot(plan, timeout_ns=500_000)
+    eng, sys_ = boot(plan)
     moved = run_io(eng, sys_)
     assert moved == 6 * BLOCK
     state = sys_.faults_state()
@@ -254,12 +252,10 @@ def test_breaker_opens_and_degrades_to_buffered(op):
     plan = FaultPlan(
         seed=9,
         nvme=NvmeFaults(error_scope="p2p", **{f"{op}_error_rate": 1.0}),
+        breaker_threshold=2,
+        breaker_reset_ns=200_000,
     )
-    eng, sys_ = boot(
-        plan,
-        fault_breaker_threshold=2,
-        fault_breaker_reset_ns=200_000,
-    )
+    eng, sys_ = boot(plan)
     moved = run_io(eng, sys_, n_ops=4, op=op)
     assert moved == 4 * BLOCK  # every transfer completed, degraded
     counts = sys_.faults_state()["counts"]
@@ -286,7 +282,7 @@ def test_rpc_timeout_raises_etimedout():
     m = build_machine(eng)
     ch = RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
 
-    def never_replies(core, method, payload):
+    def never_replies(core, method, payload, ctx):
         yield 10**12  # far past any timeout
 
     ch.start_client(m.phi_core(0, 60))
@@ -315,7 +311,7 @@ def test_dedup_cache_replays_without_reexecuting():
     ch = RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
     executions = []
 
-    def handler(core, method, payload):
+    def handler(core, method, payload, ctx):
         executions.append(method)
         yield from core.compute(100)
         return ("done", payload)
@@ -363,7 +359,7 @@ def test_deadline_stops_retrying_before_budget():
             eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host
         )
 
-        def always_fails(core, method, payload):
+        def always_fails(core, method, payload, ctx):
             yield from core.compute(10)
             raise InjectedFault("persistent injected failure")
 
@@ -404,12 +400,13 @@ CHAOS_PLAN = FaultPlan(
     nvme=NvmeFaults(read_error_rate=0.2, latency_spike_rate=0.3),
     ring=RingFaults(stall_rate=0.1, pcie_degrade_rate=0.2),
     proxy=ProxyFaults(crash_at_requests=(4,), restart_after_ns=300_000),
+    rpc_timeout_ns=500_000,
 )
 
 
 def test_same_plan_same_trace():
     def once():
-        eng, sys_ = boot(CHAOS_PLAN, timeout_ns=500_000)
+        eng, sys_ = boot(CHAOS_PLAN)
         moved = run_io(eng, sys_)
         state = sys_.faults_state()
         now = eng.now
@@ -433,3 +430,39 @@ def test_quiet_plan_is_bit_identical_to_no_plan():
     assert not any(sys_quiet.faults_state()["counts"].values())
     sys_off.shutdown()
     sys_quiet.shutdown()
+
+
+def test_chaos_bench_metrics_replay_byte_identical(tmp_path):
+    """``python -m repro.bench faults --metrics-out`` run twice writes
+    byte-identical files whose injected-fault and recovery counters
+    are all nonzero."""
+    from repro.bench.cli import main
+
+    paths = [tmp_path / "chaos_a.json", tmp_path / "chaos_b.json"]
+    for path in paths:
+        assert main(["faults", "--metrics-out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    doc = json.loads(paths[0].read_text())
+    assert doc, "chaos metrics JSON is empty"
+    faulty = [
+        (label, reg) for label, reg in doc.items()
+        if any(name.startswith("faults.") for name in reg)
+    ]
+    assert faulty, "no system exported faults.* series"
+    injected = {
+        "faults.nvme.latency_spikes", "faults.proxy.crashes",
+        "faults.ring.stalls", "faults.pcie.degraded",
+    }
+    recovery = {"faults.rpc.timeouts", "faults.rpc.retries"}
+    hit = {name for _, reg in faulty for name, m in reg.items()
+           if name.startswith("faults.") and m.get("value", 0) > 0}
+    missing = (injected | recovery) - hit
+    assert not missing, f"expected nonzero counters: {missing}"
+    errors = sum(
+        reg[n]["value"]
+        for _, reg in faulty
+        for n in ("faults.nvme.read_errors", "faults.nvme.write_errors")
+        if n in reg
+    )
+    assert errors > 0, "no NVMe errors were injected"

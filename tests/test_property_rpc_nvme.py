@@ -31,7 +31,7 @@ def test_rpc_multiplexing_under_arbitrary_interleavings(calls, n_servers):
     m = build_machine(eng)
     ch = RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
 
-    def handler(core, method, payload):
+    def handler(core, method, payload, ctx):
         # Variable server-side latency scrambles completion order.
         yield (payload * 37) % 5_000
         return (method, payload * 2)

@@ -21,6 +21,7 @@ from repro.sched import (
     RequestScheduler,
     RetryPolicy,
     SCHED_POLICIES,
+    SchedConfig,
     SchedRejected,
     SchedRequest,
     make_policy,
@@ -155,7 +156,7 @@ def test_make_policy_registry():
 def test_bad_scheduler_parameters_rejected():
     eng = Engine()
     with pytest.raises(SimError, match="admission bounds"):
-        RequestScheduler(eng, None, class_capacity=0)
+        RequestScheduler(eng, None, SchedConfig(source_credits=0))
     from repro.sched.workers import ElasticWorkerPool
 
     with pytest.raises(ValueError, match="bad pool bounds"):
@@ -165,10 +166,10 @@ def test_bad_scheduler_parameters_rejected():
 # ----------------------------------------------------------------------
 # End-to-end: the scheduled FS path
 # ----------------------------------------------------------------------
-def _boot(policy, n_phis=1, **overrides):
+def _boot(policy, n_phis=1, **sched_kw):
     eng = Engine()
     cfg = SolrosConfig(
-        disk_blocks=8192, max_inodes=16, sched_policy=policy, **overrides
+        disk_blocks=8192, max_inodes=16, sched=SchedConfig(policy, **sched_kw)
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=n_phis))
@@ -222,8 +223,8 @@ def test_legacy_default_has_no_scheduler():
 
 def test_admission_rejection_triggers_stub_backoff():
     eng, system = _boot(
-        "fifo", sched_source_credits=1,
-        sched_workers_min=2, sched_workers_max=2,
+        "fifo", source_credits=1,
+        workers_min=2, workers_max=2,
     )
     phi = system.dataplane(0)
     payload = b"x" * 4096
@@ -251,7 +252,7 @@ def test_admission_rejection_triggers_stub_backoff():
 
 
 def test_rejection_verdict_carries_retry_hint():
-    eng, system = _boot("fifo", sched_source_credits=1)
+    eng, system = _boot("fifo", source_credits=1)
     sched = system.scheduler
     sched._outstanding["phi0"] = 1  # simulate a busy source
     verdict = sched.submit("phi0", None, _FakeMsg(), None, 64)
@@ -271,7 +272,7 @@ class _FakeMsg:
 
 def test_deadline_expired_requests_are_shed():
     eng, system = _boot(
-        "fifo", sched_workers_min=1, sched_workers_max=1,
+        "fifo", workers_min=1, workers_max=1,
     )
     phi = system.dataplane(0)
     big = b"b" * (512 * 1024)
@@ -306,8 +307,8 @@ def test_deadline_expired_requests_are_shed():
 
 def test_elastic_pool_grows_and_shrinks():
     eng, system = _boot(
-        "fifo", sched_workers_min=1, sched_workers_max=4,
-        sched_grow_depth_per_worker=1, sched_idle_shrink_ns=50_000,
+        "fifo", workers_min=1, workers_max=4,
+        grow_depth_per_worker=1, idle_shrink_ns=50_000,
     )
     phi = system.dataplane(0)
     _write_file(eng, phi, "/f.bin", b"z" * (64 * 1024))
@@ -328,7 +329,7 @@ def test_elastic_pool_grows_and_shrinks():
 
 def test_drain_completes_queued_requests_then_rejects():
     eng, system = _boot(
-        "fifo", sched_workers_min=1, sched_workers_max=1,
+        "fifo", workers_min=1, workers_max=1,
     )
     phi = system.dataplane(0)
     payload = b"d" * (64 * 1024)
@@ -441,7 +442,7 @@ def test_net_scheduled_path():
 
 def _mixed_workload_decisions():
     eng, system = _boot(
-        "drr+priority", n_phis=2, sched_record_decisions=True,
+        "drr+priority", n_phis=2, record_decisions=True,
     )
     payload = b"w" * (64 * 1024)
     for i in range(2):
@@ -470,10 +471,38 @@ def test_decision_log_is_deterministic():
     assert "admit" in kinds and "dispatch" in kinds
 
 
+def _collection_sizes(obj):
+    names = getattr(obj, "__slots__", None) or sorted(vars(obj))
+    values = {name: getattr(obj, name) for name in names}
+    return {n: len(v) for n, v in values.items() if hasattr(v, "__len__")}
+
+
+def test_scheduler_stats_do_not_grow_with_requests():
+    """The plain-Python accounting holds counters only: nothing in
+    ``stats`` or its per-source entries keeps one item per request."""
+    def footprint(n_reads):
+        eng, system = _boot("drr")
+        phi = system.dataplane(0)
+        _write_file(eng, phi, "/f.bin", b"g" * 4096)
+        for _ in range(n_reads):
+            eng.run_process(_read_once(phi.fs, phi.core(0), "/f.bin", 4096))
+        stats = system.scheduler.stats
+        sizes = [_collection_sizes(stats)] + [
+            _collection_sizes(src)
+            for _name, src in sorted(stats.per_source.items())
+        ]
+        return stats.completed, sizes
+
+    few_done, few = footprint(1)
+    many_done, many = footprint(6)
+    assert many_done > few_done
+    assert many == few
+
+
 def test_scheduler_metrics_exported():
     eng = Engine()
     cfg = SolrosConfig(
-        disk_blocks=8192, max_inodes=16, trace=True, sched_policy="drr",
+        disk_blocks=8192, max_inodes=16, trace=True, sched=SchedConfig("drr"),
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=1))
@@ -490,6 +519,38 @@ def test_scheduler_metrics_exported():
     assert metrics.get("sched.submitted").value > 0
     assert metrics.get("sched.src.phi0.bytes").value > 0
     assert metrics.get("sched.wait_ns").count > 0
+
+
+def test_captured_qos_run_exports_every_scheduler_series():
+    """A captured drr+priority overload run (the ``bench sched``
+    workload, shortened) exports the full ``sched.*`` series set with
+    per-source byte counters from every system that scheduled."""
+    from repro.bench import sched_qos_overload
+    from repro.obs import disable_capture, enable_capture, metrics_json
+
+    capture = enable_capture()
+    try:
+        sched_qos_overload("drr+priority", fg_ops=20, window_ms=150)
+    finally:
+        disable_capture()
+    doc = metrics_json(capture.metric_pairs())
+    assert doc, "scheduler metrics JSON is empty"
+    required = {
+        "sched.submitted", "sched.admitted", "sched.rejected",
+        "sched.shed", "sched.queue.depth", "sched.workers",
+        "sched.wait_ns", "sched.service_ns",
+    }
+    schedful = [
+        (label, reg) for label, reg in doc.items()
+        if any(name.startswith("sched.") for name in reg)
+    ]
+    assert schedful, "no system exported sched.* series"
+    for label, reg in schedful:
+        missing = required - set(reg)
+        assert not missing, f"{label}: missing series {missing}"
+        assert reg["sched.submitted"]["value"] > 0, label
+        shares = [n for n in reg if n.startswith("sched.src.")]
+        assert shares, f"{label}: no per-source byte counters"
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +571,7 @@ def test_drr_priority_lock_order_graph_is_empty():
     try:
         eng = Engine()
         cfg = SolrosConfig(
-            disk_blocks=8192, max_inodes=16, sched_policy="drr+priority",
+            disk_blocks=8192, max_inodes=16, sched=SchedConfig("drr+priority"),
             ring_policy=RingPolicy(combining=False),
         )
         system = SolrosSystem(eng, cfg)

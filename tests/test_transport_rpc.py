@@ -11,7 +11,7 @@ def make_channel(eng, m):
     return RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
 
 
-def echo_handler(core, method, payload):
+def echo_handler(core, method, payload, ctx):
     yield from core.compute(100)
     if method == "boom":
         raise ValueError("server exploded")
@@ -105,7 +105,7 @@ def test_oneway_notify_is_processed():
     ch = make_channel(eng, m)
     seen = []
 
-    def handler(core, method, payload):
+    def handler(core, method, payload, ctx):
         yield 0
         seen.append((method, payload))
 
