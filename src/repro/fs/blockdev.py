@@ -66,19 +66,58 @@ class BlockDevice:
         else:
             self._blocks[blockno] = data
 
-    def read_extent_data(self, extent: Extent) -> bytes:
-        first, count = extent
-        return b"".join(
-            self.read_block_data(b) for b in range(first, first + count)
-        )
+    def gather(self, extents: Sequence[Extent], offset: int, count: int) -> bytes:
+        """Return ``count`` bytes at file ``offset`` from ``extents``.
 
-    def write_extent_data(self, extent: Extent, data: bytes) -> None:
-        first, count = extent
-        if len(data) > count * self.block_size:
-            raise SimError("data overflows extent")
-        for i in range(count):
-            chunk = data[i * self.block_size : (i + 1) * self.block_size]
-            self.write_block_data(first + i, chunk)
+        ``extents`` map the file range starting at the block that holds
+        ``offset`` (as ``Inode.map_range`` returns them).  Only the
+        partial first and last blocks are trimmed; the rest are joined
+        once.  The result is short if the extents end first.
+        """
+        bs = self.block_size
+        get, zero = self._blocks.get, self._zero
+        parts: List[bytes] = []
+        for first, n in extents:
+            self._check_extent(first, n)
+            parts += [get(b, zero) for b in range(first, first + n)]
+        skip = offset % bs
+        end = skip + count
+        # A directory that shrank keeps blocks past its size.
+        del parts[(end + bs - 1) // bs :]
+        if parts:
+            parts[-1] = parts[-1][: end - (len(parts) - 1) * bs]
+            parts[0] = parts[0][skip:]
+        return b"".join(parts)
+
+    def scatter(self, extents: Sequence[Extent], offset: int, data: bytes) -> None:
+        """Store ``data`` at file ``offset`` into the blocks of ``extents``.
+
+        ``extents`` are as for :meth:`gather`.  A partial first or last
+        block is read, modified and written back.
+        """
+        bs = self.block_size
+        blocks, zero = self._blocks, self._zero
+        view = memoryview(data)
+        skip, pos, end = offset % bs, 0, len(view)
+        for first, n in extents:
+            self._check_extent(first, n)
+            for blockno in range(first, first + n):
+                if pos >= end:
+                    return
+                chunk = view[pos : pos + bs - skip]
+                pos += len(chunk)
+                if len(chunk) == bs:
+                    block = bytes(chunk)
+                else:
+                    old = blocks.get(blockno, zero)
+                    block = old[:skip] + chunk + old[skip + len(chunk) :]
+                skip = 0
+                if block == zero:
+                    blocks.pop(blockno, None)
+                else:
+                    blocks[blockno] = block
+        if pos < end:
+            raise SimError("data overflows extents")
 
     # ------------------------------------------------------------------
     # Timed I/O
@@ -123,12 +162,15 @@ class BlockDevice:
     ) -> List[NvmeOp]:
         ops = []
         for first, count in extents:
-            self._check_block(first)
-            self._check_block(first + count - 1)
+            self._check_extent(first, count)
             ops.append(
                 NvmeOp(op, first * self.block_size, count * self.block_size, target)
             )
         return ops
+
+    def _check_extent(self, first: int, count: int) -> None:
+        self._check_block(first)
+        self._check_block(first + count - 1)
 
     def _check_block(self, blockno: int) -> None:
         if not 0 <= blockno < self.capacity_blocks:

@@ -82,38 +82,36 @@ class BufferCache:
 
         Touches LRU recency for hits and updates hit/miss statistics.
         """
+        lru = self._lru
+        touch = lru.move_to_end
+        dev = id(device)
         cached: List[Extent] = []
         missing: List[Extent] = []
         for first, count in extents:
             run_start, run_hit = first, None
-            for blockno in range(first, first + count + 1):
-                at_end = blockno == first + count
-                hit = (
-                    None
-                    if at_end
-                    else self._probe(device, blockno)
-                )
-                if hit != run_hit or at_end:
-                    if run_hit is not None and blockno > run_start:
+            for blockno in range(first, first + count):
+                key = (dev, blockno)
+                hit = key in lru
+                if hit:
+                    touch(key)
+                if hit is not run_hit:
+                    if run_hit is not None:
                         bucket = cached if run_hit else missing
                         bucket.append((run_start, blockno - run_start))
                     run_start, run_hit = blockno, hit
+            if run_hit is not None:
+                bucket = cached if run_hit else missing
+                bucket.append((run_start, first + count - run_start))
+        hits = sum(n for _s, n in cached)
+        misses = sum(n for _s, n in missing)
+        self.stats.hits += hits
+        self.stats.misses += misses
+        if self._c_hits is not None:
+            self._c_hits.inc(hits)
+            self._c_misses.inc(misses)
         if self._g_hit_rate is not None:
             self._g_hit_rate.set(self.stats.hit_rate)
         return cached, missing
-
-    def _probe(self, device: BlockDevice, blockno: int) -> bool:
-        key = self._key(device, blockno)
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            if self._c_hits is not None:
-                self._c_hits.inc()
-            return True
-        self.stats.misses += 1
-        if self._c_misses is not None:
-            self._c_misses.inc()
-        return False
 
     # ------------------------------------------------------------------
     # Updates

@@ -100,14 +100,9 @@ class ExtFS:
         sb = SuperBlock.from_bytes(device.read_block_data(0))
         fs.sb = sb
         # Bitmap.
-        yield from device.submit_read(
-            core, [(sb.bitmap_start, sb.bitmap_blocks)], node, coalesce=True
-        )
-        raw = b"".join(
-            device.read_block_data(b)
-            for b in range(sb.bitmap_start, sb.bitmap_start + sb.bitmap_blocks)
-        )
-        fs._bitmap = bytearray(raw[: (sb.total_blocks + 7) // 8])
+        bitmap = [(sb.bitmap_start, sb.bitmap_blocks)]
+        yield from device.submit_read(core, bitmap, node, coalesce=True)
+        fs._bitmap = bytearray(device.gather(bitmap, 0, (sb.total_blocks + 7) // 8))
         # Inode table.
         yield from device.submit_read(
             core, [(sb.inode_start, sb.inode_blocks)], node, coalesce=True
@@ -130,11 +125,9 @@ class ExtFS:
             extents.append((blockno, 1))
         self._dirty_inodes.clear()
         if self._bitmap_dirty:
-            bs = self.sb.block_size
-            for i in range(self.sb.bitmap_blocks):
-                chunk = bytes(self._bitmap[i * bs : (i + 1) * bs])
-                self.device.write_block_data(self.sb.bitmap_start + i, chunk)
-            extents.append((self.sb.bitmap_start, self.sb.bitmap_blocks))
+            bitmap_extent = (self.sb.bitmap_start, self.sb.bitmap_blocks)
+            self.device.scatter([bitmap_extent], 0, self._bitmap)
+            extents.append(bitmap_extent)
             self._bitmap_dirty = False
         if extents:
             yield from core.compute(FS_BASE_UNITS, "branchy")
@@ -267,9 +260,7 @@ class ExtFS:
         yield from self.device.submit_read(
             core, extents, target or self.node, coalesce=coalesce
         )
-        data = b"".join(self.device.read_extent_data(e) for e in extents)
-        skip = offset % self.sb.block_size
-        return data[skip : skip + length]
+        return self.device.gather(extents, offset, length)
 
     def write(
         self,
@@ -302,7 +293,7 @@ class ExtFS:
         extents = inode.map_range(self.sb.block_size, offset, nbytes)
         yield from self._charge_data_op(core, nbytes, len(extents), page_work)
         if data is not None:
-            self._store_bytes(inode, offset, data, extents)
+            self.device.scatter(extents, offset, data)
         yield from self.device.submit_write(
             core, extents, source or self.node, coalesce=coalesce
         )
@@ -412,10 +403,7 @@ class ExtFS:
         return entries
 
     def _read_dir_functional(self, inode: Inode) -> Dict[str, int]:
-        raw = b"".join(
-            self.device.read_extent_data(tuple(e)) for e in inode.extents
-        )
-        text = raw[: inode.size].decode() if inode.size else ""
+        text = self.device.gather(inode.extents, 0, inode.size).decode()
         if not text:
             return {}
         return {name: ino for name, ino in json.loads(text)}
@@ -428,7 +416,7 @@ class ExtFS:
         extents = inode.map_range(
             self.sb.block_size, 0, max(1, len(payload))
         )
-        self._store_bytes(inode, 0, payload, extents)
+        self.device.scatter(extents, 0, payload)
         inode.size = len(payload)
         self._dircache[inode.ino] = dict(entries)
         # Directory metadata is write-through (crash consistency: a
@@ -455,35 +443,6 @@ class ExtFS:
         for start, count in new_extents:
             inode.append_extent(start, count)
         self._dirty_inodes.add(inode.ino)
-
-    def _store_bytes(
-        self,
-        inode: Inode,
-        offset: int,
-        data: bytes,
-        extents: List[Extent],
-    ) -> None:
-        """Scatter ``data`` into the device blocks of ``extents``.
-
-        Handles a non-block-aligned start with read-modify-write of the
-        first/last partial blocks.
-        """
-        bs = self.sb.block_size
-        pos = offset % bs
-        remaining = data
-        for first, count in extents:
-            for blockno in range(first, first + count):
-                if not remaining:
-                    return
-                room = bs - pos
-                chunk, remaining = remaining[:room], remaining[room:]
-                if pos == 0 and len(chunk) == bs:
-                    self.device.write_block_data(blockno, chunk)
-                else:
-                    old = self.device.read_block_data(blockno)
-                    new = old[:pos] + chunk + old[pos + len(chunk):]
-                    self.device.write_block_data(blockno, new)
-                pos = 0
 
     def _charge_data_op(
         self, core: Core, nbytes: int, nextents: int, page_work: bool

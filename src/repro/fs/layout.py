@@ -181,15 +181,3 @@ class Inode:
                 self.extents[-1][1] = last_count + count
                 return
         self.extents.append([start, count])
-
-
-def pack_bitmap(bitmap: bytearray, block_size: int) -> List[bytes]:
-    """Split a bitmap into block-sized chunks for writing."""
-    chunks = []
-    for i in range(0, len(bitmap), block_size):
-        chunks.append(bytes(bitmap[i : i + block_size]))
-    return chunks
-
-
-def unpack_bitmap(chunks: List[bytes]) -> bytearray:
-    return bytearray(b"".join(chunks))

@@ -290,10 +290,7 @@ class SolrosFsProxy:
             extents, missing, ctx,
         )
         self.stats.bytes_read += count
-        device = self.fs.device
-        data = b"".join(device.read_extent_data(e) for e in extents)
-        skip = msg.offset % self.fs.sb.block_size
-        return data[skip : skip + count]
+        return self.fs.device.gather(extents, msg.offset, count)
 
     def _write(
         self, core: Core, session: _Session, msg: Twrite, ctx=None
@@ -312,7 +309,7 @@ class SolrosFsProxy:
 
         if msg.data is not None:
             # Functional truth: scatter the bytes into device blocks.
-            self.fs._store_bytes(inode, msg.offset, msg.data, extents)
+            self.fs.device.scatter(extents, msg.offset, msg.data)
         # A write stores every extent, cached or not.
         yield from self._transfer(
             core, "write", decision.mode == P2P, msg.source_node, msg.count,

@@ -58,11 +58,12 @@ class Core:
         One unit == one nanosecond on a host core; Phi cores pay the
         per-kind multiplier from their :class:`CpuParams`.
         """
-        if kind not in _WORK_KINDS:
-            raise SimError(f"unknown work kind: {kind!r}")
+        try:
+            mult = self.cpu.work_mult[kind]
+        except KeyError:
+            raise SimError(f"unknown work kind: {kind!r}") from None
         if units < 0:
             raise SimError(f"negative work: {units}")
-        mult = getattr(self.params, f"{kind}_mult")
         yield max(0, int(units * mult))
 
     def syscall(self) -> Generator:
@@ -97,6 +98,8 @@ class CPU:
         self.name = name
         self.node = node
         self.coherence = CoherenceStats()
+        # Per-kind ns per work unit, read by every Core.compute.
+        self.work_mult = {k: getattr(params, f"{k}_mult") for k in _WORK_KINDS}
         count = params.cores if n_cores is None else n_cores
         if count < 1:
             raise ValueError("a CPU needs at least one core")

@@ -85,8 +85,9 @@ class MemCell:
         self._sharers: set = set()
         # Remote line transfers for this line serialize here: this is
         # the coherence-directory/home-node bottleneck that makes
-        # broadcast spinning O(waiters) per handoff.
-        self._bus = Resource(engine, capacity=1, name=f"line:{name}")
+        # broadcast spinning O(waiters) per handoff.  Created on the
+        # first remote transfer.
+        self._bus: Optional[Resource] = None
         self._watchers: List[Event] = []
 
     # ------------------------------------------------------------------
@@ -115,7 +116,7 @@ class MemCell:
             yield self.params.l1_ns
         else:
             self.stats.line_transfers += 1
-            yield from self._bus.using(self.params.line_share_ns)
+            yield from self._line_bus().using(self.params.line_share_ns)
             yield self.params.line_transfer_ns - self.params.line_share_ns
             self._sharers.add(core)
         return self._value
@@ -197,9 +198,14 @@ class MemCell:
             # Pure local write: no bus serialization.
             yield cost
         else:
-            yield from self._bus.using(cost)
+            yield from self._line_bus().using(cost)
         self._owner = core
         self._sharers = {core}
+
+    def _line_bus(self) -> Resource:
+        if self._bus is None:
+            self._bus = Resource(self.engine, capacity=1, name=f"line:{self.name}")
+        return self._bus
 
     def _wake_watchers(self) -> None:
         if not self._watchers:

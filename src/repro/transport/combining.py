@@ -54,8 +54,10 @@ class _Request:
     def __init__(self, cpu: CPU, core: Core, op, seq: int, name: str):
         self.core = core
         self.op = op
-        # The requester spins on its own line (O(1) handoff, like MCS).
-        self.status = cpu.new_cell(_WAITING, name=f"{name}.st{seq}")
+        # The line a waiting requester spins on (O(1) handoff, like
+        # MCS).  ``execute`` creates it only once the request has to
+        # wait: a request that runs as its own combiner never touches it.
+        self.status = None
         self.next = cpu.new_cell(None, name=f"{name}.nx{seq}")
         self.result: Any = None
 
@@ -104,9 +106,11 @@ class CombiningQueue:
     ) -> Generator:
         """Run ``op`` under combining; returns the op's result."""
         self._seq += 1
-        req = _Request(self.cpu, core, op, self._seq, self.name)
+        seq = self._seq
+        req = _Request(self.cpu, core, op, seq, self.name)
         prev: Optional[_Request] = yield from self._tail.swap(core, req)
         if prev is not None:
+            req.status = self.cpu.new_cell(_WAITING, name=f"{self.name}.st{seq}")
             span = self.tracer.child(
                 "combining.wait", "transport", ctx, core=core, queue=self.name
             )

@@ -230,6 +230,30 @@ def test_remount_recovers_everything(env):
     assert data == b"persistent data"
 
 
+def test_remount_reads_shrunken_directory(env):
+    """A directory keeps its blocks when it shrinks; a remount must read
+    only its first ``size`` bytes, not the stale tail block."""
+    eng, m, dev, core, fs = env
+    names = [f"{i:03d}-" + "x" * 60 for i in range(80)]
+
+    def setup(eng):
+        for name in names:
+            yield from fs.create(core, f"/{name}")
+        for name in names[1:]:
+            yield from fs.unlink(core, f"/{name}")
+        yield from fs.sync(core)
+
+    run(eng, setup(eng))
+    root = fs._inodes[fs.sb.root_ino]
+    assert root.allocated_blocks > 1 and root.size < fs.sb.block_size
+
+    def remount(eng):
+        fs2 = yield from ExtFS.mount(core, dev, "numa0")
+        return (yield from fs2.readdir(core, "/"))
+
+    assert run(eng, remount(eng)) == names[:1]
+
+
 def test_synthetic_writes_do_not_materialize(env):
     eng, m, dev, core, fs = env
 

@@ -5,12 +5,17 @@ Invariants under arbitrary operation sequences:
 * read-back equals the bytes written (a shadow dict is the oracle);
 * the allocator never double-allocates a block;
 * free + allocated block accounting is conserved across create/unlink;
-* remount reproduces the same namespace and contents.
+* remount reproduces the same namespace and contents;
+* through the delegated Solros stack (stub -> RPC -> proxy), unaligned
+  writes and reads over fragmented files match a ``bytearray`` oracle
+  on both the P2P and the buffered data path.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fs import BlockDevice, ExtFS, FileNotFound
+from repro.core import SolrosConfig, SolrosSystem
+from repro.fs import O_CREAT, O_RDWR, BlockDevice, ExtFS, FileNotFound
 from repro.hw import build_machine
 from repro.sim import Engine
 
@@ -155,3 +160,96 @@ def test_remount_reproduces_state(files):
             assert back == data
 
     eng.run_process(remount_and_check(eng))
+
+
+# ----------------------------------------------------------------------
+# Delegated Solros stack: the proxy's scatter and gather
+# ----------------------------------------------------------------------
+N_FILES = 3
+
+solros_ops = st.fixed_dictionaries(
+    {
+        # Rounds of interleaved appends, one per file per round.  Each
+        # append crosses a block boundary, so every round after the
+        # first starts a new extent in every file.
+        "appends": st.lists(
+            st.lists(
+                st.integers(min_value=4_097, max_value=14_000),
+                min_size=N_FILES,
+                max_size=N_FILES,
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        "overwrites": st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=N_FILES - 1),
+                st.integers(min_value=0, max_value=60_000),  # offset
+                st.binary(min_size=1, max_size=20_000),
+            ),
+            max_size=6,
+        ),
+        "reads": st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=N_FILES - 1),
+                st.integers(min_value=0, max_value=60_000),  # offset
+                st.integers(min_value=1, max_value=30_000),  # count
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    }
+)
+
+
+def _pattern(fid, start, size):
+    """Bytes that differ per file and per position (no zero runs)."""
+    return bytes((fid * 89 + i * 7 + 1) % 251 + 1 for i in range(start, start + size))
+
+
+@pytest.mark.parametrize("phi_index, p2p", [(0, True), (2, False)])
+@given(ops=solros_ops)
+def test_solros_stack_matches_bytearray_oracle(phi_index, p2p, ops):
+    """phi0 is NUMA-local to the SSD (P2P); phi2 is across QPI (buffered)."""
+    eng = Engine()
+    system = SolrosSystem(eng, SolrosConfig(disk_blocks=8192, max_inodes=16))
+    eng.run_process(system.boot(n_phis=phi_index + 1))
+    phi = system.dataplane(phi_index)
+    core = phi.core(0)
+    oracle = [bytearray() for _ in range(N_FILES)]
+
+    def main(eng):
+        fds = []
+        for fid in range(N_FILES):
+            fd = yield from phi.fs.open(core, f"/s{fid}", O_CREAT | O_RDWR)
+            fds.append(fd)
+        for sizes in ops["appends"]:
+            for fid, size in enumerate(sizes):
+                buf = oracle[fid]
+                data = _pattern(fid, len(buf), size)
+                yield from phi.fs.pwrite(core, fds[fid], len(buf), data)
+                buf += data
+        for fid, offset, data in ops["overwrites"]:
+            buf = oracle[fid]
+            yield from phi.fs.pwrite(core, fds[fid], offset, data)
+            if len(buf) < offset:
+                buf.extend(bytes(offset - len(buf)))
+            buf[offset : offset + len(data)] = data
+        for fid, offset, count in ops["reads"]:
+            got = yield from phi.fs.pread(core, fds[fid], count, offset)
+            assert got == bytes(oracle[fid][offset : offset + count])
+        for fid in range(N_FILES):
+            got = yield from phi.fs.pread(core, fds[fid], len(oracle[fid]), 0)
+            assert got == bytes(oracle[fid]), f"file {fid} mismatch"
+
+    eng.run_process(main(eng))
+    fs = system.control.fs
+    for fid in range(N_FILES):
+        assert len(fs._inodes[fs._dircache[fs.sb.root_ino][f"s{fid}"]].extents) >= 2
+    stats = system.control.fs_proxy.stats
+    if p2p:
+        assert stats.p2p_reads and stats.p2p_writes
+        assert not (stats.buffered_reads or stats.buffered_writes)
+    else:
+        assert stats.buffered_reads and stats.buffered_writes
+        assert not (stats.p2p_reads or stats.p2p_writes)

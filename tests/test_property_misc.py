@@ -1,10 +1,14 @@
 """Property-based tests for the DES engine, statistics, TCP ordering,
 the buffer cache, and the load balancers."""
 
+from collections import OrderedDict
+from itertools import groupby
+
 from hypothesis import given, settings, strategies as st
 
 from repro.fs import BlockDevice, BufferCache
 from repro.hw import build_machine
+from repro.obs.metrics import MetricsRegistry
 from repro.net import (
     ContentBasedBalancer,
     LeastLoadedBalancer,
@@ -183,6 +187,57 @@ def test_cache_never_exceeds_capacity_and_split_is_partition(
     for first, count in cached:
         for b in range(first, first + count):
             assert cache.contains(dev, b)
+
+
+def _split_reference(lru, dev, extents):
+    """Per-block split_extents: one probe per block, runs per extent."""
+    cached, missing, hits = [], [], 0
+    for first, count in extents:
+        probes = []
+        for b in range(first, first + count):
+            key = (id(dev), b)
+            hit = key in lru
+            if hit:
+                lru.move_to_end(key)
+                hits += 1
+            probes.append((b, hit))
+        for hit, run in groupby(probes, key=lambda p: p[1]):
+            run = list(run)
+            (cached if hit else missing).append((run[0][0], len(run)))
+    return cached, missing, hits
+
+
+extent_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=120),
+        st.integers(min_value=1, max_value=24),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(inserts=extent_lists, queries=st.lists(extent_lists, min_size=1, max_size=4))
+def test_cache_split_matches_per_block_reference(inserts, queries):
+    eng = Engine()
+    m = build_machine(eng)
+    dev = BlockDevice(m.nvme, 4096)
+    cache = BufferCache(48 * 4096)
+    metrics = MetricsRegistry(eng)
+    cache.set_obs(None, metrics)
+    cache.insert(dev, inserts)
+    lru = OrderedDict(cache._lru)
+    hits = misses = 0
+    for query in queries:
+        want_cached, want_missing, want_hits = _split_reference(lru, dev, query)
+        hits += want_hits
+        misses += sum(c for _f, c in query) - want_hits
+        assert cache.split_extents(dev, query) == (want_cached, want_missing)
+        assert list(cache._lru) == list(lru)
+        assert (cache.stats.hits, cache.stats.misses) == (hits, misses)
+        assert metrics.counter("cache.hits").value == hits
+        assert metrics.counter("cache.misses").value == misses
+        assert metrics.gauge("cache.hit_rate").value == cache.stats.hit_rate
 
 
 # ----------------------------------------------------------------------
