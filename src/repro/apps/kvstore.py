@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..fs.vfs import O_CREAT, O_RDWR, O_TRUNC
 from ..hw.cpu import Core
 from ..net.balancer import ContentBasedBalancer
 from ..net.packets import SocketAddr
-from ..sim.engine import Engine, Interrupt
+from ..sim.engine import Engine, Interrupt, ProcessGroup
 
 __all__ = ["KvShard", "KvClient", "key_shard", "KV_PORT"]
 
@@ -70,7 +70,7 @@ class KvShard:
         self.snapshot_path = snapshot_path or f"/kv-shard{shard_index}.snap"
         self.data: Dict[str, str] = {}
         self.stats = {"get": 0, "put": 0, "delete": 0, "miss": 0}
-        self._procs: List = []
+        self._procs = ProcessGroup(engine)
         self._running = True
 
     # ------------------------------------------------------------------
@@ -78,11 +78,8 @@ class KvShard:
     # ------------------------------------------------------------------
     def start(self, n_handler_cores: int = 4) -> None:
         """Join the shared port and start accept + handler loops."""
-        self._procs.append(
-            self.engine.spawn(
-                self._accept_loop(n_handler_cores),
-                name=f"kv-shard{self.shard_index}",
-            )
+        self._procs.spawn(
+            self._accept_loop(n_handler_cores), f"kv-shard{self.shard_index}"
         )
 
     def _accept_loop(self, n_handler_cores: int) -> Generator:
@@ -97,11 +94,9 @@ class KvShard:
                     1 + handler_slot[0] % n_handler_cores
                 )
                 handler_slot[0] += 1
-                self._procs.append(
-                    self.engine.spawn(
-                        self._serve_one(handler_core, sock),
-                        name=f"kv-conn{self.shard_index}",
-                    )
+                self._procs.spawn(
+                    self._serve_one(handler_core, sock),
+                    f"kv-conn{self.shard_index}",
                 )
         except Interrupt:
             pass
@@ -175,9 +170,7 @@ class KvShard:
 
     def stop(self) -> None:
         self._running = False
-        for proc in self._procs:
-            if proc.alive:
-                proc.interrupt("kv stop")
+        self._procs.stop("kv stop")
 
 
 class KvClient:

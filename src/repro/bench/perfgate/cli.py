@@ -3,8 +3,7 @@
 ``run`` executes the suite and writes the schema-versioned result
 file; ``compare`` diffs two result files against the per-metric
 tolerances and exits non-zero on regression (the CI gate);
-``--update-baseline`` blesses the current numbers, mirroring
-``repro.lint --write-baseline``.
+``--update-baseline`` blesses the current numbers.
 
 Exit codes: 0 clean (or improvements only), 1 regression / missing
 metric / crashed benchmark, 2 schema or usage error.

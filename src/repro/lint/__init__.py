@@ -4,15 +4,15 @@ Static side (stdlib ``ast``): a checker registry enforcing the
 invariants the Solros design states but Python cannot — sim-coroutine
 discipline, determinism of simulated packages, RPC registry
 conformance, observability-catalog conformance, and lock/ring-phase
-ordering.  Run it with ``python -m repro.lint [--baseline] [--json]``.
+ordering.  Run it with ``python -m repro.lint [--json]``.
 
 Runtime side (:mod:`repro.lint.sanitize`): a lockdep-style acquisition
 -order graph with cycle detection plus ring-slot phase assertions,
 armed by ``REPRO_SANITIZE=1`` and wired into the transport layer at
 near-zero cost when disabled.
 
-See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and the
-suppression/baseline workflow.
+See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and the inline
+suppressions.
 """
 
 from .core import (

@@ -1,7 +1,7 @@
-"""CLI: ``python -m repro.lint [--baseline] [--json] [...]``.
+"""CLI: ``python -m repro.lint [--json] [...]``.
 
-Exit status is 0 when no (non-baselined, non-suppressed) findings
-remain, 1 otherwise — suitable as a CI gate.
+Exit status is 0 when no (non-suppressed) findings remain, 1
+otherwise — suitable as a CI gate.
 """
 
 from __future__ import annotations
@@ -11,15 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import (
-    all_checkers,
-    load_baseline,
-    load_project,
-    repo_root,
-    run_checkers,
-    split_baselined,
-    write_baseline,
-)
+from .core import all_checkers, load_project, repo_root, run_checkers
 
 
 def main(argv=None) -> int:
@@ -30,14 +22,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files to lint (default: every src/**/*.py)",
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="filter findings through the committed .lint-baseline.json",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current findings as the new baseline",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -67,17 +51,6 @@ def main(argv=None) -> int:
     project = load_project(root, paths)
     findings, suppressed = run_checkers(project, only=args.rules)
 
-    if args.write_baseline:
-        path = write_baseline(root, project, findings)
-        print(f"wrote {len(findings)} finding(s) to {path}")
-        return 0
-
-    baselined = []
-    if args.baseline:
-        findings, baselined = split_baselined(
-            project, findings, load_baseline(root)
-        )
-
     if args.as_json:
         print(json.dumps(
             {
@@ -92,7 +65,6 @@ def main(argv=None) -> int:
                     for f in findings
                 ],
                 "suppressed": suppressed,
-                "baselined": len(baselined),
             },
             indent=2,
         ))
@@ -101,7 +73,6 @@ def main(argv=None) -> int:
             print(f.format())
         tail = (
             f"{len(findings)} finding(s), {suppressed} suppressed, "
-            f"{len(baselined)} baselined, "
             f"{len(project.modules)} file(s) checked"
         )
         print(tail if findings else f"clean: {tail}")

@@ -10,8 +10,7 @@ checks these by analysis of the code graph rather than by convention.
 
 Framework pieces:
 
-* :class:`Finding` — one diagnostic, with a content-based fingerprint
-  so the committed baseline survives line drift.
+* :class:`Finding` — one diagnostic.
 * :class:`Module` / :class:`Project` — parsed source files plus the
   cross-module **generator index** shared by checkers.
 * :class:`Checker` + :func:`register` — the checker registry; each
@@ -19,19 +18,15 @@ Framework pieces:
 * Inline suppressions — ``# lint: allow(<rule>)`` on the offending
   line (or the line above), ``# lint: allow-file(<rule>)`` anywhere
   at column 0 for a whole file.
-* Baseline — a committed JSON file of legacy fingerprints; findings
-  in it are reported as baselined, not failures.
 
 The CLI lives in ``repro.lint.__main__``::
 
-    python -m repro.lint [--baseline] [--json] [--write-baseline]
+    python -m repro.lint [--json] [--rule RULE] [paths...]
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -45,8 +40,6 @@ __all__ = [
     "all_checkers",
     "load_project",
     "run_checkers",
-    "load_baseline",
-    "write_baseline",
     "repo_root",
 ]
 
@@ -65,17 +58,6 @@ class Finding:
         self.line = line  # 1-based; 0 for whole-file findings
         self.col = col
         self.message = message
-
-    def fingerprint(self, source_lines: Sequence[str]) -> str:
-        """Content-based identity: rule + path + the offending line's
-        text (whitespace-normalized), so renumbering doesn't churn the
-        baseline but editing the line does."""
-        if 1 <= self.line <= len(source_lines):
-            text = " ".join(source_lines[self.line - 1].split())
-        else:
-            text = ""
-        blob = f"{self.rule}|{self.path}|{text}|{self.message}"
-        return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -294,7 +276,7 @@ def load_project(
 
 
 # ----------------------------------------------------------------------
-# Driving + baseline
+# Driving
 # ----------------------------------------------------------------------
 def run_checkers(
     project: Project,
@@ -317,38 +299,3 @@ def run_checkers(
             findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings, suppressed
-
-
-BASELINE_NAME = ".lint-baseline.json"
-
-
-def load_baseline(root: Path) -> Dict[str, dict]:
-    path = root / BASELINE_NAME
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text())
-
-
-def write_baseline(root: Path, project: Project, findings: List[Finding]) -> Path:
-    """Persist current findings as the accepted legacy set."""
-    entries = {}
-    for f in findings:
-        mod = project.by_path.get(f.path)
-        fp = f.fingerprint(mod.lines if mod else [])
-        entries[fp] = {"rule": f.rule, "path": f.path, "message": f.message}
-    path = root / BASELINE_NAME
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def split_baselined(
-    project: Project, findings: List[Finding], baseline: Dict[str, dict]
-) -> Tuple[List[Finding], List[Finding]]:
-    """Partition findings into ``(new, baselined)``."""
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for f in findings:
-        mod = project.by_path.get(f.path)
-        fp = f.fingerprint(mod.lines if mod else [])
-        (old if fp in baseline else new).append(f)
-    return new, old

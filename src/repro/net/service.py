@@ -26,7 +26,7 @@ from typing import Any, Dict, Generator, List, Optional
 from ..core.dataplane import DataPlaneOS
 from ..hw.cpu import CPU, Core
 from ..obs.tracer import NULL_TRACER
-from ..sim.engine import Engine, Interrupt, SimError
+from ..sim.engine import Engine, Interrupt, ProcessGroup, SimError
 from ..sim.primitives import Store
 from ..transport.ringbuf import RingBuffer, RingPolicy
 from ..transport.rpc import RpcChannel
@@ -175,10 +175,7 @@ class SolrosNetProxy:
         self.listeners: Dict[int, _SharedListener] = {}
         self.loads: Dict[int, int] = {}  # phi_index -> active conns
         self._next_sock = 0
-        # Live service processes in spawn order (finished ones are
-        # pruned once the list doubles; see _spawn).
-        self._procs: list = []
-        self._prune_at = 64
+        self._procs = ProcessGroup(engine)
         self._running = True
         self._worker_core_base = 8
         # Observability (off by default).
@@ -272,13 +269,7 @@ class SolrosNetProxy:
         return core
 
     def _spawn(self, gen: Generator, name: str):
-        proc = self.engine.spawn(self._guard(gen), name=name)
-        procs = self._procs
-        if len(procs) >= self._prune_at:
-            procs[:] = [p for p in procs if p.alive]
-            self._prune_at = max(64, 2 * len(procs))
-        procs.append(proc)
-        return proc
+        return self._procs.spawn(self._guard(gen), name)
 
     @staticmethod
     def _guard(gen: Generator) -> Generator:
@@ -352,7 +343,7 @@ class SolrosNetProxy:
             shared.members.remove(phi_index)
             if not shared.members:
                 self.host_tcp.close_listener(port)
-                if shared.accept_loop is not None and shared.accept_loop.alive:
+                if shared.accept_loop is not None:
                     shared.accept_loop.interrupt("listener closed")
                 del self.listeners[port]
         yield 0
@@ -497,8 +488,6 @@ class SolrosNetProxy:
     # ------------------------------------------------------------------
     def stop(self) -> None:
         self._running = False
-        for proc in self._procs:
-            if proc.alive:
-                proc.interrupt("net stop")
+        self._procs.stop("net stop")
         for channel in self.channels.values():
             channel.rpc.stop()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Deque, List, Optional
 from collections import deque
 
-from ..sim.engine import Engine, Interrupt
+from ..sim.engine import Engine, Interrupt, ProcessGroup
 from .qos import CLASS_RT
 
 __all__ = ["ElasticWorkerPool"]
@@ -56,7 +56,7 @@ class ElasticWorkerPool:
         self._started = False
         # Idle workers parked on events: entries are [event, max_class].
         self._waiters: Deque[List] = deque()
-        self._procs: List = []
+        self._procs = ProcessGroup(engine)
         self._next_id = 0
 
     @property
@@ -102,10 +102,7 @@ class ElasticWorkerPool:
         if self.active > self.high_water:
             self.high_water = self.active
         core = self.sched.worker_core()
-        proc = self.engine.spawn(
-            self._worker(core, max_class, permanent), name=name
-        )
-        self._procs.append(proc)
+        proc = self._procs.spawn(self._worker(core, max_class, permanent), name)
         self._gauge()
         return proc
 
@@ -173,13 +170,8 @@ class ElasticWorkerPool:
 
     def stop(self) -> None:
         """Hard stop: interrupt every worker, in-service or parked."""
-        self._running = False
-        while self._waiters:
-            self._waiters.popleft()[0].succeed()
-        for proc in self._procs:
-            if proc.alive:
-                proc.interrupt("pool stop")
-        self._procs.clear()
+        self.retire_all()
+        self._procs.stop("pool stop")
 
     def _gauge(self) -> None:
         gauge = getattr(self.sched, "_g_workers", None)

@@ -2,13 +2,14 @@
 
 Submodules:
 
-* :mod:`repro.sim.engine` — the event loop, processes, events.
+* :mod:`repro.sim.engine` — the event loop, processes, process groups,
+  events.
 * :mod:`repro.sim.primitives` — locks, semaphores, stores, gates.
 * :mod:`repro.sim.resources` — capacity pools and bandwidth links.
 * :mod:`repro.sim.stats` — percentiles, CDFs, throughput meters.
 """
 
-from .engine import Engine, Event, Interrupt, Process, SimError
+from .engine import Engine, Event, Interrupt, Process, ProcessGroup, SimError
 from .primitives import Gate, Lock, Semaphore, Store, WouldBlock
 from .resources import BandwidthLink, Resource
 from .stats import Histogram, ThroughputMeter, cdf_points, percentile, summarize
@@ -17,6 +18,7 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
+    "ProcessGroup",
     "Interrupt",
     "SimError",
     "Lock",

@@ -66,6 +66,7 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
+    "ProcessGroup",
     "Interrupt",
     "SimError",
     "SimulationLimitExceeded",
@@ -594,3 +595,52 @@ class Engine:
             proc, error = self._unhandled.pop(0)
             if not proc._failure_consumed:
                 raise error
+
+
+class ProcessGroup:
+    """The long-lived processes of one owner (a service, a pool, a
+    server's loops), held live and in spawn order.
+
+    Finished processes are forgotten: when a spawn finds the list at the
+    prune threshold, it drops the finished ones and sets the threshold
+    to twice the live count (at least :attr:`PRUNE_AT`), so the list
+    stays under about twice the live count plus :attr:`PRUNE_AT` at
+    amortised O(1) per spawn.
+    The group registers no completion callback: a callback would mark a
+    member's failure as consumed, and a crashing member must still
+    abort :meth:`Engine.run`.
+    """
+
+    PRUNE_AT = 64
+
+    __slots__ = ("engine", "_procs", "_prune_at")
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self._procs: List[Process] = []
+        self._prune_at = self.PRUNE_AT
+
+    def spawn(self, gen: Generator, name: Optional[str] = None) -> Process:
+        """Start ``gen`` as a member of the group."""
+        proc = self.engine.spawn(gen, name)
+        procs = self._procs
+        if len(procs) >= self._prune_at:
+            procs[:] = [p for p in procs if p.alive]
+            self._prune_at = max(self.PRUNE_AT, 2 * len(procs))
+        procs.append(proc)
+        return proc
+
+    def __len__(self) -> int:
+        """Members held: every live one, plus finished ones not yet
+        pruned."""
+        return len(self._procs)
+
+    def __iter__(self):
+        return iter(self._procs)
+
+    def stop(self, cause: Any = None) -> None:
+        """Interrupt every live member, in spawn order, and forget them
+        all (a second ``stop`` interrupts nothing)."""
+        procs, self._procs = self._procs, []
+        for proc in procs:
+            proc.interrupt(cause)

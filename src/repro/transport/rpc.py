@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Sequence
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
 from ..obs.tracer import NULL_TRACER, ctx_of
-from ..sim.engine import Engine, Event, Interrupt, SimError
+from ..sim.engine import Engine, Event, Interrupt, ProcessGroup, SimError
 from .ringbuf import RingBuffer, RingPolicy
 
 __all__ = [
@@ -176,7 +176,7 @@ class RpcChannel:
         self._next_id = 0
         self._pending: Dict[int, Event] = {}
         self._dispatcher: Optional[Any] = None
-        self._servers: list = []
+        self._servers = ProcessGroup(engine)
         self._running = True
         self.calls = 0
         # Fault injection + recovery (repro.faults).  All None/off by
@@ -353,13 +353,12 @@ class RpcChannel:
             kind = "pull"
             scheduler.register_source(source, self)
         for core in cores:
-            proc = self.engine.spawn(
+            self._servers.spawn(
                 self._server_loop(
                     core, handler, response_size, scheduler, source
                 ),
-                name=f"{self.name}.{kind}{core.cid}",
+                f"{self.name}.{kind}{core.cid}",
             )
-            self._servers.append(proc)
 
     def _server_loop(
         self,
@@ -482,8 +481,6 @@ class RpcChannel:
     def stop(self) -> None:
         """Interrupt dispatcher and server loops."""
         self._running = False
-        if self._dispatcher is not None and self._dispatcher.alive:
+        if self._dispatcher is not None:
             self._dispatcher.interrupt("rpc stop")
-        for proc in self._servers:
-            if proc.alive:
-                proc.interrupt("rpc stop")
+        self._servers.stop("rpc stop")

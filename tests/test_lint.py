@@ -1,5 +1,5 @@
 """Tests for repro.lint: each checker against a true-positive fixture
-and a near-miss fixture, the suppression/baseline workflow, the CLI
+and a near-miss fixture, inline suppressions, the CLI
 exit-code contract, the repo-is-clean gate, and the runtime sanitizer's
 lockdep/phase machinery."""
 
@@ -8,14 +8,7 @@ import textwrap
 import pytest
 
 from repro.lint.__main__ import main as lint_main
-from repro.lint.core import (
-    load_baseline,
-    load_project,
-    repo_root,
-    run_checkers,
-    split_baselined,
-    write_baseline,
-)
+from repro.lint.core import load_project, repo_root, run_checkers
 from repro.lint.sanitize import Sanitizer, SanitizerError
 from repro.sim import Engine, SimError
 
@@ -433,7 +426,7 @@ def test_lock_phase_ordered_ring_protocol_is_clean(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Suppression + baseline workflow
+# Inline suppressions
 # ----------------------------------------------------------------------
 def test_inline_allow_suppresses_finding(tmp_path):
     findings, suppressed = run_fixture(tmp_path, {
@@ -460,32 +453,6 @@ def test_file_level_allow_suppresses_whole_file(tmp_path):
         """,
     }, rules=["determinism"])
     assert findings == [] and suppressed == 2
-
-
-def test_baseline_roundtrip(tmp_path):
-    files = {
-        "src/repro/sim/x.py": CLOCK_READ,
-    }
-    for rel, text in files.items():
-        p = tmp_path / rel
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
-    project = load_project(tmp_path)
-    findings, _ = run_checkers(project, only=["determinism"])
-    assert len(findings) == 1
-    write_baseline(tmp_path, project, findings)
-    baseline = load_baseline(tmp_path)
-    new, old = split_baselined(project, findings, baseline)
-    assert new == [] and len(old) == 1
-    # Fingerprints are content-based: a new finding is NOT covered.
-    (tmp_path / "src/repro/sim/x.py").write_text(
-        CLOCK_READ + "\n\ndef tick():\n    return time.monotonic()\n"
-    )
-    project2 = load_project(tmp_path)
-    findings2, _ = run_checkers(project2, only=["determinism"])
-    new2, old2 = split_baselined(project2, findings2, baseline)
-    assert len(new2) == 1 and "time.monotonic()" in new2[0].message
-    assert len(old2) == 1
 
 
 # ----------------------------------------------------------------------
@@ -524,9 +491,9 @@ def test_cli_json_output(tmp_path, capsys):
     assert '"determinism"' in out
 
 
-def test_repo_is_clean_under_baseline(capsys):
+def test_repo_is_clean(capsys):
     """The committed tree must pass its own gate (the CI contract)."""
-    assert lint_main(["--root", str(repo_root()), "--baseline"]) == 0
+    assert lint_main(["--root", str(repo_root())]) == 0
 
 
 # ----------------------------------------------------------------------

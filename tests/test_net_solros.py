@@ -254,7 +254,8 @@ def test_solros_echo_latency_between_host_and_phi_linux(env):
 
 def test_service_forgets_finished_connection_processes(env):
     """Connection-per-request echoes spawn a feeder per connection; the
-    service keeps only a bounded list of them, live ones in spawn order."""
+    service's process group holds a bounded number of them, live ones in
+    spawn order."""
     eng, system, tb, proxy, apis = env
     phi = system.dataplane(0)
     port = 9500
@@ -286,4 +287,4 @@ def test_service_forgets_finished_connection_processes(env):
         sizes.append(len(proxy._procs))
     assert proxy.stats.accepts == 240
     assert max(sizes) <= 128, sizes
-    assert proxy._procs[: len(workers)] == workers
+    assert list(proxy._procs)[: len(workers)] == workers

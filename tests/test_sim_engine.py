@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine, Interrupt, Lock, Resource, SimError
+from repro.sim import Engine, Interrupt, Lock, ProcessGroup, Resource, SimError
 from repro.sim.engine import SimulationLimitExceeded
 
 
@@ -408,6 +408,115 @@ def test_cancelled_timer_waited_on_again_still_fires(wait_at):
         return eng.now, value
 
     assert eng.run_process(main(eng)) == (max(100, wait_at), "late")
+
+
+# ----------------------------------------------------------------------
+# ProcessGroup
+# ----------------------------------------------------------------------
+def _parked(eng, log, tag):
+    """A member that waits forever and logs each interrupt it gets."""
+    while True:
+        try:
+            yield eng.event()
+        except Interrupt as intr:
+            log.append((tag, intr.cause))
+
+
+def test_group_forgets_finished_processes():
+    """Prunes drop finished members, keep live ones in spawn order, and
+    bound the list by about twice the live count plus PRUNE_AT."""
+    eng = Engine()
+    group = ProcessGroup(eng)
+    log = []
+    keepers = []
+    peak = 0
+
+    def short(eng):
+        yield 5
+
+    def churn(eng):
+        nonlocal peak
+        for i in range(1_000):
+            if i % 150 == 0:
+                keepers.append(group.spawn(_parked(eng, log, i), f"keep{i}"))
+            group.spawn(short(eng), f"short{i}")
+            peak = max(peak, len(group))
+            yield 10
+
+    eng.run_process(churn(eng))
+    assert peak <= 2 * (len(keepers) + 1) + ProcessGroup.PRUNE_AT
+    assert [p for p in group if p.alive] == keepers
+    group.stop("halt")
+    eng.run()
+    assert log == [(i, "halt") for i in range(0, 1_000, 150)]
+
+
+def test_group_stop_interrupts_live_members_in_spawn_order():
+    eng = Engine()
+    group = ProcessGroup(eng)
+    log = []
+
+    def quick(eng):
+        yield 1
+
+    group.spawn(_parked(eng, log, "a"))
+    group.spawn(quick(eng))
+    group.spawn(_parked(eng, log, "b"))
+    group.spawn(_parked(eng, log, "c"))
+    eng.run()
+    group.stop("halt")
+    eng.run()
+    assert log == [("a", "halt"), ("b", "halt"), ("c", "halt")]
+    assert len(group) == 0
+
+
+def test_group_stop_twice_or_when_all_finished_is_a_noop():
+    eng = Engine()
+    group = ProcessGroup(eng)
+    log = []
+    group.spawn(_parked(eng, log, "a"))
+    eng.run()
+    group.stop("first")
+    group.stop("second")
+    eng.run()
+    assert log == [("a", "first")]
+
+    def quick(eng):
+        yield 1
+
+    done = ProcessGroup(eng)
+    done.spawn(quick(eng))
+    eng.run()
+    before = eng.events_processed
+    done.stop("late")
+    eng.run()
+    assert eng.events_processed == before
+
+
+def test_group_member_failure_still_aborts_run():
+    """The group must not consume a member's failure (as a completion
+    callback would): an unhandled crash still aborts the run."""
+    eng = Engine()
+    group = ProcessGroup(eng)
+
+    def crasher(eng):
+        yield 5
+        raise ValueError("member crashed")
+
+    def quick(eng):
+        yield 1
+
+    def spawner(eng):
+        yield 10  # after the crash: these spawns prune the crasher
+        for _ in range(2 * ProcessGroup.PRUNE_AT):
+            group.spawn(quick(eng))
+            yield 2
+
+    group.spawn(crasher(eng), "crasher")
+    eng.spawn(spawner(eng))
+    with pytest.raises(ValueError, match="member crashed"):
+        eng.run()
+    assert all(p.name != "crasher" for p in group)
 
 
 # ----------------------------------------------------------------------
