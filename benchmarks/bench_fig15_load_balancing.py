@@ -42,7 +42,7 @@ def run_members(n_phis: int):
                     break
                 # Simulated request handling on the Phi: this is the
                 # per-request work the members parallelize.
-                yield from core.compute(30_000, "branchy")
+                yield core.compute(30_000, "branchy")
                 served[i] += 1
                 yield from sock.send(core, b"ok", 64)
 

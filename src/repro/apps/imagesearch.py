@@ -122,5 +122,5 @@ class ImageSearch:
             top = np.argsort(-scores)[:k]
             answers.append((qi, top))
             macs = n_rows * self.dim
-            yield from core.compute(SCORE_UNITS_PER_MAC * macs, "simd")
-            yield from core.compute(TOPK_UNITS_PER_ROW * n_rows, "scalar")
+            yield core.compute(SCORE_UNITS_PER_MAC * macs, "simd")
+            yield core.compute(TOPK_UNITS_PER_ROW * n_rows, "scalar")

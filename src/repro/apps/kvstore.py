@@ -107,7 +107,7 @@ class KvShard:
                 request, _n = yield from sock.recv(core)
                 if request is None:
                     return
-                yield from core.compute(SHARD_OP_UNITS, "branchy")
+                yield core.compute(SHARD_OP_UNITS, "branchy")
                 reply = self._apply(request)
                 payload = json.dumps(reply)
                 yield from sock.send(core, reply, max(32, len(payload)))

@@ -93,7 +93,7 @@ class TextIndexer:
                 for doc, tf in docs.items():
                     bucket[doc] = bucket.get(doc, 0) + tf
                     n_postings += 1
-        yield from lister_core.compute(
+        yield lister_core.compute(
             MERGE_UNITS_PER_POSTING * n_postings, "branchy"
         )
 
@@ -125,7 +125,7 @@ class TextIndexer:
             yield from self.vfs.close(core, fd)
             text = b"".join(pieces)
             result.bytes_read += len(text)
-            yield from core.compute(
+            yield core.compute(
                 TOKENIZE_UNITS_PER_BYTE * len(text), "branchy"
             )
             for token in text.decode(errors="replace").split():

@@ -245,7 +245,7 @@ def pcie_transfer_mbps(
         if mechanism == "dma":
             yield from m.fabric.dma_copy(core, src, dst, nbytes)
         elif mechanism == "memcpy":
-            yield from m.fabric.loadstore_copy(core, nbytes)
+            yield m.fabric.loadstore_copy(core, nbytes)
         else:
             raise ValueError(mechanism)
         return eng.now - t0

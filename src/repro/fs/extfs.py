@@ -130,7 +130,7 @@ class ExtFS:
             extents.append(bitmap_extent)
             self._bitmap_dirty = False
         if extents:
-            yield from core.compute(FS_BASE_UNITS, "branchy")
+            yield core.compute(FS_BASE_UNITS, "branchy")
             yield from self.device.submit_write(
                 core, extents, self.node, coalesce=True
             )
@@ -143,7 +143,7 @@ class ExtFS:
     def lookup(self, core: Core, path: str) -> Generator:
         """Resolve ``path`` to its inode."""
         parts = self._split(path)
-        yield from core.compute(
+        yield core.compute(
             FS_BASE_UNITS + FS_LOOKUP_UNITS * max(1, len(parts)), "branchy"
         )
         inode = self._inodes[self.sb.root_ino]
@@ -253,7 +253,7 @@ class ExtFS:
             raise InvalidArgument("negative offset/length")
         length = max(0, min(length, inode.size - offset))
         if length == 0:
-            yield from core.compute(FS_BASE_UNITS, "branchy")
+            yield core.compute(FS_BASE_UNITS, "branchy")
             return b""
         extents = inode.map_range(self.sb.block_size, offset, length)
         yield from self._charge_data_op(core, length, len(extents), page_work)
@@ -287,7 +287,7 @@ class ExtFS:
         if offset < 0 or nbytes < 0:
             raise InvalidArgument("negative offset/length")
         if nbytes == 0:
-            yield from core.compute(FS_BASE_UNITS, "branchy")
+            yield core.compute(FS_BASE_UNITS, "branchy")
             return 0
         yield from self._ensure_allocated(core, inode, offset + nbytes)
         extents = inode.map_range(self.sb.block_size, offset, nbytes)
@@ -309,7 +309,7 @@ class ExtFS:
         inode = yield from self.lookup(core, path)
         if inode.is_dir:
             raise IsADirectory(path)
-        yield from core.compute(
+        yield core.compute(
             FS_BASE_UNITS + FS_EXTENT_UNITS * len(inode.extents), "branchy"
         )
         self._free_extents([tuple(e) for e in inode.extents])
@@ -326,7 +326,7 @@ class ExtFS:
         device for zero-copy P2P transfers.
         """
         extents = inode.map_range(self.sb.block_size, offset, length)
-        yield from core.compute(
+        yield core.compute(
             FS_BASE_UNITS // 2 + FS_EXTENT_UNITS * len(extents), "branchy"
         )
         return extents
@@ -393,7 +393,7 @@ class ExtFS:
     def _load_dir(self, core: Core, inode: Inode) -> Generator:
         cached = self._dircache.get(inode.ino)
         if cached is not None:
-            yield from core.compute(FS_LOOKUP_UNITS, "branchy")
+            yield core.compute(FS_LOOKUP_UNITS, "branchy")
             return cached
         if inode.extents:
             extents = [tuple(e) for e in inode.extents]
@@ -437,7 +437,7 @@ class ExtFS:
             yield 0
             return
         new_extents = self._alloc(needed - have)
-        yield from core.compute(
+        yield core.compute(
             FS_EXTENT_UNITS * len(new_extents), "branchy"
         )
         for start, count in new_extents:
@@ -451,7 +451,7 @@ class ExtFS:
         units = FS_BASE_UNITS + FS_EXTENT_UNITS * nextents
         if page_work:
             units += FS_PAGE_UNITS * pages
-        yield from core.compute(units, "branchy")
+        yield core.compute(units, "branchy")
 
     # ------------------------------------------------------------------
     # Bitmap allocator (first fit with a rotating hint)

@@ -92,13 +92,13 @@ class NfsClientBackend(FsBackend):
     def _small_rpc(self, core: Core, server_work: Generator) -> Generator:
         """One request/response exchange with small messages."""
         self.rpcs += 1
-        yield from core.compute(NFS_CLIENT_OP_UNITS, "branchy")
+        yield core.compute(NFS_CLIENT_OP_UNITS, "branchy")
         yield from self._phi_segments(core, 128)            # request out
         yield from self.fabric.transfer(self.phi_cpu.node, self.server_cpu.node, 128)
 
         def served():
-            yield from self._server_core.compute(NFS_SERVER_OP_UNITS, "branchy")
-            yield from self._server_core.compute(NFS_HOST_SEG_UNITS, "branchy")
+            yield self._server_core.compute(NFS_SERVER_OP_UNITS, "branchy")
+            yield self._server_core.compute(NFS_HOST_SEG_UNITS, "branchy")
             result = yield from server_work
             return result
 
@@ -126,7 +126,7 @@ class NfsClientBackend(FsBackend):
         return inode
 
     def close(self, core: Core, handle: Any) -> Generator:
-        yield from core.compute(NFS_CLIENT_OP_UNITS // 2, "branchy")
+        yield core.compute(NFS_CLIENT_OP_UNITS // 2, "branchy")
 
     def pread(self, core: Core, handle: Any, offset: int, nbytes: int) -> Generator:
         inode = handle
@@ -136,14 +136,14 @@ class NfsClientBackend(FsBackend):
         remaining = nbytes
         while remaining > 0 or not chunks:
             chunk = min(NFS_RSIZE, remaining) if remaining else 0
-            yield from core.compute(NFS_CLIENT_OP_UNITS, "branchy")
+            yield core.compute(NFS_CLIENT_OP_UNITS, "branchy")
             yield from self._phi_segments(core, 128)
             yield from self.fabric.transfer(
                 self.phi_cpu.node, self.server_cpu.node, 128
             )
 
             def served(pos=pos, chunk=chunk):
-                yield from self._server_core.compute(
+                yield self._server_core.compute(
                     NFS_SERVER_OP_UNITS, "branchy"
                 )
                 if chunk == 0:
@@ -161,7 +161,7 @@ class NfsClientBackend(FsBackend):
                     self.server_cpu.node, self.phi_cpu.node, len(data)
                 )
                 yield from self._phi_segments(core, len(data))
-                yield from core.memcpy_local(len(data))
+                yield core.memcpy_local(len(data))
             chunks.append(data)
             pos += len(data)
             remaining -= len(data)
@@ -186,14 +186,14 @@ class NfsClientBackend(FsBackend):
             payload = (
                 data[written : written + chunk] if data is not None else None
             )
-            yield from core.compute(NFS_CLIENT_OP_UNITS, "branchy")
+            yield core.compute(NFS_CLIENT_OP_UNITS, "branchy")
             yield from self._phi_segments(core, chunk)       # send data out
             yield from self.fabric.transfer(
                 self.phi_cpu.node, self.server_cpu.node, chunk
             )
 
             def served(pos=pos, chunk=chunk, payload=payload):
-                yield from self._server_core.compute(
+                yield self._server_core.compute(
                     NFS_SERVER_OP_UNITS, "branchy"
                 )
                 n = yield from self.fs.write(

@@ -211,7 +211,7 @@ class SolrosFsProxy:
         self, core: Core, session: _Session, msg: Any, ctx=None
     ) -> Generator:
         self.stats.requests += 1
-        yield from core.compute(PROXY_OP_UNITS, "branchy")
+        yield core.compute(PROXY_OP_UNITS, "branchy")
         if isinstance(msg, Topen):
             result = yield from self._open(core, session, msg)
         elif isinstance(msg, Tclunk):
@@ -368,7 +368,7 @@ class SolrosFsProxy:
             if write:
                 yield from self._dma(core, "dma.pull", node, host, nbytes, ctx)
             pages = (nbytes + 4095) // 4096
-            yield from core.compute(FS_PAGE_UNITS * pages, "branchy")
+            yield core.compute(FS_PAGE_UNITS * pages, "branchy")
             if missing:
                 span = self.tracer.child(
                     f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,

@@ -72,7 +72,7 @@ class SolrosFsBackend(FsBackend):
     # ------------------------------------------------------------------
     def _charge(self, core: Core, nbytes: int = 0) -> Generator:
         pages = (nbytes + 4095) // 4096
-        yield from core.compute(
+        yield core.compute(
             STUB_BASE_UNITS + STUB_PAGE_UNITS * pages, "branchy"
         )
 

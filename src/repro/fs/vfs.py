@@ -107,7 +107,7 @@ class Vfs:
     # Descriptor management
     # ------------------------------------------------------------------
     def open(self, core: Core, path: str, flags: int = O_RDONLY) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         handle = yield from self.backend.open(core, path, flags)
         fd = self._next_fd
         self._next_fd += 1
@@ -115,7 +115,7 @@ class Vfs:
         return fd
 
     def close(self, core: Core, fd: int) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         entry = self._entry(fd)
         yield from self.backend.close(core, entry.handle)
         del self._files[fd]
@@ -139,7 +139,7 @@ class Vfs:
     def pread(self, core: Core, fd: int, nbytes: int, offset: int) -> Generator:
         if nbytes < 0 or offset < 0:
             raise InvalidArgument("negative size/offset")
-        yield from core.syscall()
+        yield core.syscall()
         entry = self._entry(fd)
         data = yield from self.backend.pread(core, entry.handle, offset, nbytes)
         return data
@@ -166,13 +166,13 @@ class Vfs:
     ) -> Generator:
         if offset < 0:
             raise InvalidArgument("negative offset")
-        yield from core.syscall()
+        yield core.syscall()
         entry = self._entry(fd)
         n = yield from self.backend.pwrite(core, entry.handle, offset, data, length)
         return n
 
     def fsync(self, core: Core, fd: int) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         entry = self._entry(fd)
         yield from self.backend.fsync(core, entry.handle)
 
@@ -186,19 +186,19 @@ class Vfs:
     # Namespace calls
     # ------------------------------------------------------------------
     def stat(self, core: Core, path: str) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         result = yield from self.backend.stat(core, path)
         return result
 
     def unlink(self, core: Core, path: str) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         yield from self.backend.unlink(core, path)
 
     def mkdir(self, core: Core, path: str) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         yield from self.backend.mkdir(core, path)
 
     def readdir(self, core: Core, path: str) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         names = yield from self.backend.readdir(core, path)
         return names

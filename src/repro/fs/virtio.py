@@ -105,11 +105,11 @@ class VirtioBlockDevice(BlockDevice):
         self.requests += 1
         nbytes = sum(c for _s, c in extents) * self.block_size
         # Phi guest driver: build the virtqueue descriptors, kick.
-        yield from initiator.compute(VIRTIO_GUEST_REQ_UNITS, "branchy")
-        yield from self.fabric.remote_tx(initiator, 1)
+        yield initiator.compute(VIRTIO_GUEST_REQ_UNITS, "branchy")
+        yield self.fabric.remote_tx(initiator, 1)
 
         # Host SCIF backend services the request.
-        yield from self._host_core.compute(VIRTIO_HOST_REQ_UNITS, "branchy")
+        yield self._host_core.compute(VIRTIO_HOST_REQ_UNITS, "branchy")
         if is_read:
             # NVMe -> host staging buffer (no io-vector coalescing).
             yield from super().submit_read(

@@ -52,8 +52,11 @@ class Core:
     def kind(self) -> str:
         return self.cpu.params.kind
 
-    def compute(self, units: float, kind: str = "scalar") -> Generator:
-        """Execute ``units`` of work of the given kind.
+    # The pure-delay helpers below return the delay in ns; the caller
+    # charges it with ``yield core.compute(...)``.
+
+    def compute(self, units: float, kind: str = "scalar") -> int:
+        """The time to execute ``units`` of work of the given kind.
 
         One unit == one nanosecond on a host core; Phi cores pay the
         per-kind multiplier from their :class:`CpuParams`.
@@ -64,17 +67,18 @@ class Core:
             raise SimError(f"unknown work kind: {kind!r}") from None
         if units < 0:
             raise SimError(f"negative work: {units}")
-        yield max(0, int(units * mult))
+        return max(0, int(units * mult))
 
-    def syscall(self) -> Generator:
+    def syscall(self) -> int:
         """Kernel entry/exit overhead."""
-        yield self.params.syscall_ns
+        return self.cpu.params.syscall_ns
 
-    def memcpy_local(self, nbytes: int) -> Generator:
-        """Copy within this processor's local memory."""
+    def memcpy_local(self, nbytes: int) -> int:
+        """The time to copy ``nbytes`` within this processor's local
+        memory."""
         if nbytes < 0:
             raise SimError(f"negative copy size: {nbytes}")
-        yield max(0, int(nbytes / self.params.local_memcpy_bytes_per_ns))
+        return max(0, int(nbytes / self.cpu.params.local_memcpy_bytes_per_ns))
 
 
 class CPU:

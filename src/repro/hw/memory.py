@@ -31,6 +31,9 @@ from .params import CpuParams
 
 __all__ = ["MemCell", "CoherenceStats"]
 
+# The operations MemCell._exclusive applies once it owns the line.
+_STORE, _SWAP, _CAS, _FAA = range(4)
+
 
 class CoherenceStats:
     """Aggregate counters over a set of cells (shared across a CPU)."""
@@ -98,7 +101,7 @@ class MemCell:
         return self._value
 
     # ------------------------------------------------------------------
-    # Timed operations
+    # Timed operations (each one generator frame, to ``yield from``)
     # ------------------------------------------------------------------
     def load(self, core: Any) -> Generator:
         """Read the value; returns it.
@@ -111,39 +114,37 @@ class MemCell:
         broadcast wakeups degrade more gently than full serialization
         but still collapse relative to MCS handoff.
         """
+        params = self.params
         if core is self._owner or core in self._sharers:
             self.stats.local_hits += 1
-            yield self.params.l1_ns
+            yield params.l1_ns
         else:
             self.stats.line_transfers += 1
-            yield from self._line_bus().using(self.params.line_share_ns)
-            yield self.params.line_transfer_ns - self.params.line_share_ns
+            bus = self._bus
+            if bus is None:
+                bus = self._bus = self._new_bus()
+            yield bus.request()
+            try:
+                yield params.line_share_ns
+            finally:
+                bus.release()
+            yield params.line_transfer_ns - params.line_share_ns
             self._sharers.add(core)
         return self._value
 
     def store(self, core: Any, value: Any) -> Generator:
         """Write the value, invalidating other caches."""
-        yield from self._charge_exclusive(core)
-        self._value = value
-        self._wake_watchers()
+        return self._exclusive(core, _STORE, value, None)
 
     def swap(self, core: Any, value: Any) -> Generator:
         """Atomic exchange; returns the previous value (§4.2: one of the
         two atomic instructions Solros requires of a co-processor)."""
-        yield from self._charge_exclusive(core, atomic=True)
-        old, self._value = self._value, value
-        self._wake_watchers()
-        return old
+        return self._exclusive(core, _SWAP, value, None)
 
     def compare_and_swap(self, core: Any, expected: Any, value: Any) -> Generator:
         """Atomic CAS; returns True on success (the other required
         atomic instruction)."""
-        yield from self._charge_exclusive(core, atomic=True)
-        if self._value == expected:
-            self._value = value
-            self._wake_watchers()
-            return True
-        return False
+        return self._exclusive(core, _CAS, value, expected)
 
     def fetch_and_add(self, core: Any, delta: int) -> Generator:
         """Atomic fetch-and-add; returns the previous value.
@@ -151,11 +152,54 @@ class MemCell:
         (Emulatable with a compare_and_swap loop, as the paper notes for
         atomic_swap; provided directly for the ticket lock.)
         """
-        yield from self._charge_exclusive(core, atomic=True)
-        old = self._value
-        self._value = old + delta
-        self._wake_watchers()
-        return old
+        return self._exclusive(core, _FAA, delta, None)
+
+    def _exclusive(self, core: Any, op: int, arg: Any, expected: Any) -> Generator:
+        """Gain exclusive (M-state) ownership, then apply ``op``.
+
+        Ownership costs an L1 hit when ``core`` already holds the line
+        alone, else a line transfer; an atomic adds ``atomic_extra_ns``.
+        Everything but a plain local write holds the line's bus.
+        """
+        params = self.params
+        stats = self.stats
+        sharers = self._sharers
+        local = self._owner is core and (
+            not sharers or (len(sharers) == 1 and core in sharers)
+        )
+        if local:
+            stats.local_hits += 1
+            cost = params.l1_ns
+        else:
+            stats.line_transfers += 1
+            cost = params.line_transfer_ns
+        if op != _STORE:
+            stats.atomics += 1
+            cost += params.atomic_extra_ns
+        if local and op == _STORE:
+            yield cost  # pure local write: no bus serialization
+        else:
+            bus = self._bus
+            if bus is None:
+                bus = self._bus = self._new_bus()
+            yield bus.request()
+            try:
+                yield cost
+            finally:
+                bus.release()
+        self._owner = core
+        self._sharers = {core}
+        value = self._value
+        if op == _CAS:
+            if value != expected:
+                return False
+            result = True
+        else:
+            result = None if op == _STORE else value
+        self._value = value + arg if op == _FAA else arg
+        if self._watchers:
+            self._wake_watchers()
+        return result
 
     def wait_until(self, core: Any, predicate: Callable[[Any], bool]) -> Generator:
         """Spin until ``predicate(value)`` holds; returns the value.
@@ -202,14 +246,10 @@ class MemCell:
         self._owner = core
         self._sharers = {core}
 
-    def _line_bus(self) -> Resource:
-        if self._bus is None:
-            self._bus = Resource(self.engine, capacity=1, name=f"line:{self.name}")
-        return self._bus
+    def _new_bus(self) -> Resource:
+        return Resource(self.engine, capacity=1, name=f"line:{self.name}")
 
     def _wake_watchers(self) -> None:
-        if not self._watchers:
-            return
         watchers, self._watchers = self._watchers, []
         self.stats.wakeups += len(watchers)
         for ev in watchers:

@@ -84,8 +84,8 @@ class NicDevice:
     # ------------------------------------------------------------------
     def dma_to(self, target: str, nbytes: int) -> Generator:
         """NIC DMA engine pushes a received payload to ``target``."""
-        yield from self.fabric.transfer(self.node, target, nbytes)
+        return self.fabric.transfer(self.node, target, nbytes)
 
     def dma_from(self, source: str, nbytes: int) -> Generator:
         """NIC DMA engine pulls an outgoing payload from ``source``."""
-        yield from self.fabric.transfer(source, self.node, nbytes)
+        return self.fabric.transfer(source, self.node, nbytes)

@@ -174,7 +174,7 @@ class NvmeDevice:
                     failed = cmd
 
         if coalesce_interrupts:
-            yield from self.fabric.remote_tx(initiator, 1)  # one doorbell
+            yield self.fabric.remote_tx(initiator, 1)  # one doorbell
             self.stats.doorbells += 1
             workers = [
                 self.engine.spawn(
@@ -191,7 +191,7 @@ class NvmeDevice:
         else:
             workers = []
             for i, cmd in enumerate(cmds):
-                yield from self.fabric.remote_tx(initiator, 1)
+                yield self.fabric.remote_tx(initiator, 1)
                 self.stats.doorbells += 1
                 workers.append(
                     self.engine.spawn(

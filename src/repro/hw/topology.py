@@ -14,6 +14,9 @@ matching §4.2.1:
 * :meth:`Fabric.remote_tx` — one control-variable access over PCIe
   (what the ring buffer's lazy-replication scheme avoids).
 
+``loadstore_copy`` and ``remote_tx`` are pure delays: they return the
+nanoseconds for the caller to ``yield``.
+
 Device-to-device (P2P) transfers whose path crosses the NUMA boundary
 are relayed by a processor and capped at ~300 MB/s (Figure 1(a)); the
 shared ``relay`` links model that processor bottleneck.
@@ -54,6 +57,8 @@ class Fabric:
         self.engine = engine
         self.params = params or PcieParams()
         self._nodes: Dict[str, NodeInfo] = {}
+        # (src, dst) -> the transfer route (see _route), built on first use.
+        self._routes: Dict[tuple, tuple] = {}
         p = self.params
         # Root complexes (host RAM lives here).
         for numa in (0, 1):
@@ -184,14 +189,16 @@ class Fabric:
         finally:
             initiator.cpu.dma.release()
 
-    def remote_tx(self, initiator: Core, count: int = 1) -> Generator:
-        """``count`` individual PCIe transactions by ``initiator``."""
+    def remote_tx(self, initiator: Core, count: int = 1) -> int:
+        """The time of ``count`` individual PCIe transactions by
+        ``initiator`` (a delay to ``yield``)."""
         if count < 0:
             raise SimError(f"negative transaction count: {count}")
-        yield count * initiator.params.pcie_tx_ns
+        return count * initiator.cpu.params.pcie_tx_ns
 
-    def loadstore_copy(self, initiator: Core, nbytes: int) -> Generator:
-        """Copy via load/store through a mapped PCIe window.
+    def loadstore_copy(self, initiator: Core, nbytes: int) -> int:
+        """The time to copy via load/store through a mapped PCIe window
+        (a delay to ``yield``).
 
         Each 64-byte cache line is its own PCIe transaction (§4.2.1),
         so bandwidth is terrible but there is no setup latency.
@@ -199,7 +206,7 @@ class Fabric:
         if nbytes < 0:
             raise SimError(f"negative copy size: {nbytes}")
         ntx = (nbytes + CACHE_LINE - 1) // CACHE_LINE
-        yield ntx * initiator.params.pcie_tx_ns
+        return ntx * initiator.cpu.params.pcie_tx_ns
 
     def transfer(
         self,
@@ -214,9 +221,10 @@ class Fabric:
         concurrent flows sharing any link contend correctly.  Links are
         acquired in a canonical global order to prevent deadlock.
         """
-        yield from self.transfer_links(
-            self.path_links(src, dst), nbytes, rate_scale=rate_scale
-        )
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = _route(self.path_links(src, dst))
+        return _move(route, nbytes, rate_scale)
 
     def transfer_links(
         self,
@@ -229,24 +237,41 @@ class Fabric:
         Used directly by devices that add internal buses (e.g. the NVMe
         flash channels) to the PCIe path.
         """
-        if nbytes < 0:
-            raise SimError(f"negative transfer size: {nbytes}")
-        latency = sum(link.latency_ns for link in links)
-        if latency:
-            yield latency
-        if not links or nbytes == 0:
-            return
-        duration = max(link.occupancy_ns(nbytes) for link in links)
-        duration = max(1, int(duration / rate_scale))
-        ordered = sorted(links, key=lambda link: link.name)
-        acquired = []
-        try:
-            for link in ordered:
-                yield link.acquire()
-                acquired.append(link)
-            yield duration
-            for link in ordered:
-                link.note_bytes(nbytes)
-        finally:
-            for link in acquired:
-                link.release()
+        return _move(_route(links), nbytes, rate_scale)
+
+
+def _route(links: List[BandwidthLink]) -> tuple:
+    """What a transfer over ``links`` needs: the links in their
+    canonical lock order, their latency sum, and the slowest one (its
+    occupancy is the transfer's duration)."""
+    if not links:
+        return (), 0, None
+    return (
+        sorted(links, key=lambda link: link.name),
+        sum(link.latency_ns for link in links),
+        min(links, key=lambda link: link.bytes_per_ns),
+    )
+
+
+def _move(route: tuple, nbytes: int, rate_scale: float) -> Generator:
+    """Pay the route's latency, then hold all its links for the
+    bottleneck duration."""
+    if nbytes < 0:
+        raise SimError(f"negative transfer size: {nbytes}")
+    ordered, latency, slowest = route
+    if latency:
+        yield latency
+    if slowest is None or nbytes == 0:
+        return
+    duration = max(1, int(slowest.occupancy_ns(nbytes) / rate_scale))
+    held = 0
+    try:
+        for link in ordered:
+            yield link.acquire()
+            held += 1
+        yield duration
+        for link in ordered:
+            link.note_bytes(nbytes)
+    finally:
+        for link in ordered[:held]:
+            link.release()

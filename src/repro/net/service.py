@@ -251,11 +251,11 @@ class SolrosNetProxy:
         # Outbound pullers (host DMA engines pull outgoing data).
         for _ in range(self.workers_per_channel):
             core = self.host_cpu.core(self._alloc_core())
-            self._spawn(self._outbound_worker(core, channel), "net-out")
+            self._procs.spawn(self._outbound_worker(core, channel), "net-out")
 
         # Data-plane event dispatcher (§4.4.2): single thread.
         dispatcher_core = dataplane.cpu.cores[-3]
-        channel.dispatcher = self._spawn(
+        channel.dispatcher = self._procs.spawn(
             self._event_dispatcher(dispatcher_core, channel), "net-disp"
         )
 
@@ -267,16 +267,6 @@ class SolrosNetProxy:
         core = self._worker_core_base % len(self.host_cpu.cores)
         self._worker_core_base += 1
         return core
-
-    def _spawn(self, gen: Generator, name: str):
-        return self._procs.spawn(self._guard(gen), name)
-
-    @staticmethod
-    def _guard(gen: Generator) -> Generator:
-        try:
-            yield from gen
-        except Interrupt:
-            pass
 
     # ------------------------------------------------------------------
     # Control RPC (connect / listen / close_listener)
@@ -312,7 +302,7 @@ class SolrosNetProxy:
         self.socks[sock_id] = psock
         self.loads[phi_index] += 1
         core = self.host_cpu.core(self._alloc_core())
-        psock.feeder = self._spawn(
+        psock.feeder = self._procs.spawn(
             self._inbound_feeder(core, psock), f"net-feed{sock_id}"
         )
         return sock_id
@@ -330,7 +320,7 @@ class SolrosNetProxy:
             shared.listen_socket = self.host_tcp.listen(port)
             self.listeners[port] = shared
             accept_core = self.host_cpu.core(self._alloc_core())
-            shared.accept_loop = self._spawn(
+            shared.accept_loop = self._procs.spawn(
                 self._accept_loop(accept_core, shared), f"net-accept{port}"
             )
         if phi_index not in shared.members:
@@ -352,41 +342,47 @@ class SolrosNetProxy:
     # Host-side workers
     # ------------------------------------------------------------------
     def _accept_loop(self, core: Core, shared: _SharedListener) -> Generator:
-        while self._running:
-            conn = yield from shared.listen_socket.accept(core)
-            if not shared.members:
-                yield from conn.close(core)
-                continue
-            if shared.balancer.content_based:
-                # Defer the decision until the first request arrives.
-                self._spawn(
-                    self._content_assign(core, shared, conn), "net-content"
-                )
-                continue
-            loads = [self.loads[i] for i in shared.members]
-            member = shared.balancer.pick(shared.members, loads)
-            yield from self._assign(core, shared, conn, shared.members[member])
+        try:
+            while self._running:
+                conn = yield from shared.listen_socket.accept(core)
+                if not shared.members:
+                    yield from conn.close(core)
+                    continue
+                if shared.balancer.content_based:
+                    # Defer the decision until the first request arrives.
+                    self._procs.spawn(
+                        self._content_assign(core, shared, conn), "net-content"
+                    )
+                    continue
+                loads = [self.loads[i] for i in shared.members]
+                member = shared.balancer.pick(shared.members, loads)
+                yield from self._assign(core, shared, conn, shared.members[member])
+        except Interrupt:
+            pass
 
     def _content_assign(
         self, core: Core, shared: _SharedListener, conn: Connection
     ) -> Generator:
-        payload, nbytes = yield from conn.recv(core)
-        if payload is None:
-            yield from conn.close(core)
-            return
-        loads = [self.loads[i] for i in shared.members]
-        member = shared.balancer.pick(shared.members, loads, payload)
-        phi_index = shared.members[member]
-        sock_id = yield from self._assign(core, shared, conn, phi_index)
-        # Forward the first request right behind the accept event.
-        channel = self.channels[phi_index]
-        yield from channel.inbound.send(
-            core,
-            NetEvent("data", sock_id, payload, nbytes),
-            nbytes + EVENT_HDR_BYTES,
-        )
-        self.stats.messages_in += 1
-        self.stats.bytes_in += nbytes
+        try:
+            payload, nbytes = yield from conn.recv(core)
+            if payload is None:
+                yield from conn.close(core)
+                return
+            loads = [self.loads[i] for i in shared.members]
+            member = shared.balancer.pick(shared.members, loads, payload)
+            phi_index = shared.members[member]
+            sock_id = yield from self._assign(core, shared, conn, phi_index)
+            # Forward the first request right behind the accept event.
+            channel = self.channels[phi_index]
+            yield from channel.inbound.send(
+                core,
+                NetEvent("data", sock_id, payload, nbytes),
+                nbytes + EVENT_HDR_BYTES,
+            )
+            self.stats.messages_in += 1
+            self.stats.bytes_in += nbytes
+        except Interrupt:
+            pass
 
     def _assign(
         self,
@@ -409,52 +405,58 @@ class SolrosNetProxy:
 
     def _outbound_worker(self, core: Core, channel: NetChannel) -> Generator:
         """Pull ('send'|'close', ...) records off the outbound ring."""
-        while self._running:
-            msg = yield from channel.outbound.recv(core)
-            yield from core.compute(PROXY_NET_UNITS, "branchy")
-            op, sock_id = msg[0], msg[1]
-            psock = self.socks.get(sock_id)
-            if psock is None:
-                continue  # raced with close
-            if op == "send":
-                payload, nbytes = msg[2], msg[3]
-                # Trace-aware stubs append the request context as a
-                # fifth element; legacy 4-tuples still unpack fine.
-                ctx = msg[4] if len(msg) > 4 else None
-                span = self.tracer.child(
-                    "net.tcp_send", "net", ctx, core=core, nbytes=nbytes
-                )
-                yield from psock.conn.send(core, payload, nbytes)
-                self.tracer.end(span)
-                self.stats.messages_out += 1
-                self.stats.bytes_out += nbytes
-                if self._m_out is not None:
-                    self._m_out.add(nbytes)
-            elif op == "close":
-                yield from psock.conn.close(core)
-                self._teardown(psock)
+        try:
+            while self._running:
+                msg = yield from channel.outbound.recv(core)
+                yield core.compute(PROXY_NET_UNITS, "branchy")
+                op, sock_id = msg[0], msg[1]
+                psock = self.socks.get(sock_id)
+                if psock is None:
+                    continue  # raced with close
+                if op == "send":
+                    payload, nbytes = msg[2], msg[3]
+                    # Trace-aware stubs append the request context as a
+                    # fifth element; legacy 4-tuples still unpack fine.
+                    ctx = msg[4] if len(msg) > 4 else None
+                    span = self.tracer.child(
+                        "net.tcp_send", "net", ctx, core=core, nbytes=nbytes
+                    )
+                    yield from psock.conn.send(core, payload, nbytes)
+                    self.tracer.end(span)
+                    self.stats.messages_out += 1
+                    self.stats.bytes_out += nbytes
+                    if self._m_out is not None:
+                        self._m_out.add(nbytes)
+                elif op == "close":
+                    yield from psock.conn.close(core)
+                    self._teardown(psock)
+        except Interrupt:
+            pass
 
     def _inbound_feeder(self, core: Core, psock: _ProxySock) -> Generator:
         """One per connection: host TCP recv → inbound event ring."""
-        channel = self.channels[psock.phi_index]
-        while self._running:
-            payload, nbytes = yield from psock.conn.recv(core)
-            yield from core.compute(PROXY_NET_UNITS, "branchy")
-            if payload is None and nbytes == 0:
+        try:
+            channel = self.channels[psock.phi_index]
+            while self._running:
+                payload, nbytes = yield from psock.conn.recv(core)
+                yield core.compute(PROXY_NET_UNITS, "branchy")
+                if payload is None and nbytes == 0:
+                    yield from channel.inbound.send(
+                        core, NetEvent("eof", psock.sock_id), EVENT_HDR_BYTES
+                    )
+                    self._teardown(psock)
+                    return
                 yield from channel.inbound.send(
-                    core, NetEvent("eof", psock.sock_id), EVENT_HDR_BYTES
+                    core,
+                    NetEvent("data", psock.sock_id, payload, nbytes),
+                    nbytes + EVENT_HDR_BYTES,
                 )
-                self._teardown(psock)
-                return
-            yield from channel.inbound.send(
-                core,
-                NetEvent("data", psock.sock_id, payload, nbytes),
-                nbytes + EVENT_HDR_BYTES,
-            )
-            self.stats.messages_in += 1
-            self.stats.bytes_in += nbytes
-            if self._m_in is not None:
-                self._m_in.add(nbytes)
+                self.stats.messages_in += 1
+                self.stats.bytes_in += nbytes
+                if self._m_in is not None:
+                    self._m_in.add(nbytes)
+        except Interrupt:
+            pass
 
     def _teardown(self, psock: _ProxySock) -> None:
         if psock.sock_id in self.socks:
@@ -468,25 +470,30 @@ class SolrosNetProxy:
         """Single thread: claim inbound slots, route to per-socket
         queues.  The *application* thread copies the data out, so data
         access parallelizes while ring contention stays minimal."""
-        while self._running:
-            slot = yield from channel.inbound.dequeue_blocking(core)
-            event: NetEvent = slot.data
-            yield from core.compute(STUB_NET_UNITS // 2, "branchy")
-            if event.kind == "accept":
-                # Tiny record: consume it here.
-                yield from channel.inbound.copy_from(core, slot)
-                yield from channel.inbound.set_done(core, slot)
-                store = channel.listener_stores.get(event.port)
-                if store is not None:
-                    yield store.put(event)
-            else:
-                # Route the slot; the app thread copies + releases.
-                yield channel.route_store(event.sock_id).put((event, slot))
+        try:
+            while self._running:
+                slot = yield from channel.inbound.dequeue_blocking(core)
+                event: NetEvent = slot.data
+                yield core.compute(STUB_NET_UNITS // 2, "branchy")
+                if event.kind == "accept":
+                    # Tiny record: consume it here.
+                    yield from channel.inbound.copy_from(core, slot)
+                    yield from channel.inbound.set_done(core, slot)
+                    store = channel.listener_stores.get(event.port)
+                    if store is not None:
+                        yield store.put(event)
+                else:
+                    # Route the slot; the app thread copies + releases.
+                    yield channel.route_store(event.sock_id).put((event, slot))
+        except Interrupt:
+            pass
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     def stop(self) -> None:
+        """Stop every service process: each worker body ends quietly on
+        the Interrupt this delivers."""
         self._running = False
         self._procs.stop("net stop")
         for channel in self.channels.values():

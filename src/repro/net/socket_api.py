@@ -64,8 +64,8 @@ class SolrosNetApi:
         tracer = self.channel.tracer
         span = tracer.root("net.connect", "net", core=core)
         try:
-            yield from core.syscall()
-            yield from core.compute(STUB_NET_UNITS, "branchy")
+            yield core.syscall()
+            yield core.compute(STUB_NET_UNITS, "branchy")
             sock_id = yield from self.channel.rpc.call(
                 core, "net", ("connect", addr),
                 ctx=ctx_of(span),
@@ -86,8 +86,8 @@ class SolrosNetApi:
         The first co-processor to listen creates it (optionally fixing
         the balancing policy); later members just join.
         """
-        yield from core.syscall()
-        yield from core.compute(STUB_NET_UNITS, "branchy")
+        yield core.syscall()
+        yield core.compute(STUB_NET_UNITS, "branchy")
         if port in self.channel.listener_stores:
             raise SimError(f"phi{self.phi_index} already listening on {port}")
         self.channel.listener_stores[port] = Store(self.channel.engine)
@@ -97,7 +97,7 @@ class SolrosNetApi:
         return SolrosListener(self, port)
 
     def close_listener(self, core: Core, port: int) -> Generator:
-        yield from core.syscall()
+        yield core.syscall()
         self.channel.listener_stores.pop(port, None)
         yield from self.channel.rpc.call(
             core, "net", ("close_listener", port), **self._qos_kwargs()
@@ -113,12 +113,12 @@ class SolrosListener:
 
     def accept(self, core: Core) -> Generator:
         """Block for a connection assigned to this co-processor."""
-        yield from core.syscall()
+        yield core.syscall()
         store = self.api.channel.listener_stores.get(self.port)
         if store is None:
             raise SimError(f"not listening on {self.port}")
         event: NetEvent = yield store.get()
-        yield from core.compute(STUB_NET_UNITS, "branchy")
+        yield core.compute(STUB_NET_UNITS, "branchy")
         sock = SolrosSocket(self.api, event.sock_id, peer=event.peer)
         return sock
 
@@ -150,8 +150,8 @@ class SolrosSocket:
         tracer = self.api.channel.tracer
         span = tracer.root("net.send", "net", core=core, nbytes=nbytes)
         try:
-            yield from core.syscall()
-            yield from core.compute(STUB_NET_UNITS, "branchy")
+            yield core.syscall()
+            yield core.compute(STUB_NET_UNITS, "branchy")
             ctx = ctx_of(span)
             record = (
                 ("send", self.sock_id, payload, nbytes, ctx)
@@ -174,10 +174,10 @@ class SolrosSocket:
             return None, 0
         tracer = self.api.channel.tracer
         span = tracer.root("net.recv", "net", core=core)
-        yield from core.syscall()
+        yield core.syscall()
         store = self.api.channel.route_store(self.sock_id)
         event, slot = yield store.get()
-        yield from core.compute(STUB_NET_UNITS, "branchy")
+        yield core.compute(STUB_NET_UNITS, "branchy")
         ring = self.api.channel.inbound
         if slot.trace is None:
             # Inbound events carry no sender context; adopt ours so the
@@ -199,7 +199,7 @@ class SolrosSocket:
             yield 0
             return
         self._closed = True
-        yield from core.syscall()
+        yield core.syscall()
         yield from self.api.channel.outbound.send(
             core, ("close", self.sock_id), EVENT_HDR_BYTES
         )

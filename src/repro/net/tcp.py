@@ -131,7 +131,7 @@ class BridgedPhiWire(Wire):
         if src == self.client_name:
             yield from self.nic.receive(nbytes)
             yield from self.nic.dma_to(self.host_node, nbytes)
-            yield from self.bridge_core.compute(self.BRIDGE_UNITS, "branchy")
+            yield self.bridge_core.compute(self.BRIDGE_UNITS, "branchy")
             yield from self.fabric.transfer(
                 self.host_node, self.phi_cpu.node, nbytes
             )
@@ -139,7 +139,7 @@ class BridgedPhiWire(Wire):
             yield from self.fabric.transfer(
                 self.phi_cpu.node, self.host_node, nbytes
             )
-            yield from self.bridge_core.compute(self.BRIDGE_UNITS, "branchy")
+            yield self.bridge_core.compute(self.BRIDGE_UNITS, "branchy")
             yield from self.nic.dma_from(self.host_node, nbytes)
             yield from self.nic.transmit(nbytes)
 
@@ -218,11 +218,15 @@ class TcpHost:
             units += int(self._rng.expovariate(1.0) * JITTER_SCALE * units)
         return units
 
-    def tx_cost(self, core: Core, nsegs: int, handshake: bool = False) -> Generator:
-        yield from core.compute(self._stack_units(nsegs, handshake), "branchy")
+    def tx_cost(self, core: Core, nsegs: int, handshake: bool = False) -> int:
+        """Send path: stack processing on the calling core (a delay to
+        ``yield``)."""
+        return core.compute(self._stack_units(nsegs, handshake), "branchy")
 
     def rx_cost(self, core: Core, nsegs: int, handshake: bool = False) -> Generator:
-        """Receive path: interrupt + softirq-serialized processing."""
+        """Receive path: interrupt + softirq-serialized processing.
+
+        The app ``core`` blocks for the duration; the softirq pays."""
         units = self._stack_units(nsegs, handshake)
         cost = int(units * self.cpu.params.branchy_mult)
         cost += self.cpu.params.interrupt_ns
@@ -232,8 +236,7 @@ class TcpHost:
             and self._rng.random() < PHI_HICCUP_PROB
         ):
             cost += PHI_HICCUP_NS
-        yield from self.softirq.using(cost)
-        _ = core  # the app core blocks for the duration; softirq pays
+        return self.softirq.using(cost)
 
     # ------------------------------------------------------------------
     # Socket operations
@@ -271,7 +274,7 @@ class TcpHost:
             raise ConnectionRefusedError(f"{addr}: connection refused")
         wire = self.network.wire(self.name, addr.host)
         # SYN ->
-        yield from self.tx_cost(core, 1, handshake=True)
+        yield self.tx_cost(core, 1, handshake=True)
         yield from wire.send(self.name, 64)
         yield from peer.rx_cost(core, 1, handshake=True)
         # <- SYN/ACK
@@ -305,7 +308,7 @@ class ListenSocket:
 
     def accept(self, core: Core) -> Generator:
         """Block for an inbound connection; returns a Connection."""
-        yield from core.syscall()
+        yield core.syscall()
         conn = yield self._queue.get()
         yield from self.host.rx_cost(core, 1, handshake=True)
         return conn
@@ -340,10 +343,10 @@ class Connection:
             raise BrokenPipeError("send on closed connection")
         if nbytes < 0:
             raise SimError(f"negative send size: {nbytes}")
-        yield from core.syscall()
+        yield core.syscall()
         self._tx_seq += 1
         seg = Segment(self._tx_seq, nbytes, payload)
-        yield from self.host.tx_cost(core, seg.nsegs)
+        yield self.host.tx_cost(core, seg.nsegs)
         yield from self.wire.send(self.host.name, max(64, nbytes))
         self.bytes_sent += nbytes
         yield self.peer_conn._inbox.put(seg)
@@ -353,13 +356,13 @@ class Connection:
 
         Returns ``(None, 0)`` on a clean FIN from the peer.
         """
-        yield from core.syscall()
+        yield core.syscall()
         seg: Segment = yield self._inbox.get()
         if seg.fin:
             self._closed = True
             return None, 0
         yield from self.host.rx_cost(core, seg.nsegs)
-        yield from core.memcpy_local(seg.nbytes)
+        yield core.memcpy_local(seg.nbytes)
         self.bytes_received += seg.nbytes
         return seg.payload, seg.nbytes
 
@@ -369,8 +372,8 @@ class Connection:
             yield 0
             return
         self._closed = True
-        yield from core.syscall()
-        yield from self.host.tx_cost(core, 1)
+        yield core.syscall()
+        yield self.host.tx_cost(core, 1)
         yield from self.wire.send(self.host.name, 64)
         yield self.peer_conn._inbox.put(Segment(self._tx_seq + 1, 0, fin=True))
 

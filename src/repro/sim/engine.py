@@ -8,7 +8,8 @@ minimal and fully deterministic:
 * time is an integer number of **nanoseconds** (no floating-point drift),
 * event delivery order is a stable ``(time, sequence)`` order,
 * processes are plain Python generators that ``yield`` either a delay
-  (``int`` nanoseconds) or an :class:`Event` to wait on.
+  (``int`` nanoseconds; ``0`` resumes at the current instant, after the
+  work already queued there) or an :class:`Event` to wait on.
 
 Example::
 
@@ -40,12 +41,23 @@ number is smaller than that of every now-queue entry, and while the
 clock stands at ``now`` nothing new can be scheduled into the heap at
 ``now`` (a positive delay lands later, a zero delay on the now-queue).
 
-Waiting on an already-triggered event (an uncontended ``Lock.acquire``
-or ``Resource.request``) costs one entry, not two: if the event's own
-delivery is still the last queued entry, that entry is replaced by one
-that delivers the event and then runs the waiter's callback (nothing
-could run between the two, so the order is unchanged); otherwise one
-``(callback, event)`` entry is queued.
+An acquire that is granted at once (``Lock``/``Semaphore.acquire``,
+``Resource.request``, a ``Store.put`` that does not block) returns
+``0`` instead of an already-triggered event, so ``yield
+lock.acquire()`` is a ``yield 0``: one now-queue wake-up, in the slot
+the event's delivery would have taken.  Waiting on an event that is
+already triggered also costs one entry, not two: if the event's own
+delivery is still the last queued entry, that entry is replaced by the
+waiter's ``(callback, event)`` (or, when the event has other
+callbacks, by one that delivers the event and then runs the waiter's);
+nothing could run between the two, so the order is unchanged.
+Otherwise one ``(callback, event)`` entry is queued.
+
+:meth:`Process.interrupt` detaches the process from whatever it waits
+on before throwing: a pending ``yield N`` heap entry is marked dead, a
+queued ``yield 0`` or event wake-up is removed, and an event callback
+is unregistered.  A process that catches :class:`Interrupt` and waits
+again is resumed by that new wait alone.
 
 Timers are cancellable by lazy deletion.  When :meth:`Engine.any_of`
 resolves, each losing :meth:`Engine.timeout` that has no other waiter
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from inspect import GEN_CREATED, getgeneratorstate
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -178,8 +191,13 @@ class Event:
             last = queue[-1]
             if last[1] is self and last[0] is _deliver:
                 # Our own delivery is the last queued entry: ride on it.
-                # (Not via _callbacks, which interrupt may still edit.)
-                queue[-1] = (_deliver_then, (self, callback))
+                # With no other callbacks the delivery is a no-op, so
+                # the callback takes its place outright.  (Not via
+                # _callbacks, which interrupt may still edit.)
+                if self._callbacks:
+                    queue[-1] = (_deliver_then, (self, callback))
+                else:
+                    queue[-1] = (callback, self)
                 return
         queue.append((callback, self))
 
@@ -243,7 +261,7 @@ class Process(Event):
     the simulation if nobody is waiting).
     """
 
-    __slots__ = ("name", "_gen", "_waiting_on", "_resume_cb")
+    __slots__ = ("name", "_gen", "_send", "_waiting_on", "_resume_cb")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "?"):
         super().__init__(engine)
@@ -251,6 +269,7 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {gen!r}")
         self.name = name
         self._gen = gen
+        self._send = gen.send
         self._waiting_on: Optional[Event] = None
         self._resume_cb = self._on_event
         # Kick off at the current instant.  Wake-ups are (_wake, self)
@@ -267,13 +286,39 @@ class Process(Event):
         return self._state == _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
+        """Throw :class:`Interrupt` into the process at its wait point.
+
+        The wait is abandoned: its pending wake-up is cancelled here,
+        and again when the throw is delivered (for a wait the process
+        began in between, e.g. after interrupting itself).
+        """
         if not self.alive:
             return
-        if self._waiting_on is not None:
-            self._waiting_on._remove_callback(self._resume_cb)
-            self._waiting_on = None
+        self._detach()
         self._throw_in(Interrupt(cause))
+
+    def _detach(self) -> None:
+        """Cancel this process's pending wake-up, whatever it waits on."""
+        waiting = self._waiting_on
+        resume = self._resume_cb
+        if waiting is not None:
+            self._waiting_on = None
+            waiting._remove_callback(resume)
+        if getgeneratorstate(self._gen) == GEN_CREATED:
+            return  # the queued kick-off starts it; the throw follows
+        engine = self.engine
+        for entry in engine._heap:
+            if entry[3] is self and entry[2] is _wake:
+                entry[2] = None  # a ``yield N``: dead, run() drops it
+                return
+        queue = engine._queue
+        for i, (fn, arg) in enumerate(queue):
+            if arg is self and fn is _wake or fn is resume:
+                del queue[i]  # a ``yield 0`` or a triggered event's resume
+                return
+            if fn is _deliver_then and arg[1] is resume:
+                queue[i] = (_deliver, arg[0])  # keep the delivery itself
+                return
 
     # ------------------------------------------------------------------
     # Generator driving
@@ -290,12 +335,9 @@ class Process(Event):
     ) -> None:
         if self._state != _PENDING:
             return  # interrupted after completion; nothing to do
-        engine = self.engine
-        prev = engine._active
-        engine._active = self
         try:
             if exc is None:
-                command = self._gen.send(value)
+                command = self._send(value)
             else:
                 command = self._gen.throw(exc)
         except StopIteration as stop:
@@ -304,20 +346,24 @@ class Process(Event):
         except BaseException as error:  # noqa: BLE001 - must capture all
             self._finish_fail(error)
             return
-        finally:
-            engine._active = prev
-        # The two common commands inline; everything else (zero, float
-        # and negative delays, bad commands) goes through _dispatch.
-        if type(command) is int and command > 0:
-            heappush(
-                engine._heap,
-                [engine._now + command, next(engine._seq), _wake, self],
-            )
+        # The common commands inline; everything else (float and
+        # negative delays, bad commands) goes through _dispatch.
+        if type(command) is int:
+            if command > 0:
+                engine = self.engine
+                heappush(
+                    engine._heap,
+                    [engine._now + command, next(engine._seq), _wake, self],
+                )
+                return
+            if command == 0:
+                self.engine._queue.append((_wake, self))
+                return
         elif isinstance(command, Event):
             self._waiting_on = command
             command._add_callback(self._resume_cb)
-        else:
-            self._dispatch(command)
+            return
+        self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
         # Invalid commands are thrown back *into* the generator (rather
@@ -352,6 +398,8 @@ class Process(Event):
         self.engine._queue.append((self._throw, error))
 
     def _throw(self, error: BaseException) -> None:
+        if self._state == _PENDING:
+            self._detach()
         self._step(None, error)
 
     def _finish_ok(self, value: Any) -> None:
@@ -378,7 +426,6 @@ class Engine:
         self._heap: List[list] = []
         self._queue: deque = deque()
         self._seq = count()
-        self._active: Optional[Process] = None
         self._unhandled: List[tuple] = []
         self._nprocs = 0
         self._events = 0
@@ -390,11 +437,6 @@ class Engine:
     def now(self) -> int:
         """Current simulation time in integer nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active
 
     @property
     def events_processed(self) -> int:

@@ -1,7 +1,10 @@
 """Synchronization primitives for simulation processes.
 
 All primitives are strictly FIFO and deterministic: waiters are served
-in arrival order, with ties broken by engine sequence numbers.
+in arrival order, with ties broken by engine sequence numbers.  An
+acquire (or a ``Store.put``) that is granted at once returns ``0``, so
+the caller's ``yield`` resumes it at the current instant without an
+event; one that must wait returns the event to wait on.
 
 These model *software* synchronization at zero simulated cost; the
 hardware-level cost of synchronization (cache-line transfers, atomic
@@ -12,7 +15,7 @@ instruction latency, PCIe transactions) is modelled separately in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator, Optional, Union
 
 from .engine import Engine, Event, SimError
 
@@ -39,14 +42,14 @@ class Lock:
     def locked(self) -> bool:
         return self._locked
 
-    def acquire(self) -> Event:
-        """Return an event that succeeds once the lock is held."""
-        ev = self.engine.event()
+    def acquire(self) -> Union[int, Event]:
+        """Something to ``yield`` that resumes once the lock is held:
+        ``0`` if it is taken at once, else an event."""
         if not self._locked and not self._waiters:
             self._locked = True
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return 0
+        ev = Event(self.engine)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
@@ -83,13 +86,14 @@ class Semaphore:
     def value(self) -> int:
         return self._value
 
-    def acquire(self) -> Event:
-        ev = self.engine.event()
+    def acquire(self) -> Union[int, Event]:
+        """``0`` if a unit is taken at once, else an event that
+        succeeds once one is."""
         if self._value > 0 and not self._waiters:
             self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return 0
+        ev = Event(self.engine)
+        self._waiters.append(ev)
         return ev
 
     def try_acquire(self) -> bool:
@@ -130,18 +134,18 @@ class Store:
     def full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
-        """Return an event that succeeds once the item is stored."""
-        ev = self.engine.event()
+    def put(self, item: Any) -> Union[int, Event]:
+        """``0`` if the item is stored at once, else an event that
+        succeeds once it is."""
         if self._getters:
             # Hand the item directly to the longest-waiting getter.
             self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif not self.full:
+            return 0
+        if not self.full:
             self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
+            return 0
+        ev = Event(self.engine)
+        self._putters.append((ev, item))
         return ev
 
     def try_put(self, item: Any) -> None:

@@ -9,7 +9,7 @@ PCIe links, QPI, the NVMe data bus, and the Ethernet wire are modelled.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator
+from typing import Deque, Generator, Union
 
 from .engine import Engine, Event, SimError
 
@@ -39,25 +39,31 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that succeeds when a slot is granted."""
-        self._account()
-        ev = self.engine.event()
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+    def request(self) -> Union[int, Event]:
+        """Something to ``yield`` that resumes once a slot is granted:
+        ``0`` if it is granted at once, else an event."""
+        in_use = self._in_use
+        now = self.engine._now
+        self._busy_ns += in_use * (now - self._last_change)
+        self._last_change = now
+        if in_use < self.capacity and not self._waiters:
+            self._in_use = in_use + 1
+            return 0
+        ev = Event(self.engine)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
-        self._account()
-        if self._in_use == 0:
+        in_use = self._in_use
+        now = self.engine._now
+        self._busy_ns += in_use * (now - self._last_change)
+        self._last_change = now
+        if in_use == 0:
             raise SimError(f"release of idle resource {self.name!r}")
         if self._waiters:
             self._waiters.popleft().succeed()
         else:
-            self._in_use -= 1
+            self._in_use = in_use - 1
 
     def using(self, duration: int) -> Generator:
         """Hold one slot for ``duration`` ns.
@@ -139,8 +145,9 @@ class BandwidthLink:
     # Low-level lane control, used by the PCIe fabric to hold several
     # links of a cut-through path for an externally computed duration.
     # ------------------------------------------------------------------
-    def acquire(self) -> Event:
-        """Grab one lane; pair with :meth:`release`."""
+    def acquire(self) -> Union[int, Event]:
+        """Grab one lane (``0`` or an event to yield, as
+        :meth:`Resource.request`); pair with :meth:`release`."""
         return self._lanes.request()
 
     def release(self) -> None:

@@ -9,8 +9,8 @@ keeping the ring's control cache lines resident in its own cache and
 amortizing atomics.
 
 :class:`CombiningQueue` is that engine, generic over the operation:
-callers submit *op generators* (closures over the protected state) and
-get their results back.  The protocol uses exactly the two atomic
+callers submit an *op generator* function plus its arguments and get
+its result back.  The protocol uses exactly the two atomic
 instructions the paper requires of a co-processor: ``atomic_swap`` to
 join the queue and ``compare_and_swap`` to close it.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
+from ..hw.memory import MemCell
 from ..obs.tracer import NULL_TRACER
 
 __all__ = ["CombiningQueue", "CombiningStats"]
@@ -49,17 +50,25 @@ class CombiningStats:
 class _Request:
     """One published operation: a node in the MCS-style request queue."""
 
-    __slots__ = ("core", "op", "status", "next", "result")
+    __slots__ = ("op", "args", "status", "next", "result")
 
-    def __init__(self, cpu: CPU, core: Core, op, seq: int, name: str):
-        self.core = core
+    def __init__(self, op, args: tuple, next_cell: MemCell):
         self.op = op
+        self.args = args
         # The line a waiting requester spins on (O(1) handoff, like
         # MCS).  ``execute`` creates it only once the request has to
         # wait: a request that runs as its own combiner never touches it.
         self.status = None
-        self.next = cpu.new_cell(None, name=f"{name}.nx{seq}")
+        self.next = next_cell
         self.result: Any = None
+
+
+def _not_waiting(status: str) -> bool:
+    return status != _WAITING
+
+
+def _is_set(successor: Optional[_Request]) -> bool:
+    return successor is not None
 
 
 class CombiningQueue:
@@ -89,7 +98,9 @@ class CombiningQueue:
         # of combining").
         self.on_batch_end = on_batch_end
         self._tail = cpu.new_cell(None, name=f"{name}.tail")
-        self._seq = 0
+        # Every request's cells share these names.
+        self._next_name = f"{name}.next"
+        self._status_name = f"{name}.status"
         self.stats = CombiningStats()
         # Observability (off by default).
         self.tracer = NULL_TRACER
@@ -102,47 +113,42 @@ class CombiningQueue:
             self._h_batch = metrics.histogram(f"combining.{self.name}.batch")
 
     def execute(
-        self, core: Core, op: Callable[[Core], Generator], ctx=None
+        self, core: Core, op: Callable[..., Generator], *args: Any, ctx=None
     ) -> Generator:
-        """Run ``op`` under combining; returns the op's result."""
-        self._seq += 1
-        seq = self._seq
-        req = _Request(self.cpu, core, op, seq, self.name)
+        """Run ``op(core, *args)`` under combining; returns the op's
+        result.  A combiner runs the op as ``op(combiner_core, *args)``."""
+        cpu = self.cpu
+        req = _Request(
+            op, args,
+            MemCell(cpu.engine, cpu.params, None, self._next_name, cpu.coherence),
+        )
         prev: Optional[_Request] = yield from self._tail.swap(core, req)
         if prev is not None:
-            req.status = self.cpu.new_cell(_WAITING, name=f"{self.name}.st{seq}")
+            req.status = MemCell(
+                cpu.engine, cpu.params, _WAITING, self._status_name, cpu.coherence
+            )
             span = self.tracer.child(
                 "combining.wait", "transport", ctx, core=core, queue=self.name
             )
             # Join the queue behind prev and spin on our own line.
             yield from prev.next.store(core, req)
-            status = yield from req.status.wait_until(
-                core, lambda v: v != _WAITING
-            )
+            status = yield from req.status.wait_until(core, _not_waiting)
             self.tracer.end(span, combined=status == _DONE)
             if status == _DONE:
                 return req.result
             # We were promoted to combiner: our op is still pending.
-        yield from self._combine(core, req)
-        return req.result
 
-    # ------------------------------------------------------------------
-    # Combiner role
-    # ------------------------------------------------------------------
-    def _combine(self, core: Core, first: _Request) -> Generator:
-        self.stats.batches += 1
-        current = first
+        # Combiner role: run our op, then our successors' ops.
+        stats = self.stats
+        stats.batches += 1
+        current = req
         processed = 0
         while True:
-            # Execute the current request on its behalf.
-            if current is first:
-                self.stats.operations += 1
-                current.result = yield from current.op(core)
-            else:
+            if current is not req:
                 # Fetch the remote request description (their line).
                 yield from current.status.load(core)
-                self.stats.operations += 1
-                current.result = yield from current.op(core)
+            stats.operations += 1
+            current.result = yield from current.op(core, *current.args)
             processed += 1
 
             successor = yield from current.next.load(core)
@@ -152,32 +158,33 @@ class CombiningQueue:
                     core, current, None
                 )
                 if closed:
-                    if current is not first:
+                    if current is not req:
                         yield from current.status.store(core, _DONE)
                     if self._h_batch is not None:
                         self._h_batch.record(processed)
                     yield from self._finish_batch(core)
-                    return
+                    return req.result
                 # A joiner is mid-link; wait for the pointer.
-                successor = yield from current.next.wait_until(
-                    core, lambda v: v is not None
-                )
+                successor = yield from current.next.wait_until(core, _is_set)
 
-            if current is not first:
+            if current is not req:
                 yield from current.status.store(core, _DONE)
 
             if processed >= self.combine_max:
                 # Hand the combiner role to the successor.
-                self.stats.handoffs += 1
+                stats.handoffs += 1
                 if self._h_batch is not None:
                     self._h_batch.record(processed)
                 yield from self._finish_batch(core)
                 yield from successor.status.store(core, _COMBINER)
-                return
+                return req.result
             current = successor
 
     def _finish_batch(self, core: Core) -> Generator:
         if self.on_batch_end is not None:
-            yield from self.on_batch_end(core)
-        else:
-            yield 0
+            return self.on_batch_end(core)
+        return _no_batch_end()
+
+
+def _no_batch_end() -> Generator:
+    yield 0

@@ -129,35 +129,24 @@ class Slot:
         return f"<Slot #{self.seq} {self.size}B {self.state}>"
 
 
-class _Side:
-    """Per-role serialization: combining queue or MCS lock."""
+class _LockedSide:
+    """Per-role serialization without combining: an MCS lock, with the
+    control-variable sync after every op.  Same ``execute`` as
+    :class:`CombiningQueue`, the combining alternative."""
 
-    def __init__(self, cpu: CPU, policy: RingPolicy, name: str, on_batch_end):
-        self.cpu = cpu
-        self.combining = policy.combining
-        if policy.combining:
-            self.queue = CombiningQueue(
-                cpu,
-                combine_max=policy.combine_max,
-                name=name,
-                on_batch_end=on_batch_end,
-            )
-        else:
-            self.lock = MCSLock(cpu, name=name)
-            self._nodes = {}
-            self.on_batch_end = on_batch_end
+    def __init__(self, cpu: CPU, name: str, on_batch_end):
+        self.lock = MCSLock(cpu, name=name)
+        self._nodes = {}
+        self.on_batch_end = on_batch_end
 
-    def execute(self, core: Core, op, ctx=None) -> Generator:
-        if self.combining:
-            result = yield from self.queue.execute(core, op, ctx=ctx)
-            return result
+    def execute(self, core: Core, op, *args, ctx=None) -> Generator:
         node = self._nodes.get(core.cid)
         if node is None:
             node = self.lock.new_node()
             self._nodes[core.cid] = node
         yield from self.lock.acquire(core, node)
         try:
-            result = yield from op(core)
+            result = yield from op(core, *args)
             # Without combining, control-variable sync happens per-op.
             yield from self.on_batch_end(core)
         finally:
@@ -224,12 +213,22 @@ class RingBuffer:
         self._tail_cell = sender_cpu.new_cell(0, name=f"{name}.tail")
         self._head_cell = receiver_cpu.new_cell(0, name=f"{name}.head")
 
-        self._enq_side = _Side(
-            sender_cpu, self.policy, f"{name}.enq", self._push_tail
-        )
-        self._deq_side = _Side(
-            receiver_cpu, self.policy, f"{name}.deq", self._push_head
-        )
+        # Each side runs its slot ops through a CombiningQueue, or an
+        # MCS lock when combining is off.
+        if self.policy.combining:
+            self._enq_side = CombiningQueue(
+                sender_cpu, self.policy.combine_max, f"{name}.enq",
+                self._push_tail,
+            )
+            self._deq_side = CombiningQueue(
+                receiver_cpu, self.policy.combine_max, f"{name}.deq",
+                self._push_head,
+            )
+        else:
+            self._enq_side = _LockedSide(sender_cpu, f"{name}.enq", self._push_tail)
+            self._deq_side = _LockedSide(
+                receiver_cpu, f"{name}.deq", self._push_head
+            )
 
     # ------------------------------------------------------------------
     # Observability wiring
@@ -242,9 +241,9 @@ class RingBuffer:
             self._g_occupancy = metrics.gauge(f"ring.{self.name}.occupancy_bytes")
             self._c_dma = metrics.counter(f"ring.{self.name}.copy.dma")
             self._c_memcpy = metrics.counter(f"ring.{self.name}.copy.memcpy")
-            for side in (self._enq_side, self._deq_side):
-                if side.combining:
-                    side.queue.set_obs(tracer, metrics)
+            if self.policy.combining:
+                self._enq_side.set_obs(tracer, metrics)
+                self._deq_side.set_obs(tracer, metrics)
 
     def _set_occupancy(self) -> None:
         if self._g_occupancy is not None:
@@ -273,15 +272,15 @@ class RingBuffer:
             extra = self.faults.pcie_degrade(self.name)
             if extra:
                 yield extra
-        yield from self.fabric.remote_tx(core, 1)
+        yield self.fabric.remote_tx(core, 1)
 
-    def _remote_ctrl_post(self, core: Core) -> Generator:
-        """One control-variable *write* across PCIe (posted)."""
-        if self._local_ring:
-            yield core.params.l1_ns
-            return
+    def _remote_ctrl_post(self, core: Core) -> int:
+        """The time of one control-variable *write* across PCIe
+        (posted; a delay to ``yield``)."""
+        if self.sender_cpu is self.receiver_cpu:
+            return core.cpu.params.l1_ns
         self.stats.pcie_tx += 1
-        yield core.params.pcie_tx_ns // POSTED_WRITE_DIVISOR
+        return core.cpu.params.pcie_tx_ns // POSTED_WRITE_DIVISOR
 
     # ------------------------------------------------------------------
     # Control-variable synchronization (§4.2.4)
@@ -289,13 +288,13 @@ class RingBuffer:
     def _push_tail(self, core: Core) -> Generator:
         """Sender-side batch end: publish tail to the receiver replica."""
         self._recv_visible_seq = self._seq
-        yield from self._remote_ctrl_post(core)
+        yield self._remote_ctrl_post(core)
         self._wake(self._data_waiters)
 
     def _push_head(self, core: Core) -> Generator:
         """Receiver-side batch end: publish head to the sender replica."""
         self._sender_freed_view = self._freed_bytes
-        yield from self._remote_ctrl_post(core)
+        yield self._remote_ctrl_post(core)
 
     def _refresh_head_at_sender(self, core: Core) -> Generator:
         self.stats.refreshes += 1
@@ -327,7 +326,7 @@ class RingBuffer:
             "rb.enqueue", "transport", ctx, core=core, ring=self.name,
             size=size,
         )
-        yield from core.compute(RB_OP_WORK_UNITS, "branchy")
+        yield core.compute(RB_OP_WORK_UNITS, "branchy")
         if self.faults is not None:
             # Transient slot stall: the producer loses the slot for a
             # while (SMI / preemption) before the reservation runs.
@@ -335,7 +334,7 @@ class RingBuffer:
             if stall:
                 yield stall
         result = yield from self._enq_side.execute(
-            core, lambda c: self._enqueue_op(c, size), ctx=ctx
+            core, self._enqueue_op, size, ctx=ctx
         )
         if result is _WOULD_BLOCK:
             self.stats.would_blocks += 1
@@ -347,7 +346,7 @@ class RingBuffer:
         return result
 
     def _enqueue_op(self, core: Core, size: int) -> Generator:
-        yield from core.compute(RB_ENQ_COMBINER_UNITS, "scalar")
+        yield core.compute(RB_ENQ_COMBINER_UNITS, "scalar")
         need = size + self.policy.header_bytes
         if not self.policy.lazy_update:
             # Eager (no replication): the control variables live in the
@@ -371,7 +370,7 @@ class RingBuffer:
         yield from self._tail_cell.store(core, self._seq)
         if not self.policy.lazy_update:
             if self.master_cpu is not self.sender_cpu:
-                yield from self._remote_ctrl_post(core)
+                yield self._remote_ctrl_post(core)
             self._recv_visible_seq = self._seq
         elif self._local_ring:
             self._recv_visible_seq = self._seq
@@ -400,7 +399,7 @@ class RingBuffer:
             raise SimError(f"set_ready on {slot.state} slot")
         if SANITIZER.enabled:
             SANITIZER.on_slot_phase(self, slot.seq, "ready")
-        yield from self._slot_header_write(core, writer_is_sender=True)
+        yield self._slot_header_write(core, writer_is_sender=True)
         slot.state = _READY
         # Queued-residency span: open now, ended when the receiver
         # claims the slot in try_dequeue.
@@ -415,7 +414,7 @@ class RingBuffer:
     # ------------------------------------------------------------------
     def try_dequeue(self, core: Core) -> Generator:
         """Claim the oldest ready slot; None when empty."""
-        yield from core.compute(RB_OP_WORK_UNITS, "branchy")
+        yield core.compute(RB_OP_WORK_UNITS, "branchy")
         if self.faults is not None:
             # Consumer-side counterpart of the enqueue stall.
             stall = self.faults.ring_stall(self.name)
@@ -431,7 +430,7 @@ class RingBuffer:
         return result
 
     def _dequeue_op(self, core: Core) -> Generator:
-        yield from core.compute(RB_DEQ_COMBINER_UNITS, "scalar")
+        yield core.compute(RB_DEQ_COMBINER_UNITS, "scalar")
         if not self.policy.lazy_update:
             if self.master_cpu is not self.receiver_cpu:
                 yield from self._remote_ctrl_tx(core)
@@ -448,7 +447,7 @@ class RingBuffer:
         yield from self._head_cell.store(core, slot.seq)
         if not self.policy.lazy_update:
             if self.master_cpu is not self.receiver_cpu:
-                yield from self._remote_ctrl_post(core)
+                yield self._remote_ctrl_post(core)
             self._sender_freed_view = self._freed_bytes
         self.stats.dequeues += 1
         return slot
@@ -477,7 +476,7 @@ class RingBuffer:
             raise SimError(f"set_done on {slot.state} slot")
         if SANITIZER.enabled:
             SANITIZER.on_slot_phase(self, slot.seq, "done")
-        yield from self._slot_header_write(core, writer_is_sender=False)
+        yield self._slot_header_write(core, writer_is_sender=False)
         slot.state = _DONE
         # Space is reclaimed in ring order.
         freed_any = False
@@ -558,7 +557,7 @@ class RingBuffer:
         side_cpu = self.sender_cpu if into_ring else self.receiver_cpu
         if self.master_cpu is side_cpu:
             # Ring memory is local to this side.
-            yield from core.memcpy_local(size)
+            yield core.memcpy_local(size)
             return
         mode = self.policy.copy_mode
         if mode == "adaptive":
@@ -571,7 +570,7 @@ class RingBuffer:
             self.stats.memcpy_copies += 1
             if self._c_memcpy is not None:
                 self._c_memcpy.inc()
-            yield from self.fabric.loadstore_copy(core, size)
+            yield self.fabric.loadstore_copy(core, size)
         elif mode == "dma":
             self.stats.dma_copies += 1
             if self._c_dma is not None:
@@ -584,10 +583,10 @@ class RingBuffer:
         else:
             raise SimError(f"unknown copy mode: {mode!r}")
 
-    def _slot_header_write(self, core: Core, writer_is_sender: bool) -> Generator:
+    def _slot_header_write(self, core: Core, writer_is_sender: bool) -> int:
+        """The time of one slot-header write (a delay to ``yield``)."""
         side_cpu = self.sender_cpu if writer_is_sender else self.receiver_cpu
         if self.master_cpu is side_cpu:
-            yield core.params.l1_ns
-        else:
-            self.stats.pcie_tx += 1
-            yield core.params.pcie_tx_ns // POSTED_WRITE_DIVISOR
+            return core.cpu.params.l1_ns
+        self.stats.pcie_tx += 1
+        return core.cpu.params.pcie_tx_ns // POSTED_WRITE_DIVISOR

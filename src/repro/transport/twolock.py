@@ -96,7 +96,7 @@ class TwoLockQueue:
     def enqueue(self, core: Core, item: Any) -> Generator:
         """Append ``item``; returns False if the queue was full
         (non-blocking, EWOULDBLOCK-style)."""
-        yield from core.compute(ENQUEUE_WORK_UNITS, "branchy")
+        yield core.compute(ENQUEUE_WORK_UNITS, "branchy")
         yield from self._tail_lock.acquire(core)
         try:
             count = yield from self._count.load(core)
@@ -112,7 +112,7 @@ class TwoLockQueue:
 
     def dequeue(self, core: Core) -> Generator:
         """Pop the oldest item; raises :class:`WouldBlock` when empty."""
-        yield from core.compute(DEQUEUE_WORK_UNITS, "branchy")
+        yield core.compute(DEQUEUE_WORK_UNITS, "branchy")
         yield from self._head_lock.acquire(core)
         try:
             count = yield from self._count.load(core)

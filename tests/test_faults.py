@@ -313,7 +313,7 @@ def test_dedup_cache_replays_without_reexecuting():
 
     def handler(core, method, payload, ctx):
         executions.append(method)
-        yield from core.compute(100)
+        yield core.compute(100)
         return ("done", payload)
 
     ch.start_client(m.phi_core(0, 60))
@@ -360,7 +360,7 @@ def test_deadline_stops_retrying_before_budget():
         )
 
         def always_fails(core, method, payload, ctx):
-            yield from core.compute(10)
+            yield core.compute(10)
             raise InjectedFault("persistent injected failure")
 
         ch.start_client(m.phi_core(0, 60))

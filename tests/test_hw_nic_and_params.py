@@ -86,10 +86,10 @@ def test_core_compute_kinds():
 
     def main(eng):
         t0 = eng.now
-        yield from phi_core.compute(100, "branchy")
+        yield phi_core.compute(100, "branchy")
         branchy = eng.now - t0
         t1 = eng.now
-        yield from phi_core.compute(100, "simd")
+        yield phi_core.compute(100, "simd")
         simd = eng.now - t1
         return branchy, simd
 
@@ -104,13 +104,13 @@ def test_core_compute_rejects_bad_args():
     core = m.host_core(0)
 
     def bad_kind(eng):
-        yield from core.compute(10, "quantum")
+        yield core.compute(10, "quantum")
 
     with pytest.raises(SimError):
         eng.run_process(bad_kind(eng))
 
     def negative(eng):
-        yield from core.compute(-1)
+        yield core.compute(-1)
 
     with pytest.raises(SimError):
         eng.run_process(negative(eng))

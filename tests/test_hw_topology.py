@@ -109,7 +109,7 @@ def test_loadstore_copy_per_cacheline_cost():
     core = m.host_core(0)
 
     def main(eng):
-        yield from m.fabric.loadstore_copy(core, 256)
+        yield m.fabric.loadstore_copy(core, 256)
         return eng.now
 
     # 256 bytes -> 4 transactions.
@@ -122,10 +122,10 @@ def test_remote_tx_cost_by_initiator():
 
     def main(eng):
         t0 = eng.now
-        yield from m.fabric.remote_tx(m.host_core(0), 2)
+        yield m.fabric.remote_tx(m.host_core(0), 2)
         host_t = eng.now - t0
         t1 = eng.now
-        yield from m.fabric.remote_tx(m.phi_core(0), 2)
+        yield m.fabric.remote_tx(m.phi_core(0), 2)
         phi_t = eng.now - t1
         return host_t, phi_t
 

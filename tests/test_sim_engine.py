@@ -2,11 +2,14 @@
 
 import heapq
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine, Interrupt, Lock, ProcessGroup, Resource, SimError
+from repro.sim import (
+    Engine, Interrupt, Lock, ProcessGroup, Resource, SimError, Store,
+)
 from repro.sim.engine import SimulationLimitExceeded
 
 
@@ -232,6 +235,70 @@ def test_interrupt_throws_into_wait():
 
     assert eng.run_process(main(eng)) == "interrupted"
     assert log == [(50, "wakeup")]
+
+
+@pytest.mark.parametrize("wait", ["sleep", "zero", "ready", "shared", "pending"])
+def test_interrupt_cancels_the_pending_wakeup(wait):
+    """A process that catches Interrupt and waits again is resumed by
+    the new wait, not by the wake-up of the wait it was interrupted in:
+    a ``yield N`` heap entry, a queued ``yield 0``, the resume of an
+    already-triggered event (alone or riding on its delivery), or a
+    pending event's callback."""
+    eng = Engine()
+    shared = eng.event()
+    woke = []
+
+    def waiter(eng):
+        yield shared
+        woke.append(eng.now)
+
+    def sleeper(eng):
+        yield 50
+        try:
+            if wait == "sleep":
+                yield 100
+            elif wait == "zero":
+                yield 0
+            elif wait == "ready":
+                yield eng.event().succeed()
+            elif wait == "shared":
+                yield shared.succeed()
+            else:
+                yield eng.event()
+        except Interrupt:
+            pass
+        yield 1000
+        return eng.now
+
+    # Spawned first, so its t=50 wake-up runs before main's.
+    proc = eng.spawn(sleeper(eng))
+    eng.spawn(waiter(eng))
+
+    def main(eng):
+        yield 50
+        proc.interrupt("now")
+        return (yield proc)
+
+    assert eng.run_process(main(eng)) == 1050
+    assert woke == ([50] if wait == "shared" else [])
+
+
+def test_self_interrupt_cancels_the_wait_begun_after_it():
+    eng = Engine()
+
+    def selfish(eng):
+        yield 10
+        me.interrupt("self")
+        try:
+            yield 100
+        except Interrupt:
+            pass
+        yield 1000
+        return eng.now
+
+    me = eng.spawn(selfish(eng))
+    eng.run()
+    assert me.value == 1010
 
 
 def test_interrupt_after_completion_is_noop():
@@ -599,21 +666,23 @@ class RefEvent:
 
 
 class RefProcess(RefEvent):
+    """Each wait gets a fresh token; its wake-up runs only while the
+    token is current.  An interrupt drops the token when it is issued
+    and again when it is delivered, abandoning the wait."""
+
     def __init__(self, eng, gen):
         super().__init__(eng)
-        self.gen, self.waiting = gen, None
+        self.gen, self.token = gen, None
         eng.at(0, lambda: self._step(None, None))
 
     def interrupt(self, cause=None):
         if self.state == 0:
-            if self.waiting is not None and self._resume in self.waiting.cbs:
-                self.waiting.cbs.remove(self._resume)
-            self.waiting = None
-            self.eng.at(0, lambda: self._step(None, Interrupt(cause)))
+            self.token = None
+            self.eng.at(0, lambda: self._throw(Interrupt(cause)))
 
-    def _resume(self, ev):
-        self.waiting = None
-        self._step(*((ev.value, None) if ev.state == 1 else (None, ev.value)))
+    def _throw(self, exc):
+        self.token = None
+        self._step(None, exc)
 
     def _step(self, value, exc):
         if self.state:
@@ -624,11 +693,60 @@ class RefProcess(RefEvent):
             return self.succeed(stop.value)
         except Exception as error:
             return self.fail(error)
+        token = self.token = object()
         if isinstance(cmd, int):
-            self.eng.at(cmd, lambda: self._step(None, None))
+            self.eng.at(cmd, lambda: self.token is token and self._step(None, None))
         else:
-            self.waiting = cmd
-            cmd._add_callback(self._resume)
+            cmd._add_callback(lambda ev: self.token is token and self._step(
+                *((ev.value, None) if ev.state == 1 else (None, ev.value))
+            ))
+
+
+class RefSlots:
+    """Reference FIFO slots (a lock, a resource): every acquire returns
+    an event, already triggered when a slot is free."""
+
+    def __init__(self, eng, slots):
+        self.eng, self.free, self.waiters = eng, slots, deque()
+
+    def acquire(self):
+        ev = self.eng.event()
+        if self.free and not self.waiters:
+            self.free -= 1
+            ev.succeed()
+        else:
+            self.waiters.append(ev)
+        return ev
+
+    request = acquire
+
+    def release(self):
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.free += 1
+
+
+class RefStore:
+    """Reference unbounded store: ``put`` returns a triggered event."""
+
+    def __init__(self, eng):
+        self.eng, self.items, self.getters = eng, deque(), deque()
+
+    def put(self, item):
+        if self.getters:
+            self.getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+        return self.eng.event().succeed()
+
+    def get(self):
+        ev = self.eng.event()
+        if self.items:
+            ev.succeed(self.items.popleft())
+        else:
+            self.getters.append(ev)
+        return ev
 
 
 N_EVENTS = 3
@@ -639,6 +757,9 @@ _op = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, N_EVENTS - 1)),
     st.tuples(st.just("ready"), st.just(0)),
     st.tuples(st.just("lock"), st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("res"), st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("put"), st.just(0)),
+    st.tuples(st.just("get"), st.just(0)),
     st.tuples(st.just("all"), st.integers(0, N_EVENTS - 1), st.integers(0, N_EVENTS - 1)),
     st.tuples(st.just("any"), st.integers(0, N_EVENTS - 1), st.sampled_from([1, 2, 5])),
     st.tuples(st.just("any_keep"), st.integers(0, N_EVENTS - 1), st.sampled_from([1, 4])),
@@ -654,11 +775,11 @@ _bodies = st.recursive(
 _programs = st.lists(_bodies, min_size=1, max_size=4)
 
 
-def play(eng, program):
-    """Run ``program`` on ``eng`` and return its ``(now, tag)`` log."""
+def play(eng, program, lock, res, store):
+    """Run ``program`` on ``eng`` with a lock, a 2-slot resource and an
+    unbounded store; return its ``(now, tag)`` log."""
     log = []
     events = [eng.event() for _ in range(N_EVENTS)]
-    lock = Lock(eng)
     procs = []
 
     def body(tag, ops):
@@ -683,6 +804,16 @@ def play(eng, program):
                         yield op[1]
                     finally:
                         lock.release()
+                elif kind == "res":
+                    yield res.request()
+                    try:
+                        yield op[1]
+                    finally:
+                        res.release()
+                elif kind == "put":
+                    yield store.put(here)
+                elif kind == "get":
+                    here += f"={(yield store.get())}"
                 elif kind == "all":
                     here += f"={(yield eng.all_of([events[op[1]], events[op[2]]]))}"
                 elif kind in ("any", "any_keep"):
@@ -719,11 +850,15 @@ def play(eng, program):
 @given(program=_programs)
 def test_engine_matches_reference_order(program):
     """Random programs log the same ``(now, tag)`` sequence on Engine
-    as on the reference scheduler."""
-    expected = play(RefEngine(), program)
+    as on the reference scheduler.  The reference's lock, resource and
+    store answer every immediate grant with a triggered event; Engine's
+    return ``0`` for it, which must wake the caller in the same order."""
+    ref = RefEngine()
+    expected = play(ref, program, RefSlots(ref, 1), RefSlots(ref, 2), RefStore(ref))
     if expected and expected[-1][0] == "run":
         expected.pop()  # the reference does not re-raise failures
-    got = play(Engine(), program)
+    eng = Engine()
+    got = play(eng, program, Lock(eng), Resource(eng, 2), Store(eng))
     if got and got[-1][0] == "run":
         got.pop()
     assert got == expected

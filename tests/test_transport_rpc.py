@@ -12,7 +12,7 @@ def make_channel(eng, m):
 
 
 def echo_handler(core, method, payload, ctx):
-    yield from core.compute(100)
+    yield core.compute(100)
     if method == "boom":
         raise ValueError("server exploded")
     return (method, payload)
