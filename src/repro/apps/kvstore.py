@@ -198,18 +198,14 @@ class KvClient:
         return reply
 
     def put(self, key: str, value: str) -> Generator:
-        reply = yield from self._request(("put", key, value))
-        return reply
+        return self._request(("put", key, value))
 
     def get(self, key: str) -> Generator:
-        reply = yield from self._request(("get", key))
-        return reply
+        return self._request(("get", key))
 
     def delete(self, key: str) -> Generator:
-        reply = yield from self._request(("delete", key))
-        return reply
+        return self._request(("delete", key))
 
     def shard_stats(self, key: str) -> Generator:
         """Stats of whichever shard owns ``key``."""
-        reply = yield from self._request(("stats", key))
-        return reply
+        return self._request(("stats", key))

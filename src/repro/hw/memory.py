@@ -226,26 +226,6 @@ class MemCell:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _charge_exclusive(self, core: Any, atomic: bool = False) -> Generator:
-        """Charge the cost of gaining exclusive (M-state) ownership."""
-        cost = 0
-        if self._owner is core and not (self._sharers - {core}):
-            self.stats.local_hits += 1
-            cost += self.params.l1_ns
-        else:
-            self.stats.line_transfers += 1
-            cost += self.params.line_transfer_ns
-        if atomic:
-            self.stats.atomics += 1
-            cost += self.params.atomic_extra_ns
-        if self._owner is core and not (self._sharers - {core}) and not atomic:
-            # Pure local write: no bus serialization.
-            yield cost
-        else:
-            yield from self._line_bus().using(cost)
-        self._owner = core
-        self._sharers = {core}
-
     def _new_bus(self) -> Resource:
         return Resource(self.engine, capacity=1, name=f"line:{self.name}")
 

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from inspect import GEN_CREATED, getgeneratorstate
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -274,7 +273,8 @@ class Process(Event):
         self._resume_cb = self._on_event
         # Kick off at the current instant.  Wake-ups are (_wake, self)
         # entries: the plain function needs no per-process bound method.
-        engine._queue.append((_wake, self))
+        # The kick-off is a (_start, self) entry, which _detach leaves.
+        engine._queue.append((_start, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "running", _SUCCEEDED: "done", _FAILED: "failed"}
@@ -304,8 +304,6 @@ class Process(Event):
         if waiting is not None:
             self._waiting_on = None
             waiting._remove_callback(resume)
-        if getgeneratorstate(self._gen) == GEN_CREATED:
-            return  # the queued kick-off starts it; the throw follows
         engine = self.engine
         for entry in engine._heap:
             if entry[3] is self and entry[2] is _wake:
@@ -405,16 +403,23 @@ class Process(Event):
     def _finish_ok(self, value: Any) -> None:
         self._state = _SUCCEEDED
         self._value = value
+        self._resume_cb = None  # break the self-cycle: free by refcount
         self.engine._queue.append((_deliver, self))
 
     def _finish_fail(self, error: BaseException) -> None:
         self._state = _FAILED
         self._value = error
+        self._resume_cb = None
         self.engine._register_failure(self, error)
         self.engine._queue.append((_deliver, self))
 
 
 _wake = Process._step  # _wake(process): resume it with None
+
+
+def _start(process: Process) -> None:
+    """Run a new process to its first wait (its kick-off entry)."""
+    process._step()
 
 
 class Engine:

@@ -135,7 +135,13 @@ class BandwidthLink:
         if self.latency_ns:
             yield self.latency_ns
         if nbytes:
-            yield from self._lanes.using(self.occupancy_ns(nbytes))
+            lanes = self._lanes
+            occupancy = self.occupancy_ns(nbytes)
+            yield lanes.request()
+            try:
+                yield occupancy
+            finally:
+                lanes.release()
             self._bytes_moved += nbytes
 
     def utilization(self) -> float:

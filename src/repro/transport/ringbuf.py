@@ -41,7 +41,7 @@ from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
 from ..lint.sanitize import SANITIZER
 from ..obs.tracer import NULL_TRACER
-from ..sim.engine import Engine, SimError
+from ..sim.engine import Engine, Event, SimError
 from .combining import CombiningQueue
 from .locks import MCSLock
 
@@ -414,16 +414,32 @@ class RingBuffer:
     # ------------------------------------------------------------------
     def try_dequeue(self, core: Core) -> Generator:
         """Claim the oldest ready slot; None when empty."""
-        yield core.compute(RB_OP_WORK_UNITS, "branchy")
-        if self.faults is not None:
-            # Consumer-side counterpart of the enqueue stall.
-            stall = self.faults.ring_stall(self.name)
-            if stall:
-                yield stall
-        result = yield from self._deq_side.execute(core, self._dequeue_op)
-        if result is _WOULD_BLOCK:
+        return self._claim(core, block=False)
+
+    def _claim(self, core: Core, block: bool) -> Generator:
+        """Claim the oldest ready slot.  When the ring looks empty,
+        return None, or with ``block`` sleep until a producer readies a
+        slot, wait one poll interval and try again."""
+        while True:
+            yield core.compute(RB_OP_WORK_UNITS, "branchy")
+            if self.faults is not None:
+                # Consumer-side counterpart of the enqueue stall.
+                stall = self.faults.ring_stall(self.name)
+                if stall:
+                    yield stall
+            result = yield from self._deq_side.execute(core, self._dequeue_op)
+            if result is not _WOULD_BLOCK:
+                break
             self.stats.would_blocks += 1
-            return None
+            if not block:
+                return None
+            ev = Event(self.engine)
+            self._data_waiters.append(ev)
+            # Re-check after registering: a producer may have raced us.
+            if self._head_ready():
+                self._wake(self._data_waiters)
+            yield ev
+            yield self.policy.poll_interval_ns  # poll granularity
         if result.qspan is not None:
             self.tracer.end(result.qspan, claimed_by=f"c{core.cid}")
             result.qspan = None
@@ -511,11 +527,7 @@ class RingBuffer:
         this is the §4.4.2 event-dispatcher pattern, where a single
         thread claims slots and application threads copy in parallel.
         """
-        while True:
-            slot = yield from self.try_dequeue(core)
-            if slot is not None:
-                return slot
-            yield from self._wait_for_data()
+        return self._claim(core, block=True)
 
     def recv(self, core: Core) -> Generator:
         """Dequeue + copy + done, waiting while the ring is empty;
@@ -524,15 +536,6 @@ class RingBuffer:
         data = yield from self.copy_from(core, slot)
         yield from self.set_done(core, slot)
         return data
-
-    def _wait_for_data(self) -> Generator:
-        ev = self.engine.event()
-        self._data_waiters.append(ev)
-        # Re-check after registering: a producer may have raced us.
-        if self._head_ready():
-            self._wake(self._data_waiters)
-        yield ev
-        yield self.policy.poll_interval_ns  # poll granularity
 
     def _wait_for_space(self, size: int) -> Generator:
         ev = self.engine.event()

@@ -283,6 +283,26 @@ def test_interrupt_cancels_the_pending_wakeup(wait):
     assert woke == ([50] if wait == "shared" else [])
 
 
+def test_interrupt_before_start_throws_at_the_first_wait():
+    eng = Engine()
+    log = []
+
+    def body(eng):
+        log.append("started")
+        try:
+            yield 100
+        except Interrupt:
+            log.append(eng.now)
+        yield 10
+        return eng.now
+
+    proc = eng.spawn(body(eng))
+    proc.interrupt("early")
+    eng.run()
+    assert log == ["started", 0]
+    assert proc.value == 10 and eng.now == 10
+
+
 def test_self_interrupt_cancels_the_wait_begun_after_it():
     eng = Engine()
 
