@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from ..sim.engine import Engine, SimError
+from ..sim.engine import Delay, Engine, SimError
 from ..sim.resources import Resource
 from .memory import CoherenceStats, MemCell
 from .params import CpuParams
@@ -55,7 +55,7 @@ class Core:
     # The pure-delay helpers below return the delay in ns; the caller
     # charges it with ``yield core.compute(...)``.
 
-    def compute(self, units: float, kind: str = "scalar") -> int:
+    def compute(self, units: float, kind: str = "scalar") -> Delay:
         """The time to execute ``units`` of work of the given kind.
 
         One unit == one nanosecond on a host core; Phi cores pay the
@@ -69,11 +69,11 @@ class Core:
             raise SimError(f"negative work: {units}")
         return max(0, int(units * mult))
 
-    def syscall(self) -> int:
+    def syscall(self) -> Delay:
         """Kernel entry/exit overhead."""
         return self.cpu.params.syscall_ns
 
-    def memcpy_local(self, nbytes: int) -> int:
+    def memcpy_local(self, nbytes: int) -> Delay:
         """The time to copy ``nbytes`` within this processor's local
         memory."""
         if nbytes < 0:

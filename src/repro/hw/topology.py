@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
-from ..sim.engine import Engine, SimError
+from ..sim.engine import Delay, Engine, SimError
 from ..sim.resources import BandwidthLink
 from .cpu import Core
 from .params import CACHE_LINE, PcieParams
@@ -189,14 +189,14 @@ class Fabric:
         finally:
             initiator.cpu.dma.release()
 
-    def remote_tx(self, initiator: Core, count: int = 1) -> int:
+    def remote_tx(self, initiator: Core, count: int = 1) -> Delay:
         """The time of ``count`` individual PCIe transactions by
         ``initiator`` (a delay to ``yield``)."""
         if count < 0:
             raise SimError(f"negative transaction count: {count}")
         return count * initiator.cpu.params.pcie_tx_ns
 
-    def loadstore_copy(self, initiator: Core, nbytes: int) -> int:
+    def loadstore_copy(self, initiator: Core, nbytes: int) -> Delay:
         """The time to copy via load/store through a mapped PCIe window
         (a delay to ``yield``).
 

@@ -6,11 +6,12 @@ discarding the result executes *nothing* — the classic simulation bug
 class, and exactly the failure mode that motivates checking OS
 structure invariants on the code graph instead of by convention.
 
-The checker builds a cross-module index of generator-returning
-functions (both ``yield``-bearing bodies and ``-> Generator``
+A pure-delay helper (``-> Delay``, e.g. ``Core.syscall``) returns the
+nanoseconds to ``yield``; discarding that skips the delay just as
+silently.  The checker builds a cross-module index of both kinds
+(``yield``-bearing bodies, ``-> Generator`` and ``-> Delay``
 annotations), then flags any *statement-expression* call whose callee
-name resolves — unambiguously, across the whole project — to a
-generator.  Calls whose value is consumed (``yield from``, ``return``,
+name resolves — unambiguously, across the whole project — to one.  Calls whose value is consumed (``yield from``, ``return``,
 assignment, argument position such as ``engine.spawn(...)``) are fine:
 the generator object survives to be driven later.
 """
@@ -39,8 +40,8 @@ class CoroutineDiscipline(Checker):
     name = RULE
     doc = (
         "generator-returning sim functions must be yield-from'ed, "
-        "returned, assigned, or handed to the engine — a discarded "
-        "call silently does nothing"
+        "returned, assigned, or handed to the engine, and delays "
+        "yielded — a discarded call silently does nothing"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -60,7 +61,8 @@ class CoroutineDiscipline(Checker):
                         mod.path,
                         value.lineno,
                         value.col_offset,
-                        f"call to generator {name!r} discards the "
-                        f"coroutine — did you mean 'yield from "
-                        f"{ast.unparse(value.func)}(...)'?",
+                        f"call to generator or delay {name!r} discards "
+                        f"its result — did you mean 'yield from "
+                        f"{ast.unparse(value.func)}(...)' (or 'yield' for "
+                        f"a delay)?",
                     )

@@ -135,12 +135,14 @@ def _walk_for_yield(func: ast.AST) -> bool:
     return False
 
 
-def _annotated_generator(func: ast.AST) -> bool:
+def _annotated_yieldable(func: ast.AST) -> bool:
+    """True when ``func`` is annotated to return a generator or a
+    ``Delay``: either way its result must be yielded."""
     returns = getattr(func, "returns", None)
     if returns is None:
         return False
     text = ast.dump(returns)
-    return "Generator" in text or "Iterator" in text
+    return "Generator" in text or "Iterator" in text or "Delay" in text
 
 
 class Project:
@@ -162,7 +164,7 @@ class Project:
         defs: List[_GeneratorDef] = []
         for mod in self.modules:
             for node, qualname in _iter_functions(mod.tree):
-                is_gen = _walk_for_yield(node) or _annotated_generator(node)
+                is_gen = _walk_for_yield(node) or _annotated_yieldable(node)
                 defs.append(
                     _GeneratorDef(mod.name, qualname, is_gen, node.lineno)
                 )

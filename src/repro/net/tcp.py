@@ -28,7 +28,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 from ..hw.cpu import CPU, Core
 from ..hw.nic import NicDevice
 from ..hw.topology import Fabric
-from ..sim.engine import Engine, SimError
+from ..sim.engine import Delay, Engine, SimError
 from ..sim.primitives import Store
 from ..sim.resources import Resource
 from .packets import Segment, SocketAddr
@@ -218,7 +218,7 @@ class TcpHost:
             units += int(self._rng.expovariate(1.0) * JITTER_SCALE * units)
         return units
 
-    def tx_cost(self, core: Core, nsegs: int, handshake: bool = False) -> int:
+    def tx_cost(self, core: Core, nsegs: int, handshake: bool = False) -> Delay:
         """Send path: stack processing on the calling core (a delay to
         ``yield``)."""
         return core.compute(self._stack_units(nsegs, handshake), "branchy")

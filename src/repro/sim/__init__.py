@@ -9,12 +9,15 @@ Submodules:
 * :mod:`repro.sim.stats` — percentiles, CDFs, throughput meters.
 """
 
-from .engine import Engine, Event, Interrupt, Process, ProcessGroup, SimError
+from .engine import (
+    Delay, Engine, Event, Interrupt, Process, ProcessGroup, SimError,
+)
 from .primitives import Gate, Lock, Semaphore, Store, WouldBlock
 from .resources import BandwidthLink, Resource
 from .stats import Histogram, ThroughputMeter, cdf_points, percentile, summarize
 
 __all__ = [
+    "Delay",
     "Engine",
     "Event",
     "Process",

@@ -75,6 +75,7 @@ from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
+    "Delay",
     "Engine",
     "Event",
     "Process",
@@ -83,6 +84,12 @@ __all__ = [
     "SimError",
     "SimulationLimitExceeded",
 ]
+
+
+#: The return type of a pure-delay helper (``Core.compute`` and the
+#: like): nanoseconds for the caller to ``yield``.  ``repro.lint``
+#: flags a call that discards one, as it does a discarded generator.
+Delay = int
 
 
 class SimError(Exception):

@@ -96,7 +96,7 @@ class CombiningQueue:
         # this to push replicated control variables over PCIe: §4.2.4
         # "a combiner thread always updates original values at the end
         # of combining").
-        self.on_batch_end = on_batch_end
+        self.on_batch_end = on_batch_end or _no_batch_end
         self._tail = cpu.new_cell(None, name=f"{name}.tail")
         # Every request's cells share these names.
         self._next_name = f"{name}.next"
@@ -162,7 +162,7 @@ class CombiningQueue:
                         yield from current.status.store(core, _DONE)
                     if self._h_batch is not None:
                         self._h_batch.record(processed)
-                    yield from self._finish_batch(core)
+                    yield from self.on_batch_end(core)
                     return req.result
                 # A joiner is mid-link; wait for the pointer.
                 successor = yield from current.next.wait_until(core, _is_set)
@@ -175,16 +175,12 @@ class CombiningQueue:
                 stats.handoffs += 1
                 if self._h_batch is not None:
                     self._h_batch.record(processed)
-                yield from self._finish_batch(core)
+                yield from self.on_batch_end(core)
                 yield from successor.status.store(core, _COMBINER)
                 return req.result
             current = successor
 
-    def _finish_batch(self, core: Core) -> Generator:
-        if self.on_batch_end is not None:
-            return self.on_batch_end(core)
-        return _no_batch_end()
 
-
-def _no_batch_end() -> Generator:
+def _no_batch_end(core: Core) -> Generator:
+    """The batch end of a queue without ``on_batch_end``: one zero wait."""
     yield 0

@@ -41,7 +41,7 @@ from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
 from ..lint.sanitize import SANITIZER
 from ..obs.tracer import NULL_TRACER
-from ..sim.engine import Engine, Event, SimError
+from ..sim.engine import Delay, Engine, Event, SimError
 from .combining import CombiningQueue
 from .locks import MCSLock
 
@@ -274,7 +274,7 @@ class RingBuffer:
                 yield extra
         yield self.fabric.remote_tx(core, 1)
 
-    def _remote_ctrl_post(self, core: Core) -> int:
+    def _remote_ctrl_post(self, core: Core) -> Delay:
         """The time of one control-variable *write* across PCIe
         (posted; a delay to ``yield``)."""
         if self.sender_cpu is self.receiver_cpu:
@@ -586,7 +586,7 @@ class RingBuffer:
         else:
             raise SimError(f"unknown copy mode: {mode!r}")
 
-    def _slot_header_write(self, core: Core, writer_is_sender: bool) -> int:
+    def _slot_header_write(self, core: Core, writer_is_sender: bool) -> Delay:
         """The time of one slot-header write (a delay to ``yield``)."""
         side_cpu = self.sender_cpu if writer_is_sender else self.receiver_cpu
         if self.master_cpu is side_cpu:

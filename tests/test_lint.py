@@ -51,6 +51,23 @@ def test_coroutine_discipline_flags_discarded_call(tmp_path):
     assert findings[0].line == 6
 
 
+def test_coroutine_discipline_flags_discarded_delay(tmp_path):
+    findings, _ = run_fixture(tmp_path, {
+        "src/repro/sim/fix.py": """
+            from repro.sim import Delay
+
+            def syscall(core) -> Delay:
+                return 10
+
+            def driver(core):
+                syscall(core)
+                yield syscall(core)
+        """,
+    }, rules=["coroutine-discipline"])
+    assert rules_of(findings) == ["coroutine-discipline"]
+    assert findings[0].line == 8
+
+
 def test_coroutine_discipline_near_misses_are_clean(tmp_path):
     findings, _ = run_fixture(tmp_path, {
         "src/repro/sim/fix.py": """
