@@ -15,13 +15,14 @@ so the returned neighbours are verifiably correct.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple
 
 from ..fs.vfs import Vfs
 from ..hw.cpu import Core
 from ..sim.engine import Engine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ImageSearch", "SearchResult"]
 
@@ -90,6 +91,8 @@ class ImageSearch:
     # Phases
     # ------------------------------------------------------------------
     def _load_db(self, core: Core, db_path: str, result: SearchResult) -> Generator:
+        import numpy as np
+
         fd = yield from self.vfs.open(core, db_path)
         pieces: List[bytes] = []
         offset = 0
@@ -115,6 +118,8 @@ class ImageSearch:
         k: int,
         answers: List[Tuple[int, np.ndarray]],
     ) -> Generator:
+        import numpy as np
+
         n_rows = db.shape[0]
         for qi, q in queries:
             # Real math: cosine similarity against every DB row.

@@ -10,12 +10,13 @@ meaningful).  Everything is deterministic per seed.
 
 from __future__ import annotations
 
-from typing import Generator
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator
 
 from ..fs.vfs import O_CREAT, O_RDWR, Vfs
 from ..hw.cpu import Core
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SyntheticCorpus", "FeatureDataset"]
 
@@ -51,6 +52,8 @@ class SyntheticCorpus:
 
     def doc_bytes(self, i: int) -> bytes:
         """Generate document ``i`` (deterministic, independent of order)."""
+        import numpy as np
+
         rng = np.random.default_rng((self.seed << 20) ^ i)
         target = int(self.avg_doc_bytes * (0.5 + rng.random()))
         # Every word is "wNNNNN " = 7 bytes including the separator.
@@ -94,6 +97,8 @@ class FeatureDataset:
 
     def matrix(self) -> np.ndarray:
         """The full database as an (n, dim) float32 array."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         m = rng.standard_normal((self.n_vectors, self.dim)).astype(np.float32)
         norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -104,6 +109,8 @@ class FeatureDataset:
 
     @staticmethod
     def from_bytes(raw: bytes, dim: int) -> np.ndarray:
+        import numpy as np
+
         m = np.frombuffer(raw, dtype=np.float32)
         if m.size % dim:
             raise ValueError("corrupt feature file")
@@ -112,6 +119,8 @@ class FeatureDataset:
     def queries(self, n_queries: int, noise: float = 0.1) -> np.ndarray:
         """Noisy copies of random database rows (so each query has an
         unambiguous true nearest neighbour)."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed ^ 0xBEEF)
         base = self.matrix()
         idx = rng.integers(0, self.n_vectors, size=n_queries)

@@ -12,22 +12,16 @@ interface contracts between heterogeneous engines):
 * **net opcodes** — the string ops the data-plane socket API emits
   (``("connect", ...)`` tuples) must equal the set the net service's
   ``_rpc`` dispatcher compares against.
-* **QoS constants** — the scheduler class vocabulary (``CLASS_*``)
-  must have a single definition; any literal ``priority=`` passed
-  around the stack must fall inside the defined class range, so the
-  stub and scheduler can never disagree about what a class integer
-  means.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..core import Checker, Finding, Module, Project, register
 
 RULE = "rpc-conformance"
-QOS_RULE = "qos-constants"
 
 NINEP_SUFFIX = "fs/ninep.py"
 PROXY_SUFFIX = "fs/proxy.py"
@@ -185,59 +179,3 @@ class RpcConformance(Checker):
                 f"emitted by the socket API",
             )
 
-
-@register
-class QosConstants(Checker):
-    name = QOS_RULE
-    doc = (
-        "one definition of the scheduler class vocabulary; literal "
-        "priorities stay inside the defined class range"
-    )
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        # Collect every module-level ``CLASS_* = <int>`` assignment.
-        defs: Dict[str, List[Tuple[str, int, int]]] = {}
-        for mod in project.modules:
-            for node in mod.tree.body:
-                if not isinstance(node, ast.Assign):
-                    continue
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Name)
-                        and tgt.id.startswith("CLASS_")
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        defs.setdefault(tgt.id, []).append(
-                            (mod.path, node.lineno, node.value.value)
-                        )
-        values: List[int] = []
-        for name, sites in sorted(defs.items()):
-            vals = {v for (_p, _l, v) in sites}
-            if len(sites) > 1:
-                paths = sorted({p for (p, _l, _v) in sites})
-                yield Finding(
-                    QOS_RULE, sites[1][0], sites[1][1], 0,
-                    f"{name} defined in multiple modules ({paths}) — "
-                    f"import it from repro.sched.qos instead",
-                )
-            if len(vals) == 1:
-                values.append(next(iter(vals)))
-        if not values:
-            return
-        lo, hi = min(values), max(values)
-        # Literal priority=N keywords anywhere must be a known class.
-        for mod in project.modules:
-            for node in ast.walk(mod.tree):
-                if not isinstance(node, ast.keyword):
-                    continue
-                if node.arg != "priority":
-                    continue
-                v = node.value
-                if isinstance(v, ast.Constant) and isinstance(v.value, int):
-                    if not (lo <= v.value <= hi):
-                        yield Finding(
-                            QOS_RULE, mod.path, v.lineno, v.col_offset,
-                            f"priority={v.value} is outside the defined "
-                            f"class range [{lo}, {hi}]",
-                        )

@@ -343,13 +343,14 @@ class Connection:
             raise BrokenPipeError("send on closed connection")
         if nbytes < 0:
             raise SimError(f"negative send size: {nbytes}")
+        peer = self.peer_conn
         yield core.syscall()
         self._tx_seq += 1
         seg = Segment(self._tx_seq, nbytes, payload)
         yield self.host.tx_cost(core, seg.nsegs)
         yield from self.wire.send(self.host.name, max(64, nbytes))
         self.bytes_sent += nbytes
-        yield self.peer_conn._inbox.put(seg)
+        yield peer._inbox.put(seg)
 
     def recv(self, core: Core) -> Generator:
         """Block for the next message; returns (payload, nbytes).
@@ -360,6 +361,7 @@ class Connection:
         seg: Segment = yield self._inbox.get()
         if seg.fin:
             self._closed = True
+            self._unlink()
             return None, 0
         yield from self.host.rx_cost(core, seg.nsegs)
         yield core.memcpy_local(seg.nbytes)
@@ -372,10 +374,22 @@ class Connection:
             yield 0
             return
         self._closed = True
+        peer = self.peer_conn
         yield core.syscall()
         yield self.host.tx_cost(core, 1)
         yield from self.wire.send(self.host.name, 64)
-        yield self.peer_conn._inbox.put(Segment(self._tx_seq + 1, 0, fin=True))
+        yield peer._inbox.put(Segment(self._tx_seq + 1, 0, fin=True))
+        if peer._closed:
+            self._unlink()
+
+    def _unlink(self) -> None:
+        """Both ends have closed: drop the pair's links to each other,
+        so the pair is freed by reference counting.  (A send or close
+        still in flight holds its peer in a local.)"""
+        peer = self.peer_conn
+        if peer is not None:
+            peer.peer_conn = None
+            self.peer_conn = None
 
     @property
     def closed(self) -> bool:

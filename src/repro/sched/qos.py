@@ -56,6 +56,13 @@ class Qos:
     priority: int = CLASS_NORMAL
     deadline_ns: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not CLASS_RT <= self.priority <= CLASS_BULK:
+            raise ValueError(
+                f"priority {self.priority!r} is outside the class range "
+                f"[{CLASS_RT}, {CLASS_BULK}]"
+            )
+
 
 QOS_RT = Qos(priority=CLASS_RT)
 QOS_NORMAL = Qos(priority=CLASS_NORMAL)

@@ -41,6 +41,21 @@ number is smaller than that of every now-queue entry, and while the
 clock stands at ``now`` nothing new can be scheduled into the heap at
 ``now`` (a positive delay lands later, a zero delay on the now-queue).
 
+A process's own wake-up (``yield N`` or ``yield 0``) is resumed inside
+:meth:`Engine.run`, not through :meth:`Process._step`.  When it then
+yields another delay ``d >= 0``, the wake-up at ``now + d`` is run in
+place, with no heap or queue entry, if it is provably the next entry:
+the now-queue is empty, ``now + d`` is strictly before the heap top (a
+tie goes to the older heap entry), ``now + d`` is within ``until`` and
+the ``max_events`` budget has room.  No other entry could run before
+that wake-up, so running it at once keeps the ``(time, seq)`` order.
+The skipped entry draws no sequence number, which shifts later numbers
+by one but not their relative order.  Each in-place resume counts as
+one entry, so ``events_processed`` and the point where
+:class:`SimulationLimitExceeded` fires do not move.  Event waits,
+kick-offs, throws and invalid commands still go through
+:meth:`Process._step`.
+
 An acquire that is granted at once (``Lock``/``Semaphore.acquire``,
 ``Resource.request``, a ``Store.put`` that does not block) returns
 ``0`` instead of an already-triggered event, so ``yield
@@ -421,7 +436,7 @@ class Process(Event):
         self.engine._queue.append((_deliver, self))
 
 
-_wake = Process._step  # _wake(process): resume it with None
+_wake = Process._step  # _wake(process): resume it with None (run inlines it)
 
 
 def _start(process: Process) -> None:
@@ -574,6 +589,7 @@ class Engine:
         heap = self._heap
         queue = self._queue
         popleft = queue.popleft
+        seq = self._seq
         # processed == stop raises; 0 is never reached after an increment.
         stop = 0 if max_events is None else max_events + 1
         processed = 0
@@ -586,32 +602,81 @@ class Engine:
                     _when, _seq, fn, arg = heappop(heap)
                     if fn is None:
                         continue  # cancelled timer
+                    if fn is _wake:
+                        break  # resumed below
                     fn(arg)
                     processed += 1
                     if processed == stop:
                         raise SimulationLimitExceeded(
                             f"exceeded {max_events} events at t={now}ns"
                         )
-                # 2. The now-queue, in FIFO order, including whatever
-                #    its entries queue at this instant.
-                while queue:
-                    fn, arg = popleft()
-                    fn(arg)
-                    processed += 1
-                    if processed == stop:
-                        raise SimulationLimitExceeded(
-                            f"exceeded {max_events} events at t={now}ns"
-                        )
-                # 3. Advance the clock to the next live heap entry.
-                while heap and heap[0][2] is None:
-                    heappop(heap)
-                if not heap:
-                    break
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                self._now = now = when
+                else:
+                    # 2. The now-queue, in FIFO order, including
+                    #    whatever its entries queue at this instant.
+                    while queue:
+                        fn, arg = popleft()
+                        if fn is _wake:
+                            break  # resumed below
+                        fn(arg)
+                        processed += 1
+                        if processed == stop:
+                            raise SimulationLimitExceeded(
+                                f"exceeded {max_events} events at t={now}ns"
+                            )
+                    else:
+                        # 3. Advance the clock to the next live heap entry.
+                        while heap and heap[0][2] is None:
+                            heappop(heap)
+                        if not heap:
+                            break
+                        when = heap[0][0]
+                        if until is not None and when > until:
+                            self._now = until
+                            break
+                        self._now = now = when
+                        continue
+                # 4. A process's wake-up: resume it here.  While it
+                #    yields a delay whose wake-up would be the next entry
+                #    run anyway, move the clock and resume it again in
+                #    place, counting one entry per resume.
+                proc = arg
+                if proc._state == _PENDING:
+                    send = proc._send
+                    while True:
+                        try:
+                            command = send(None)
+                        except StopIteration as done:
+                            proc._finish_ok(done.value)
+                            break
+                        except BaseException as error:  # noqa: BLE001
+                            proc._finish_fail(error)
+                            break
+                        if type(command) is not int or command < 0:
+                            if isinstance(command, Event):
+                                proc._waiting_on = command
+                                command._add_callback(proc._resume_cb)
+                            else:
+                                proc._dispatch(command)
+                            break
+                        when = now + command
+                        if (
+                            queue
+                            or (heap and heap[0][0] <= when)
+                            or (until is not None and when > until)
+                            or processed + 1 == stop
+                        ):
+                            if command:
+                                heappush(heap, [when, next(seq), _wake, proc])
+                            else:
+                                queue.append((_wake, proc))
+                            break
+                        processed += 1
+                        self._now = now = when
+                processed += 1
+                if processed == stop:
+                    raise SimulationLimitExceeded(
+                        f"exceeded {max_events} events at t={now}ns"
+                    )
         finally:
             self._events += processed
         self._check_failures()

@@ -1,9 +1,15 @@
 """Tests for the §6.2 applications (functional correctness + the
 Solros-vs-baseline ordering)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import FeatureDataset, ImageSearch, SyntheticCorpus, TextIndexer
 from repro.core import SolrosSystem
 from repro.sim import Engine
@@ -15,6 +21,26 @@ def booted():
     system = SolrosSystem(eng)
     eng.run_process(system.boot(n_phis=1))
     return eng, system
+
+
+def test_numpy_stays_off_the_kv_and_core_import_path():
+    """Only the image-search and corpus generators need numpy; they
+    import it when called, so the kv store and the core system load
+    without it."""
+    code = (
+        "import sys, repro.apps.kvstore, repro.core, repro.net.testbed\n"
+        "print('numpy' in sys.modules)\n"
+        "from repro.apps import ImageSearch, FeatureDataset\n"
+        "FeatureDataset(n_vectors=2, dim=4).matrix()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_corpus_is_deterministic():

@@ -242,34 +242,6 @@ def test_rpc_conformance_net_op_sets_must_agree(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# qos-constants
-# ----------------------------------------------------------------------
-def test_qos_constants_flag_out_of_range_priority(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/sched/qos.py": """
-            CLASS_RT = 0
-            CLASS_BULK = 2
-        """,
-        "src/repro/fs/user.py": """
-            def f(call):
-                call(priority=5)
-                call(priority=1)
-        """,
-    }, rules=["qos-constants"])
-    assert rules_of(findings) == ["qos-constants"]
-    assert "priority=5" in findings[0].message
-
-
-def test_qos_constants_flag_redefinition(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/sched/qos.py": "CLASS_RT = 0\n",
-        "src/repro/fs/rogue.py": "CLASS_RT = 0\n",
-    }, rules=["qos-constants"])
-    assert len(findings) == 1
-    assert "defined in multiple modules" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # obs-conformance
 # ----------------------------------------------------------------------
 _OBS_DOC = """

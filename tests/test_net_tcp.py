@@ -1,8 +1,12 @@
 """Unit tests for the simplified TCP stack."""
 
+import gc
 
+from repro.apps import KvClient, KvShard
+from repro.core import SolrosConfig, SolrosSystem
 from repro.hw import build_machine
 from repro.net import LoopbackWire, Network, SocketAddr, TcpHost
+from repro.net.tcp import Connection
 from repro.net.testbed import NetTestbed
 from repro.sim import Engine
 
@@ -180,3 +184,39 @@ def test_phi_endpoint_slower_than_host():
     rtt_host = rtt("host")
     rtt_phi = rtt("phi")
     assert rtt_phi > 2.5 * rtt_host
+
+
+def test_closed_connections_are_freed_by_refcount():
+    """Connection-per-request traffic leaves no closed connection pair
+    for the cyclic collector: once both ends have closed, the pair's
+    links to each other are dropped."""
+    eng = Engine()
+    system = SolrosSystem(eng, SolrosConfig(disk_blocks=8192, max_inodes=16))
+    eng.run_process(system.boot(n_phis=1))
+    tb = NetTestbed(eng, system.machine, seed=3)
+    proxy = tb.solros_proxy()
+    dp = system.dataplane(0)
+    KvShard(eng, dp, proxy.attach(dp), 0).start()
+    replies = []
+
+    def client():
+        kv = KvClient(tb.client, tb.client_cpu)
+        for i in range(40):
+            if i % 4 == 0:
+                replies.append((yield from kv.put(f"k{i % 7}", "v")))
+            else:
+                replies.append((yield from kv.get(f"k{i % 7}")))
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        eng.run_process(client())
+        gc.collect()
+        leaked = sum(isinstance(obj, Connection) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(replies) == 40 and all(r[0] in ("ok", "miss") for r in replies)
+    assert leaked == 0

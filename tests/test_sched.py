@@ -42,6 +42,14 @@ def test_clamp_class_bounds():
     assert clamp_class(99) == CLASS_BULK
 
 
+@pytest.mark.parametrize("priority", [CLASS_RT - 1, CLASS_BULK + 1, 99])
+def test_qos_rejects_priority_outside_class_range(priority):
+    with pytest.raises(ValueError, match="outside the class range"):
+        Qos(priority=priority)
+    for cls in (CLASS_RT, CLASS_NORMAL, CLASS_BULK):
+        assert Qos(priority=cls).priority == cls
+
+
 def test_retry_policy_bounds_and_determinism():
     import random
 

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 from collections import deque
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,6 +361,33 @@ def test_max_events_guard():
     eng.spawn(forever(eng))
     with pytest.raises(SimulationLimitExceeded):
         eng.run(max_events=1000)
+
+
+def test_event_budget_runs_out_inside_an_in_place_chain():
+    """A sleeper whose wake-up is always the next entry is resumed in
+    place, but each resume is still one entry: the budget runs out at
+    the same time and count as when every wake-up went through the
+    heap, and the run carries on from there unchanged."""
+    eng = Engine()
+
+    def sleeper():
+        for i in range(60):
+            yield 0 if i % 5 == 4 else 3
+
+    def sparse():
+        for _ in range(4):
+            yield 50
+
+    eng.spawn(sleeper())
+    eng.spawn(sparse())
+    with pytest.raises(SimulationLimitExceeded, match="at t=93ns"):
+        eng.run(max_events=40)
+    assert (eng.now, eng.events_processed) == (93, 41)
+    with pytest.raises(SimulationLimitExceeded, match="at t=120ns"):
+        eng.run(until=140, max_events=12)
+    assert (eng.now, eng.events_processed) == (120, 54)
+    assert (eng.run(until=130), eng.events_processed) == (130, 57)
+    assert (eng.run(), eng.events_processed) == (200, 68)
 
 
 def test_deterministic_fifo_order_at_same_time():
@@ -795,9 +823,10 @@ _bodies = st.recursive(
 _programs = st.lists(_bodies, min_size=1, max_size=4)
 
 
-def play(eng, program, lock, res, store):
+def play(eng, program, lock, res, store, slices=()):
     """Run ``program`` on ``eng`` with a lock, a 2-slot resource and an
-    unbounded store; return its ``(now, tag)`` log."""
+    unbounded store, first up to each time in ``slices`` and then to
+    the end; return its ``(now, tag)`` log."""
     log = []
     events = [eng.event() for _ in range(N_EVENTS)]
     procs = []
@@ -859,26 +888,30 @@ def play(eng, program, lock, res, store):
 
     for j, ops in enumerate(program):
         spawn(str(j), ops)
-    try:
+    # Engine re-raises an unconsumed failure when a run returns; the
+    # reference never does.
+    for until in slices:
+        with suppress(Exception):
+            eng.run(until=until)
+    with suppress(Exception):
         eng.run()
-    except Exception as error:  # noqa: BLE001 - an unconsumed failure
-        log.append(("run", type(error).__name__))
     return log
 
 
-@settings(max_examples=100, deadline=None)
-@given(program=_programs)
-def test_engine_matches_reference_order(program):
+@settings(max_examples=1000, deadline=None)
+@given(
+    program=_programs,
+    slices=st.lists(st.integers(0, 30), max_size=4).map(sorted),
+)
+def test_engine_matches_reference_order(program, slices):
     """Random programs log the same ``(now, tag)`` sequence on Engine
-    as on the reference scheduler.  The reference's lock, resource and
+    as on the reference scheduler, whether Engine runs in one call or
+    in ``run(until=t)`` slices.  The reference's lock, resource and
     store answer every immediate grant with a triggered event; Engine's
     return ``0`` for it, which must wake the caller in the same order."""
     ref = RefEngine()
     expected = play(ref, program, RefSlots(ref, 1), RefSlots(ref, 2), RefStore(ref))
-    if expected and expected[-1][0] == "run":
-        expected.pop()  # the reference does not re-raise failures
-    eng = Engine()
-    got = play(eng, program, Lock(eng), Resource(eng, 2), Store(eng))
-    if got and got[-1][0] == "run":
-        got.pop()
-    assert got == expected
+    for cuts in ((), slices):
+        eng = Engine()
+        got = play(eng, program, Lock(eng), Resource(eng, 2), Store(eng), cuts)
+        assert got == expected
