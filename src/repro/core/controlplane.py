@@ -21,6 +21,7 @@ from ..fs.proxy import SolrosFsProxy
 from ..fs.vfs import Vfs
 from ..hw.cpu import CPU, Core
 from ..hw.machine import Machine
+from ..obs.hub import hub_of
 from ..sim.engine import Engine, SimError
 from ..transport.rpc import RpcChannel
 from .config import SolrosConfig
@@ -52,9 +53,6 @@ class ControlPlaneOS:
         # when config.fault_plan is set.
         self.faults = None
         self._next_worker_core = 0
-        # Observability hub (set by SolrosSystem before bring-up; may
-        # stay None for directly-constructed control planes).
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Storage bring-up
@@ -79,7 +77,9 @@ class ControlPlaneOS:
             core, self.disk, self.host.node, max_inodes=cfg.max_inodes
         )
         if cfg.buffer_cache_bytes:
-            self.cache = BufferCache(cfg.buffer_cache_bytes)
+            self.cache = BufferCache(
+                cfg.buffer_cache_bytes, metrics=hub_of(self.engine).metrics
+            )
         self.policy = DataPathPolicy(
             self.machine.fabric, disk_node=self.machine.nvme.node
         )
@@ -113,13 +113,6 @@ class ControlPlaneOS:
                 self.engine, self.host, cfg.sched,
                 core_alloc=self.alloc_worker_cores,
             )
-        if self.obs is not None and self.obs.enabled:
-            self.fs_proxy.set_obs(self.obs.tracer, self.obs.metrics)
-            self.machine.nvme.set_obs(self.obs.tracer, self.obs.metrics)
-            if self.scheduler is not None:
-                self.scheduler.set_obs(self.obs.tracer, self.obs.metrics)
-            if self.faults is not None:
-                self.faults.set_obs(self.obs.tracer, self.obs.metrics)
         if self.faults is not None:
             self.faults.armed = True
         return self.fs

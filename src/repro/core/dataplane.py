@@ -60,9 +60,6 @@ class DataPlaneOS:
             policy=cfg.ring_policy,
             name=f"fs-rpc.phi{self.phi_index}",
         )
-        obs = self.control.obs
-        if obs is not None and obs.enabled:
-            self.fs_channel.set_obs(obs.tracer, obs.metrics)
         # The response dispatcher runs on the co-processor's last core,
         # leaving low-numbered cores for applications.
         self.fs_channel.start_client(self.cpu.cores[-1])

@@ -32,9 +32,6 @@ class PrefetchStats:
         self.bytes_prefetched = 0
         self.skipped_too_large = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class _FileHeat:
     __slots__ = ("accesses", "planes", "prefetched")

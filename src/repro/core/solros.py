@@ -42,10 +42,10 @@ class SolrosSystem:
     ):
         self.engine = engine
         self.config = config or SolrosConfig()
-        self.machine: Machine = build_machine(engine, self.config.hw)
         # Observability: a process-global capture (the bench CLI's
-        # --trace-out) or config.trace turns it on; otherwise the hub
-        # is disabled and components keep their NullTracer defaults.
+        # --trace-out) or config.trace turns it on.  The hub attaches
+        # itself to the engine before the machine is built, so every
+        # component records into it from construction on.
         capture = active_capture()
         if capture is not None:
             self.obs = capture.new_hub(engine, label="solros")
@@ -53,8 +53,8 @@ class SolrosSystem:
             self.obs = ObservabilityHub(
                 engine, enabled=self.config.trace, label="solros"
             )
+        self.machine: Machine = build_machine(engine, self.config.hw)
         self.control = ControlPlaneOS(self.machine, self.config)
-        self.control.obs = self.obs
         self._dataplanes: Dict[int, DataPlaneOS] = {}
         self._booted = False
 

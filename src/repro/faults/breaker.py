@@ -16,6 +16,7 @@ extra lock state on the hot path.
 
 from __future__ import annotations
 
+from ..obs.hub import hub_of
 from ..sim.engine import Engine
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
@@ -50,17 +51,13 @@ class CircuitBreaker:
         self.failures = 0        # consecutive failures while closed
         self.trips = 0
         self._opened_at = 0
-        self._g_state = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        if metrics is not None:
-            self._g_state = metrics.gauge(f"faults.breaker.{self.name}.state")
-            self._g_state.set(_STATE_CODE[self.state])
+        metrics = hub_of(engine).metrics
+        self._g_state = metrics.gauge(f"faults.breaker.{name}.state")
+        self._g_state.set(_STATE_CODE[self.state])
 
     def _set_state(self, state: str) -> None:
         self.state = state
-        if self._g_state is not None:
-            self._g_state.set(_STATE_CODE[state])
+        self._g_state.set(_STATE_CODE[state])
 
     # ------------------------------------------------------------------
     # Protocol

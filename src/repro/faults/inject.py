@@ -7,8 +7,8 @@ draws from its own :class:`random.Random` stream keyed by
 and byte-reproducible across runs of the same plan.
 
 The injector keeps local counters unconditionally (cheap ints, used
-by tests and the chaos bench) and mirrors them into a ``repro.obs``
-metrics registry when one is attached — the ``faults.*`` rows in
+by tests and the chaos bench) and mirrors them into its engine's
+``repro.obs`` metrics registry — the ``faults.*`` rows in
 docs/OBSERVABILITY.md's catalog.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import hub_of
 from ..sim.engine import Engine
 from .plan import FaultPlan
 
@@ -57,21 +57,8 @@ class FaultInjector:
         self._req_counts: Dict[str, int] = {}
         self._down_until: Dict[str, int] = {}
         self.counts: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._counters = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Mirror the local counters into a metrics registry."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._counters = {
-                name: metrics.counter(name) for name in COUNTER_NAMES
-            }
-            # Replay anything counted before obs attached.
-            for name, n in self.counts.items():
-                if n:
-                    self._counters[name].inc(n)
+        metrics = hub_of(engine).metrics
+        self._counters = {name: metrics.counter(name) for name in COUNTER_NAMES}
 
     # ------------------------------------------------------------------
     # Internals
@@ -90,8 +77,7 @@ class FaultInjector:
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
-        if self._counters is not None:
-            self._counters[name].inc(n)
+        self._counters[name].inc(n)
 
     # ------------------------------------------------------------------
     # NVMe (hw/nvme.py)

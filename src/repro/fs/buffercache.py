@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Tuple
 
+from ..obs.metrics import NULL_METRICS
 from .blockdev import BlockDevice, Extent
 
 __all__ = ["BufferCache", "BufferCacheStats"]
@@ -34,33 +35,27 @@ class BufferCacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class BufferCache:
-    """LRU block cache keyed by (device, block number)."""
+    """LRU block cache keyed by (device, block number).
 
-    def __init__(self, capacity_bytes: int, block_size: int = 4096):
+    The cache holds no engine, so its owner passes the ``metrics``
+    registry of the hub it records into (the cache emits no spans).
+    """
+
+    def __init__(
+        self, capacity_bytes: int, block_size: int = 4096, metrics=NULL_METRICS
+    ):
         if capacity_bytes < block_size:
             raise ValueError("cache smaller than one block")
         self.capacity_blocks = capacity_bytes // block_size
         self.block_size = block_size
         self._lru: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self.stats = BufferCacheStats()
-        # Observability (off by default).
-        self._c_hits = None
-        self._c_misses = None
-        self._g_hit_rate = None
-        self._g_resident = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a metrics registry (the cache emits no spans)."""
-        if metrics is not None:
-            self._c_hits = metrics.counter("cache.hits")
-            self._c_misses = metrics.counter("cache.misses")
-            self._g_hit_rate = metrics.gauge("cache.hit_rate")
-            self._g_resident = metrics.gauge("cache.resident_blocks")
+        self._c_hits = metrics.counter("cache.hits")
+        self._c_misses = metrics.counter("cache.misses")
+        self._g_hit_rate = metrics.gauge("cache.hit_rate")
+        self._g_resident = metrics.gauge("cache.resident_blocks")
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -106,11 +101,9 @@ class BufferCache:
         misses = sum(n for _s, n in missing)
         self.stats.hits += hits
         self.stats.misses += misses
-        if self._c_hits is not None:
-            self._c_hits.inc(hits)
-            self._c_misses.inc(misses)
-        if self._g_hit_rate is not None:
-            self._g_hit_rate.set(self.stats.hit_rate)
+        self._c_hits.inc(hits)
+        self._c_misses.inc(misses)
+        self._g_hit_rate.set(self.stats.hit_rate)
         return cached, missing
 
     # ------------------------------------------------------------------
@@ -129,14 +122,15 @@ class BufferCache:
                 if len(self._lru) > self.capacity_blocks:
                     self._lru.popitem(last=False)
                     self.stats.evictions += 1
-        if self._g_resident is not None:
-            self._g_resident.set(len(self._lru))
+        self._g_resident.set(len(self._lru))
 
     def invalidate(self, device: BlockDevice, extents: List[Extent]) -> None:
         """Drop blocks (e.g. after a P2P write bypassed the cache)."""
         for first, count in extents:
             for blockno in range(first, first + count):
                 self._lru.pop(self._key(device, blockno), None)
+        self._g_resident.set(len(self._lru))
 
     def clear(self) -> None:
         self._lru.clear()
+        self._g_resident.set(0)

@@ -26,7 +26,8 @@ from ..faults.breaker import CircuitBreaker
 from ..faults.plan import InjectedFault
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER, ctx_of
+from ..obs.hub import hub_of
+from ..obs.tracer import ctx_of
 from ..sim.engine import Engine
 from ..transport.rpc import RpcChannel
 from .buffercache import BufferCache
@@ -65,9 +66,6 @@ class ProxyStats:
         self.buffered_writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class _Session:
@@ -111,23 +109,10 @@ class SolrosFsProxy:
         # consulted.
         self.faults = None
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._c_p2p = None
-        self._c_buffered = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._c_p2p = metrics.counter("proxy.path.p2p")
-            self._c_buffered = metrics.counter("proxy.path.buffered")
-        if self.cache is not None:
-            self.cache.set_obs(tracer, metrics)
-        for breaker in self._breakers.values():
-            breaker.set_obs(tracer, metrics)
+        obs = hub_of(engine)
+        self.tracer = obs.tracer
+        self._c_p2p = obs.metrics.counter("proxy.path.p2p")
+        self._c_buffered = obs.metrics.counter("proxy.path.buffered")
 
     # ------------------------------------------------------------------
     # Circuit breaker (repro.faults)
@@ -144,7 +129,6 @@ class SolrosFsProxy:
                 reset_ns=plan.breaker_reset_ns,
                 injector=self.faults,
             )
-            b.set_obs(self.tracer, self.metrics)
             self._breakers[device_node] = b
         return b
 
@@ -384,9 +368,7 @@ class SolrosFsProxy:
                 yield from self._dma(core, "dma.push", host, node, nbytes, ctx)
         field = f"{'p2p' if p2p else 'buffered'}_{op}s"
         setattr(self.stats, field, getattr(self.stats, field) + 1)
-        counter = self._c_p2p if p2p else self._c_buffered
-        if counter is not None:
-            counter.inc()
+        (self._c_p2p if p2p else self._c_buffered).inc()
 
     def _dma(
         self, core: Core, name: str, src: str, dst: str, nbytes: int, ctx

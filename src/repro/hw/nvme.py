@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import hub_of
 from ..sim.engine import Engine, SimError
 from ..sim.resources import BandwidthLink, Resource
 from .cpu import CPU, Core
@@ -99,15 +99,9 @@ class NvmeDevice:
         self.stats = NvmeStats()
         # Fault injection (repro.faults); None keeps the hooks dormant.
         self.faults = None
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._h_cmd_bytes = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._h_cmd_bytes = metrics.histogram(f"nvme.{self.node}.cmd_bytes")
+        obs = hub_of(engine)
+        self.tracer = obs.tracer
+        self._h_cmd_bytes = obs.metrics.histogram(f"nvme.{node}.cmd_bytes")
 
     # ------------------------------------------------------------------
     # Command preparation
@@ -228,8 +222,7 @@ class NvmeDevice:
             f"nvme.cmd.{cmd.op}", "device", ctx, nbytes=cmd.nbytes,
             target=cmd.target,
         )
-        if self._h_cmd_bytes is not None:
-            self._h_cmd_bytes.record(cmd.nbytes)
+        self._h_cmd_bytes.record(cmd.nbytes)
         yield self._slots.request()
         try:
             self.stats.commands += 1

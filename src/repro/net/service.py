@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..core.dataplane import DataPlaneOS
 from ..hw.cpu import CPU, Core
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import hub_of
 from ..sim.engine import Engine, Interrupt, ProcessGroup, SimError
 from ..sim.primitives import Store
 from ..transport.ringbuf import RingBuffer, RingPolicy
@@ -63,9 +63,6 @@ class NetStats:
         self.messages_in = 0
         self.bytes_out = 0
         self.bytes_in = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class _ProxySock:
@@ -126,15 +123,7 @@ class NetChannel:
         self.sock_stores: Dict[int, Store] = {}
         self.listener_stores: Dict[int, Store] = {}
         self.dispatcher = None
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry to the RPC + both rings."""
-        self.tracer = tracer
-        self.rpc.set_obs(tracer, metrics)
-        self.outbound.set_obs(tracer, metrics)
-        self.inbound.set_obs(tracer, metrics)
+        self.tracer = hub_of(engine).tracer
 
     def route_store(self, sock_id: int) -> Store:
         store = self.sock_stores.get(sock_id)
@@ -178,22 +167,10 @@ class SolrosNetProxy:
         self._procs = ProcessGroup(engine)
         self._running = True
         self._worker_core_base = 8
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._m_out = None
-        self._m_in = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry; applied to every channel
-        already attached and to channels attached later."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_out = metrics.meter("net.outbound")
-            self._m_in = metrics.meter("net.inbound")
-        for channel in self.channels.values():
-            channel.set_obs(tracer, metrics)
+        obs = hub_of(engine)
+        self.tracer = obs.tracer
+        self._m_out = obs.metrics.meter("net.outbound")
+        self._m_in = obs.metrics.meter("net.inbound")
 
     # ------------------------------------------------------------------
     # Attachment
@@ -209,10 +186,6 @@ class SolrosNetProxy:
         phi_index = dataplane.phi_index
         if phi_index in self.channels:
             raise SimError(f"phi{phi_index} already attached to net service")
-        # Inherit the system's observability hub on first attachment.
-        obs = getattr(dataplane.control, "obs", None)
-        if obs is not None and obs.enabled and not self.tracer.enabled:
-            self.set_obs(obs.tracer, obs.metrics)
         channel = NetChannel(
             self.engine,
             self.fabric,
@@ -223,8 +196,6 @@ class SolrosNetProxy:
         )
         self.channels[phi_index] = channel
         self.loads[phi_index] = 0
-        if self.tracer.enabled or self.metrics is not None:
-            channel.set_obs(self.tracer, self.metrics)
         # Fault injection (repro.faults): the net channel inherits the
         # control plane's injector so proxy crash/restart and ring
         # faults cover the network service too.  The net stub has no
@@ -381,6 +352,7 @@ class SolrosNetProxy:
             )
             self.stats.messages_in += 1
             self.stats.bytes_in += nbytes
+            self._m_in.add(nbytes)
         except Interrupt:
             pass
 
@@ -414,10 +386,7 @@ class SolrosNetProxy:
                 if psock is None:
                     continue  # raced with close
                 if op == "send":
-                    payload, nbytes = msg[2], msg[3]
-                    # Trace-aware stubs append the request context as a
-                    # fifth element; legacy 4-tuples still unpack fine.
-                    ctx = msg[4] if len(msg) > 4 else None
+                    payload, nbytes, ctx = msg[2:]
                     span = self.tracer.child(
                         "net.tcp_send", "net", ctx, core=core, nbytes=nbytes
                     )
@@ -425,8 +394,7 @@ class SolrosNetProxy:
                     self.tracer.end(span)
                     self.stats.messages_out += 1
                     self.stats.bytes_out += nbytes
-                    if self._m_out is not None:
-                        self._m_out.add(nbytes)
+                    self._m_out.add(nbytes)
                 elif op == "close":
                     yield from psock.conn.close(core)
                     self._teardown(psock)
@@ -453,8 +421,7 @@ class SolrosNetProxy:
                 )
                 self.stats.messages_in += 1
                 self.stats.bytes_in += nbytes
-                if self._m_in is not None:
-                    self._m_in.add(nbytes)
+                self._m_in.add(nbytes)
         except Interrupt:
             pass
 

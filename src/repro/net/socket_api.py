@@ -153,13 +153,11 @@ class SolrosSocket:
             yield core.syscall()
             yield core.compute(STUB_NET_UNITS, "branchy")
             ctx = ctx_of(span)
-            record = (
-                ("send", self.sock_id, payload, nbytes, ctx)
-                if ctx is not None
-                else ("send", self.sock_id, payload, nbytes)
-            )
             yield from self.api.channel.outbound.send(
-                core, record, nbytes + EVENT_HDR_BYTES, ctx=ctx
+                core,
+                ("send", self.sock_id, payload, nbytes, ctx),
+                nbytes + EVENT_HDR_BYTES,
+                ctx=ctx,
             )
         finally:
             tracer.end(span)

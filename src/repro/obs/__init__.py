@@ -10,6 +10,9 @@ Three pieces:
   flat metrics JSON, wired into ``python -m repro.bench`` via
   ``--trace-out`` / ``--metrics-out``.
 
+One :class:`ObservabilityHub` per engine holds the tracer and the
+registry; components read it with :func:`hub_of` when they are built.
+
 See ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
 """
 
@@ -25,8 +28,10 @@ from .hub import (
     active_capture,
     disable_capture,
     enable_capture,
+    hub_of,
 )
 from .metrics import (
+    NULL_METRICS,
     Counter,
     Gauge,
     HistogramMetric,
@@ -47,7 +52,9 @@ __all__ = [
     "HistogramMetric",
     "RateMeter",
     "MetricsRegistry",
+    "NULL_METRICS",
     "ObservabilityHub",
+    "hub_of",
     "Capture",
     "enable_capture",
     "disable_capture",

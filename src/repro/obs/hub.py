@@ -1,9 +1,12 @@
 """The per-simulation observability bundle and the global capture hook.
 
 :class:`ObservabilityHub` pairs one :class:`~repro.obs.tracer.Tracer`
-with one :class:`~repro.obs.metrics.MetricsRegistry` for one engine.
-A disabled hub carries the shared :class:`NullTracer` and no registry,
-so uninstrumented runs stay at the zero-overhead default.
+with one :class:`~repro.obs.metrics.MetricsRegistry` for one engine,
+and attaches itself to that engine the way the clock belongs to it.
+Every instrumented component reads ``hub_of(engine)`` once, in its
+constructor, so nothing has to be wired afterwards.  A disabled hub
+(and an engine with no hub) carries the shared :class:`NullTracer`
+and :data:`~repro.obs.metrics.NULL_METRICS`, whose calls are no-ops.
 
 *Capture* is how ``python -m repro.bench --trace-out`` reaches the
 systems the benchmark runners build internally: each runner creates a
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import NULL_METRICS, MetricsRegistry
 from .tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "ObservabilityHub",
+    "hub_of",
     "Capture",
     "enable_capture",
     "disable_capture",
@@ -31,7 +35,11 @@ __all__ = [
 
 
 class ObservabilityHub:
-    """Tracer + metrics for one simulated machine."""
+    """Tracer + metrics for one simulated machine.
+
+    Building a hub attaches it to ``engine``: components constructed
+    on that engine from then on record into it.
+    """
 
     def __init__(
         self,
@@ -45,14 +53,24 @@ class ObservabilityHub:
         self.label = label
         if enabled:
             self.tracer = Tracer(engine, max_spans=max_spans)
-            self.metrics: Optional[MetricsRegistry] = MetricsRegistry(engine)
+            self.metrics = MetricsRegistry(engine)
         else:
             self.tracer = NULL_TRACER
-            self.metrics = None
+            self.metrics = NULL_METRICS
+        if engine is not None:
+            engine.obs = self
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "on" if self.enabled else "off"
         return f"<ObservabilityHub {self.label} {state}>"
+
+
+_OFF = ObservabilityHub(None, enabled=False, label="off")
+
+
+def hub_of(engine) -> ObservabilityHub:
+    """The hub attached to ``engine``, or a shared disabled one."""
+    return engine.obs or _OFF
 
 
 class Capture:
@@ -72,7 +90,7 @@ class Capture:
         self.hubs.append(hub)
         return hub
 
-    def export_triples(self) -> List[Tuple[str, Tracer, Optional[MetricsRegistry]]]:
+    def export_triples(self) -> List[Tuple[str, Tracer, MetricsRegistry]]:
         """``(label, tracer, metrics)`` rows for the exporters, hubs
         with no recorded spans omitted."""
         return [
@@ -85,7 +103,7 @@ class Capture:
         return [
             (hub.label, hub.metrics)
             for hub in self.hubs
-            if hub.metrics is not None and len(hub.metrics)
+            if len(hub.metrics)
         ]
 
 

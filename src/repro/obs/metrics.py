@@ -18,7 +18,9 @@ Four metric types, all timestamped with ``engine.now``:
 
 All metrics are created lazily by name through
 :class:`MetricsRegistry`; instrumented components cache the metric
-object once (at wiring time) so the hot path pays one method call.
+object once (at construction) so the hot path pays one method call.
+A disabled hub hands out :data:`NULL_METRICS` instead, whose metrics
+are one shared no-op object, so that call needs no ``None`` guard.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ __all__ = [
     "HistogramMetric",
     "RateMeter",
     "MetricsRegistry",
+    "NullRegistry",
+    "NULL_METRIC",
+    "NULL_METRICS",
 ]
 
 
@@ -209,5 +214,40 @@ class MetricsRegistry:
             for name in sorted(self._metrics)
         }
 
-    def reset(self) -> None:
-        self._metrics.clear()
+
+class _NullMetric:
+    """Stands in for every metric type when observability is off."""
+
+    __slots__ = ()
+
+    def inc(self, n: int = 1) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def add(self, value: float = 0, nops: int = 1) -> None:
+        # Gauge.add(delta) and RateMeter.add(nbytes, nops) alike.
+        pass
+
+    def record(self, value: float) -> None:
+        pass
+
+
+NULL_METRIC = _NullMetric()
+
+
+class NullRegistry:
+    """The registry of a disabled hub: every lookup returns
+    :data:`NULL_METRIC` and nothing is ever stored."""
+
+    def counter(self, name: str) -> _NullMetric:
+        return NULL_METRIC
+
+    gauge = histogram = meter = counter
+
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        return {}
+
+
+NULL_METRICS = NullRegistry()

@@ -12,11 +12,12 @@ Design constraints:
 
 * **Zero simulated-time overhead.** Spans only *read* ``engine.now``;
   enabling tracing never changes a benchmark's simulated result.
-* **Near-zero cost when disabled.** Components hold a
-  :class:`NullTracer` by default and open spans through
-  :meth:`Tracer.root` / :meth:`Tracer.child`, which return None when
-  tracing is off (or the request carries no context); ``end(None)`` is
-  a no-op, so instrumented code needs no ``if traced`` branches.
+* **Near-zero cost when disabled.** Components built on an engine
+  without an enabled hub hold the shared :class:`NullTracer` and open
+  spans through :meth:`Tracer.root` / :meth:`Tracer.child`, which
+  return None when tracing is off (or the request carries no
+  context); ``end(None)`` is a no-op, so instrumented code needs no
+  ``if traced`` branches.
 * **Explicit context propagation.** There is no ambient "current
   span": context crosses process boundaries as a
   :class:`SpanContext` riding on :class:`~repro.transport.rpc.RpcMessage`
@@ -325,10 +326,6 @@ class Tracer:
             totals[s.category] = totals.get(s.category, 0) + self_ns
         return totals
 
-    def reset(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
 
 class NullTracer:
     """The default when tracing is off: :meth:`root`/:meth:`child`
@@ -367,9 +364,6 @@ class NullTracer:
 
     def category_self_ns(self, trace_id=None):
         return {}
-
-    def reset(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

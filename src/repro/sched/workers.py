@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import Deque, List, Optional
 from collections import deque
 
+from ..obs.hub import hub_of
+from ..obs.metrics import NULL_METRIC
 from ..sim.engine import Engine, Interrupt, ProcessGroup
 from .qos import CLASS_RT
 
@@ -58,6 +60,9 @@ class ElasticWorkerPool:
         self._waiters: Deque[List] = deque()
         self._procs = ProcessGroup(engine)
         self._next_id = 0
+        # ``sched.workers``, registered by start() once the floor is
+        # staffed: one sample for the floor, then one per grow/retire.
+        self._g_workers = NULL_METRIC
 
     @property
     def active(self) -> int:
@@ -75,6 +80,8 @@ class ElasticWorkerPool:
             self._spawn(max_class=None, permanent=True)
         for _ in range(self.rt_reserve):
             self._spawn(max_class=CLASS_RT, permanent=True)
+        self._g_workers = hub_of(self.engine).metrics.gauge("sched.workers")
+        self._g_workers.set(self.active)
 
     def maybe_grow(self, depth: int) -> None:
         """Called on every admit: add an elastic worker when backlog
@@ -103,7 +110,7 @@ class ElasticWorkerPool:
             self.high_water = self.active
         core = self.sched.worker_core()
         proc = self._procs.spawn(self._worker(core, max_class, permanent), name)
-        self._gauge()
+        self._g_workers.set(self.active)
         return proc
 
     # ------------------------------------------------------------------
@@ -147,7 +154,7 @@ class ElasticWorkerPool:
                 self.sched._log(
                     "shrink", self.engine.now, "pool", -1, self.active
                 )
-            self._gauge()
+            self._g_workers.set(self.active)
 
     # ------------------------------------------------------------------
     # Wakeups / teardown
@@ -172,8 +179,3 @@ class ElasticWorkerPool:
         """Hard stop: interrupt every worker, in-service or parked."""
         self.retire_all()
         self._procs.stop("pool stop")
-
-    def _gauge(self) -> None:
-        gauge = getattr(self.sched, "_g_workers", None)
-        if gauge is not None:
-            gauge.set(self.active)

@@ -456,6 +456,9 @@ class Engine:
         self._unhandled: List[tuple] = []
         self._nprocs = 0
         self._events = 0
+        # The ObservabilityHub recording this simulation, attached by
+        # the hub itself (``repro.obs.hub_of`` reads it).
+        self.obs = None
 
     # ------------------------------------------------------------------
     # Clock

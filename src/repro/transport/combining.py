@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
 from ..hw.memory import MemCell
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import hub_of
 
 __all__ = ["CombiningQueue", "CombiningStats"]
 
@@ -42,9 +42,6 @@ class CombiningStats:
     @property
     def avg_batch(self) -> float:
         return self.operations / self.batches if self.batches else 0.0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class _Request:
@@ -102,15 +99,9 @@ class CombiningQueue:
         self._next_name = f"{name}.next"
         self._status_name = f"{name}.status"
         self.stats = CombiningStats()
-        # Observability (off by default).
-        self.tracer = NULL_TRACER
-        self._h_batch = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        if metrics is not None:
-            self._h_batch = metrics.histogram(f"combining.{self.name}.batch")
+        obs = hub_of(cpu.engine)
+        self.tracer = obs.tracer
+        self._h_batch = obs.metrics.histogram(f"combining.{name}.batch")
 
     def execute(
         self, core: Core, op: Callable[..., Generator], *args: Any, ctx=None
@@ -160,8 +151,7 @@ class CombiningQueue:
                 if closed:
                     if current is not req:
                         yield from current.status.store(core, _DONE)
-                    if self._h_batch is not None:
-                        self._h_batch.record(processed)
+                    self._h_batch.record(processed)
                     yield from self.on_batch_end(core)
                     return req.result
                 # A joiner is mid-link; wait for the pointer.
@@ -173,8 +163,7 @@ class CombiningQueue:
             if processed >= self.combine_max:
                 # Hand the combiner role to the successor.
                 stats.handoffs += 1
-                if self._h_batch is not None:
-                    self._h_batch.record(processed)
+                self._h_batch.record(processed)
                 yield from self.on_batch_end(core)
                 yield from successor.status.store(core, _COMBINER)
                 return req.result

@@ -40,7 +40,7 @@ from typing import Any, Deque, Generator, Optional
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
 from ..lint.sanitize import SANITIZER
-from ..obs.tracer import NULL_TRACER
+from ..obs.hub import hub_of
 from ..sim.engine import Delay, Engine, Event, SimError
 from .combining import CombiningQueue
 from .locks import MCSLock
@@ -101,9 +101,6 @@ class RingStats:
         self.dma_copies = 0
         self.memcpy_copies = 0
         self.bytes_transferred = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class Slot:
@@ -183,12 +180,12 @@ class RingBuffer:
         self.stats = RingStats()
         # Fault injection (repro.faults); None keeps the hooks dormant.
         self.faults = None
-        # Observability (off by default: NullTracer + no metrics).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._g_occupancy = None
-        self._c_dma = None
-        self._c_memcpy = None
+        obs = hub_of(engine)
+        metrics = obs.metrics
+        self.tracer = obs.tracer
+        self._g_occupancy = metrics.gauge(f"ring.{name}.occupancy_bytes")
+        self._c_dma = metrics.counter(f"ring.{name}.copy.dma")
+        self._c_memcpy = metrics.counter(f"ring.{name}.copy.memcpy")
 
         # Functional truth (mutated only inside side-serialized ops).
         self._seq = 0
@@ -230,24 +227,8 @@ class RingBuffer:
                 receiver_cpu, f"{name}.deq", self._push_head
             )
 
-    # ------------------------------------------------------------------
-    # Observability wiring
-    # ------------------------------------------------------------------
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry (repro.obs)."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._g_occupancy = metrics.gauge(f"ring.{self.name}.occupancy_bytes")
-            self._c_dma = metrics.counter(f"ring.{self.name}.copy.dma")
-            self._c_memcpy = metrics.counter(f"ring.{self.name}.copy.memcpy")
-            if self.policy.combining:
-                self._enq_side.set_obs(tracer, metrics)
-                self._deq_side.set_obs(tracer, metrics)
-
     def _set_occupancy(self) -> None:
-        if self._g_occupancy is not None:
-            self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
+        self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
 
     # ------------------------------------------------------------------
     # Locality helpers
@@ -571,13 +552,11 @@ class RingBuffer:
             )
         if mode == "memcpy":
             self.stats.memcpy_copies += 1
-            if self._c_memcpy is not None:
-                self._c_memcpy.inc()
+            self._c_memcpy.inc()
             yield self.fabric.loadstore_copy(core, size)
         elif mode == "dma":
             self.stats.dma_copies += 1
-            if self._c_dma is not None:
-                self._c_dma.inc()
+            self._c_dma.inc()
             if into_ring:
                 src, dst = side_cpu.node, self.master_cpu.node
             else:

@@ -22,7 +22,8 @@ from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..obs.tracer import NULL_TRACER, ctx_of
+from ..obs.hub import hub_of
+from ..obs.tracer import ctx_of
 from ..sim.engine import Engine, Event, Interrupt, ProcessGroup, SimError
 from .ringbuf import RingBuffer, RingPolicy
 
@@ -185,21 +186,11 @@ class RpcChannel:
         self.default_timeout_ns: Optional[int] = None
         self._dedup_seq = 0
         self._dedup_done: "OrderedDict[int, tuple]" = OrderedDict()
-        # Observability (off by default: NullTracer + no metrics).
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        self._g_inflight = None
-        self._m_calls = None
-
-    def set_obs(self, tracer, metrics=None) -> None:
-        """Attach a tracer/metrics registry to the channel + both rings."""
-        self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None:
-            self._g_inflight = metrics.gauge(f"rpc.{self.name}.inflight")
-            self._m_calls = metrics.meter(f"rpc.{self.name}.calls")
-        self.request_ring.set_obs(tracer, metrics)
-        self.response_ring.set_obs(tracer, metrics)
+        obs = hub_of(engine)
+        metrics = obs.metrics
+        self.tracer = obs.tracer
+        self._g_inflight = metrics.gauge(f"rpc.{name}.inflight")
+        self._m_calls = metrics.meter(f"rpc.{name}.calls")
 
     def set_faults(self, injector) -> None:
         """Wire a fault injector into the channel and both rings, and
@@ -265,8 +256,7 @@ class RpcChannel:
             size=size,
         )
         send_ctx = ctx_of(span, ctx)
-        if self._g_inflight is not None:
-            self._g_inflight.add(1)
+        self._g_inflight.add(1)
         msg = RpcMessage(
             req_id, method, payload, size, trace=send_ctx,
             priority=priority, deadline=deadline, dedup=dedup,
@@ -280,17 +270,14 @@ class RpcChannel:
             )
             if which != 0:
                 self._pending.pop(req_id, None)
-                if self._g_inflight is not None:
-                    self._g_inflight.add(-1)
+                self._g_inflight.add(-1)
                 self.tracer.end(span, error=True, timeout=True)
                 if self.faults is not None:
                     self.faults.rpc_timeout()
                 raise RemoteCallError(method, RpcTimeout(method, timeout_ns))
             response = value
-        if self._g_inflight is not None:
-            self._g_inflight.add(-1)
-        if self._m_calls is not None:
-            self._m_calls.add(size + response.size)
+        self._g_inflight.add(-1)
+        self._m_calls.add(size + response.size)
         self.tracer.end(span, error=response.is_error)
         if response.is_error:
             raise RemoteCallError(method, response.payload)

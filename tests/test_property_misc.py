@@ -222,9 +222,8 @@ def test_cache_split_matches_per_block_reference(inserts, queries):
     eng = Engine()
     m = build_machine(eng)
     dev = BlockDevice(m.nvme, 4096)
-    cache = BufferCache(48 * 4096)
     metrics = MetricsRegistry(eng)
-    cache.set_obs(None, metrics)
+    cache = BufferCache(48 * 4096, metrics=metrics)
     cache.insert(dev, inserts)
     lru = OrderedDict(cache._lru)
     hits = misses = 0
