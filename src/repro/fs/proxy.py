@@ -178,8 +178,7 @@ class SolrosFsProxy:
         self._sessions[id(channel)] = session
 
         def handler(core: Core, method: str, payload: Any, ctx) -> Generator:
-            result = yield from self.handle(core, session, payload, ctx)
-            return result
+            return self.handle(core, session, payload, ctx)
 
         cores = [
             self.host_cpu.core(first_core + i) for i in range(n_workers)

@@ -67,7 +67,7 @@ class Core:
             raise SimError(f"unknown work kind: {kind!r}") from None
         if units < 0:
             raise SimError(f"negative work: {units}")
-        return max(0, int(units * mult))
+        return int(units * mult)
 
     def syscall(self) -> Delay:
         """Kernel entry/exit overhead."""
@@ -102,8 +102,12 @@ class CPU:
         self.name = name
         self.node = node
         self.coherence = CoherenceStats()
-        # Per-kind ns per work unit, read by every Core.compute.
+        # Per-kind ns per work unit, read by every Core.compute (which
+        # relies on them being non-negative).
         self.work_mult = {k: getattr(params, f"{k}_mult") for k in _WORK_KINDS}
+        for kind, mult in self.work_mult.items():
+            if mult < 0:
+                raise ValueError(f"negative {kind}_mult: {mult}")
         count = params.cores if n_cores is None else n_cores
         if count < 1:
             raise ValueError("a CPU needs at least one core")

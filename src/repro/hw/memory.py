@@ -15,24 +15,28 @@ is entirely a story about *cache-line movement*:
 :class:`MemCell` models one cache line holding one Python value.  Reads
 and writes by simulated cores are charged the MESI-style costs from
 :class:`~repro.hw.params.CpuParams`; remote transfers serialize through
-a per-line bus resource, which is what makes broadcast spinning
-collapse at high core counts.  Values themselves are exchanged
-functionally (real algorithm, simulated time).
+the line itself, which is busy while one transfer holds it and grants
+it to waiting transfers in FIFO order.  That per-line serialization is
+what makes broadcast spinning collapse at high core counts.  Values
+themselves are exchanged functionally (real algorithm, simulated time).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, List, Optional, Union
 
 from ..lint.sanitize import SANITIZER
 from ..sim.engine import Engine, Event
-from ..sim.resources import Resource
 from .params import CpuParams
 
-__all__ = ["MemCell", "CoherenceStats"]
+__all__ = ["MemCell", "CoherenceStats", "STORE", "SWAP", "CAS", "FAA"]
 
-# The operations MemCell._exclusive applies once it owns the line.
-_STORE, _SWAP, _CAS, _FAA = range(4)
+# The operations MemCell.exclusive applies once it owns the line.
+STORE, SWAP, CAS, FAA = range(4)
+
+# The sharer set of a line no core holds a copy of (beyond its owner).
+_NO_SHARERS = frozenset()
 
 
 class CoherenceStats:
@@ -51,6 +55,12 @@ class MemCell:
     All operations are generators, to be driven with ``yield from`` by
     the calling simulation process; the calling core identity is passed
     explicitly (any hashable — usually a :class:`repro.hw.cpu.Core`).
+
+    The line's state is its owner (the core that last wrote it) and
+    the other cores holding a read copy.  The owner is never in that
+    sharer set: an exclusive op empties it, and the owner's own loads
+    hit.  The set, the FIFO of transfers waiting for the busy line and
+    the list of spinners are created when first needed.
     """
 
     __slots__ = (
@@ -61,7 +71,8 @@ class MemCell:
         "_value",
         "_owner",
         "_sharers",
-        "_bus",
+        "_busy",
+        "_waiters",
         "_watchers",
     )
 
@@ -79,13 +90,13 @@ class MemCell:
         self.stats = stats or CoherenceStats()
         self._value = value
         self._owner: Any = None
-        self._sharers: set = set()
+        self._sharers: Any = _NO_SHARERS
         # Remote line transfers for this line serialize here: this is
         # the coherence-directory/home-node bottleneck that makes
-        # broadcast spinning O(waiters) per handoff.  Created on the
-        # first remote transfer.
-        self._bus: Optional[Resource] = None
-        self._watchers: List[Event] = []
+        # broadcast spinning O(waiters) per handoff.
+        self._busy = False
+        self._waiters: Optional[Deque[Event]] = None
+        self._watchers: Optional[List[Event]] = None
 
     # ------------------------------------------------------------------
     # Introspection (zero-cost; for assertions and tests only)
@@ -114,31 +125,31 @@ class MemCell:
             yield params.l1_ns
         else:
             self.stats.line_transfers += 1
-            bus = self._bus
-            if bus is None:
-                bus = self._bus = self._new_bus()
-            yield bus.request()
+            yield self._acquire()
             try:
                 yield params.line_share_ns
             finally:
-                bus.release()
+                self._release()
             yield params.line_transfer_ns - params.line_share_ns
-            self._sharers.add(core)
+            if self._sharers:
+                self._sharers.add(core)
+            else:
+                self._sharers = {core}
         return self._value
 
     def store(self, core: Any, value: Any) -> Generator:
         """Write the value, invalidating other caches."""
-        return self._exclusive(core, _STORE, value, None)
+        return self.exclusive(core, STORE, value, None)
 
     def swap(self, core: Any, value: Any) -> Generator:
         """Atomic exchange; returns the previous value (§4.2: one of the
         two atomic instructions Solros requires of a co-processor)."""
-        return self._exclusive(core, _SWAP, value, None)
+        return self.exclusive(core, SWAP, value, None)
 
     def compare_and_swap(self, core: Any, expected: Any, value: Any) -> Generator:
         """Atomic CAS; returns True on success (the other required
         atomic instruction)."""
-        return self._exclusive(core, _CAS, value, expected)
+        return self.exclusive(core, CAS, value, expected)
 
     def fetch_and_add(self, core: Any, delta: int) -> Generator:
         """Atomic fetch-and-add; returns the previous value.
@@ -146,51 +157,51 @@ class MemCell:
         (Emulatable with a compare_and_swap loop, as the paper notes for
         atomic_swap; provided directly for the ticket lock.)
         """
-        return self._exclusive(core, _FAA, delta, None)
+        return self.exclusive(core, FAA, delta, None)
 
-    def _exclusive(self, core: Any, op: int, arg: Any, expected: Any) -> Generator:
+    def exclusive(self, core: Any, op: int, arg: Any, expected: Any) -> Generator:
         """Gain exclusive (M-state) ownership, then apply ``op``.
+
+        ``op`` is :data:`STORE` (write ``arg``), :data:`SWAP` (write
+        ``arg``, return the old value), :data:`CAS` (write ``arg`` if
+        the value equals ``expected``, return whether it did) or
+        :data:`FAA` (add ``arg``, return the old value); the named
+        wrappers above are the usual way in.
 
         Ownership costs an L1 hit when ``core`` already holds the line
         alone, else a line transfer; an atomic adds ``atomic_extra_ns``.
-        Everything but a plain local write holds the line's bus.
+        Everything but a plain local write holds the line.
         """
         params = self.params
         stats = self.stats
-        sharers = self._sharers
-        local = self._owner is core and (
-            not sharers or (len(sharers) == 1 and core in sharers)
-        )
+        local = self._owner is core and not self._sharers
         if local:
             stats.local_hits += 1
             cost = params.l1_ns
         else:
             stats.line_transfers += 1
             cost = params.line_transfer_ns
-        if op != _STORE:
+        if op != STORE:
             stats.atomics += 1
             cost += params.atomic_extra_ns
-        if local and op == _STORE:
-            yield cost  # pure local write: no bus serialization
+        if local and op == STORE:
+            yield cost  # pure local write: no line serialization
         else:
-            bus = self._bus
-            if bus is None:
-                bus = self._bus = self._new_bus()
-            yield bus.request()
+            yield self._acquire()
             try:
                 yield cost
             finally:
-                bus.release()
+                self._release()
         self._owner = core
-        self._sharers = {core}
+        self._sharers = _NO_SHARERS
         value = self._value
-        if op == _CAS:
+        if op == CAS:
             if value != expected:
                 return False
             result = True
         else:
-            result = None if op == _STORE else value
-        self._value = value + arg if op == _FAA else arg
+            result = None if op == STORE else value
+        self._value = value + arg if op == FAA else arg
         if self._watchers:
             self._wake_watchers()
         return result
@@ -202,7 +213,7 @@ class MemCell:
         re-reads the line (paying a transfer — it was just invalidated
         by the writer) each time the line changes.  With N spinners on
         one line, every write wakes all N and their re-reads serialize
-        through the line bus: the O(waiters) broadcast cost.
+        through the line: the O(waiters) broadcast cost.
         """
         if SANITIZER.enabled:
             SANITIZER.on_wait(core, self)
@@ -210,21 +221,42 @@ class MemCell:
             value = yield from self.load(core)
             if predicate(value):
                 return value
-            ev = self.engine.event()
-            self._watchers.append(ev)
+            ev = Event(self.engine)
+            if self._watchers:
+                self._watchers.append(ev)
+            else:
+                self._watchers = [ev]
             yield ev
             # Writer invalidated us; drop sharer status so the next
             # load pays a transfer.
-            self._sharers.discard(core)
+            if self._sharers:
+                self._sharers.discard(core)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _new_bus(self) -> Resource:
-        return Resource(self.engine, capacity=1, name=f"line:{self.name}")
+    def _acquire(self) -> Union[int, Event]:
+        """Something to ``yield`` that resumes once the line is this
+        transfer's: ``0`` if it is free, else an event queued behind
+        the transfers already waiting."""
+        if not self._busy:
+            self._busy = True
+            return 0
+        ev = Event(self.engine)
+        if self._waiters is None:
+            self._waiters = deque()
+        self._waiters.append(ev)
+        return ev
+
+    def _release(self) -> None:
+        """Hand the line to the oldest waiting transfer, or free it."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._busy = False
 
     def _wake_watchers(self) -> None:
-        watchers, self._watchers = self._watchers, []
+        watchers, self._watchers = self._watchers, None
         self.stats.wakeups += len(watchers)
         for ev in watchers:
             ev.succeed()

@@ -267,6 +267,7 @@ class RequestScheduler:
         self._outstanding[source] = self._outstanding.get(source, 0) + 1
         self.policy.push(req)
         self.stats.admitted += 1
+        self._c_admitted.inc()
         self._gauge_depth(cls)
         self._log("admit", now, source, cls, seq)
         self.pool.wake(cls)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..hw.memory import MemCell
+from ..hw.memory import CAS, STORE, SWAP, MemCell
 from ..obs.hub import hub_of
 
 __all__ = ["CombiningQueue", "CombiningStats"]
@@ -44,19 +44,23 @@ class CombiningStats:
         return self.operations / self.batches if self.batches else 0.0
 
 
-class _Request:
-    """One published operation: a node in the MCS-style request queue."""
+class _Request(MemCell):
+    """One published operation: a node in the MCS-style request queue.
 
-    __slots__ = ("op", "args", "status", "next", "result")
+    The node is itself the line holding its ``next`` pointer (its
+    value, None until a successor links in).
+    """
 
-    def __init__(self, op, args: tuple, next_cell: MemCell):
+    __slots__ = ("op", "args", "status", "result")
+
+    def __init__(self, cpu: CPU, name: str, op, args: tuple):
+        MemCell.__init__(self, cpu.engine, cpu.params, None, name, cpu.coherence)
         self.op = op
         self.args = args
         # The line a waiting requester spins on (O(1) handoff, like
         # MCS).  ``execute`` creates it only once the request has to
         # wait: a request that runs as its own combiner never touches it.
         self.status = None
-        self.next = next_cell
         self.result: Any = None
 
 
@@ -109,11 +113,10 @@ class CombiningQueue:
         """Run ``op(core, *args)`` under combining; returns the op's
         result.  A combiner runs the op as ``op(combiner_core, *args)``."""
         cpu = self.cpu
-        req = _Request(
-            op, args,
-            MemCell(cpu.engine, cpu.params, None, self._next_name, cpu.coherence),
+        req = _Request(cpu, self._next_name, op, args)
+        prev: Optional[_Request] = yield from self._tail.exclusive(
+            core, SWAP, req, None
         )
-        prev: Optional[_Request] = yield from self._tail.swap(core, req)
         if prev is not None:
             req.status = MemCell(
                 cpu.engine, cpu.params, _WAITING, self._status_name, cpu.coherence
@@ -122,7 +125,7 @@ class CombiningQueue:
                 "combining.wait", "transport", ctx, core=core, queue=self.name
             )
             # Join the queue behind prev and spin on our own line.
-            yield from prev.next.store(core, req)
+            yield from prev.exclusive(core, STORE, req, None)
             status = yield from req.status.wait_until(core, _not_waiting)
             self.tracer.end(span, combined=status == _DONE)
             if status == _DONE:
@@ -142,30 +145,34 @@ class CombiningQueue:
             current.result = yield from current.op(core, *current.args)
             processed += 1
 
-            successor = yield from current.next.load(core)
+            successor = yield from current.load(core)
             if successor is None:
                 # Try to close the queue.
-                closed = yield from self._tail.compare_and_swap(
-                    core, current, None
+                closed = yield from self._tail.exclusive(
+                    core, CAS, None, current
                 )
                 if closed:
                     if current is not req:
-                        yield from current.status.store(core, _DONE)
+                        yield from current.status.exclusive(
+                            core, STORE, _DONE, None
+                        )
                     self._h_batch.record(processed)
                     yield from self.on_batch_end(core)
                     return req.result
                 # A joiner is mid-link; wait for the pointer.
-                successor = yield from current.next.wait_until(core, _is_set)
+                successor = yield from current.wait_until(core, _is_set)
 
             if current is not req:
-                yield from current.status.store(core, _DONE)
+                yield from current.status.exclusive(core, STORE, _DONE, None)
 
             if processed >= self.combine_max:
                 # Hand the combiner role to the successor.
                 stats.handoffs += 1
                 self._h_batch.record(processed)
                 yield from self.on_batch_end(core)
-                yield from successor.status.store(core, _COMBINER)
+                yield from successor.status.exclusive(
+                    core, STORE, _COMBINER, None
+                )
                 return req.result
             current = successor
 

@@ -177,6 +177,8 @@ class RingBuffer:
         self.receiver_cpu = receiver_cpu
         self.policy = policy or RingPolicy()
         self.name = name
+        # Both ends run on the master's processor (Fig. 8).
+        self._local_ring = sender_cpu is receiver_cpu
         self.stats = RingStats()
         # Fault injection (repro.faults); None keeps the hooks dormant.
         self.faults = None
@@ -233,14 +235,6 @@ class RingBuffer:
     # ------------------------------------------------------------------
     # Locality helpers
     # ------------------------------------------------------------------
-    @property
-    def _local_ring(self) -> bool:
-        """True when both ends run on the master's processor (Fig. 8)."""
-        return self.sender_cpu is self.receiver_cpu
-
-    def _sender_is_master(self) -> bool:
-        return self.master_cpu is self.sender_cpu
-
     def _remote_ctrl_tx(self, core: Core) -> Generator:
         """One control-variable *read* across PCIe (full stall)."""
         if self._local_ring:
@@ -258,7 +252,7 @@ class RingBuffer:
     def _remote_ctrl_post(self, core: Core) -> Delay:
         """The time of one control-variable *write* across PCIe
         (posted; a delay to ``yield``)."""
-        if self.sender_cpu is self.receiver_cpu:
+        if self._local_ring:
             return core.cpu.params.l1_ns
         self.stats.pcie_tx += 1
         return core.cpu.params.pcie_tx_ns // POSTED_WRITE_DIVISOR

@@ -34,7 +34,8 @@ __all__ = [
 DEFAULT_RING_BYTES = 1 << 20      # 1 MB control rings
 DEFAULT_MSG_BYTES = 64            # typical RPC header size
 
-# Server-side dedup cache: completed results remembered per channel.
+# Server-side dedup cache: completed results (successes and final
+# errors) remembered per channel.
 DEDUP_CACHE_SIZE = 512
 
 
@@ -81,6 +82,15 @@ class RemoteCallError(SimError):
     @property
     def errno_name(self) -> str:
         return getattr(self.cause, "errno_name", "EIO")
+
+
+def _transient(error: BaseException) -> bool:
+    """True for a failure a re-issue may not meet again, so not the
+    op's result (``RetryPolicy.retryable``'s test, applied to the
+    cause the client will see)."""
+    if isinstance(error, RemoteCallError):
+        error = error.cause
+    return bool(getattr(error, "transient", False))
 
 
 class RpcMessage:
@@ -185,7 +195,11 @@ class RpcChannel:
         self.faults = None                  # FaultInjector or None
         self.default_timeout_ns: Optional[int] = None
         self._dedup_seq = 0
+        # Idempotency: (result, is_error) of completed requests by
+        # dedup number, and those executing, each with the event its
+        # duplicates wait on (None until the first duplicate arrives).
         self._dedup_done: "OrderedDict[int, tuple]" = OrderedDict()
+        self._dedup_running: Dict[int, Optional[Event]] = {}
         obs = hub_of(engine)
         metrics = obs.metrics
         self.tracer = obs.tracer
@@ -403,37 +417,49 @@ class RpcChannel:
                 pass  # nowhere to report a one-way failure
             self.tracer.end(span, oneway=True)
             return
-        cached = (
-            self._dedup_done.get(msg.dedup) if msg.dedup is not None else None
-        )
-        if cached is not None:
-            # A duplicate of an already-completed request (the client
-            # timed out and re-issued): answer from the result cache
-            # without re-executing the handler.
+        dedup = msg.dedup
+        outcome = None
+        if dedup is not None:
+            outcome = self._dedup_done.get(dedup)
+            if outcome is None and dedup in self._dedup_running:
+                # A re-issue of a request still executing (the client
+                # timed out meanwhile): wait for the original instead
+                # of running the handler a second time.
+                original = self._dedup_running[dedup]
+                if original is None:
+                    original = Event(self.engine)
+                    self._dedup_running[dedup] = original
+                outcome = yield original
+        if outcome is not None:
+            # A duplicate: answer with the original's result.
             if self.faults is not None:
                 self.faults.dedup_hit()
-            reply = RpcMessage(
-                msg.req_id, msg.method, cached[0], response_size,
-                trace=msg.trace,
-            )
+            result, is_error = outcome
         else:
+            if dedup is not None:
+                self._dedup_running[dedup] = None  # no duplicate yet
+            is_error = False
             try:
                 result = yield from handler(
                     core, msg.method, msg.payload, hctx
                 )
-                reply = RpcMessage(
-                    msg.req_id, msg.method, result, response_size,
-                    trace=msg.trace,
-                )
-                if msg.dedup is not None:
-                    self._dedup_done[msg.dedup] = (result,)
+            except Exception as error:  # noqa: BLE001 - shipped to caller
+                result, is_error = error, True
+            if dedup is not None:
+                outcome = (result, is_error)
+                original = self._dedup_running.pop(dedup)
+                if original is not None:
+                    original.succeed(outcome)
+                # A transient failure is not the op's result: a later
+                # re-issue runs the handler again.
+                if not (is_error and _transient(result)):
+                    self._dedup_done[dedup] = outcome
                     while len(self._dedup_done) > DEDUP_CACHE_SIZE:
                         self._dedup_done.popitem(last=False)
-            except Exception as error:  # noqa: BLE001 - shipped to caller
-                reply = RpcMessage(
-                    msg.req_id, msg.method, error, response_size,
-                    is_error=True, trace=msg.trace,
-                )
+        reply = RpcMessage(
+            msg.req_id, msg.method, result, response_size,
+            is_error=is_error, trace=msg.trace,
+        )
         self.tracer.end(span, error=reply.is_error)
         yield from self.response_ring.send(
             core, reply, reply.size, ctx=msg.trace

@@ -25,7 +25,7 @@ from repro.faults import (
     ProxyFaults,
     RingFaults,
 )
-from repro.fs import O_RDWR
+from repro.fs import O_CREAT, O_RDWR
 from repro.fs.ninep import Topen
 from repro.fs.stub import SolrosFsBackend
 from repro.hw import KB, build_machine
@@ -329,6 +329,89 @@ def test_dedup_cache_replays_without_reexecuting():
     a, b = eng.run_process(client(eng))
     assert a == b == ("done", 41)
     assert executions == ["op"]  # the re-issue was answered from cache
+
+
+def test_reissue_while_original_runs_gets_its_reply():
+    """A 20 us timeout expires while the proxy still runs a mkdir or
+    unlink; the stub's re-issue (same dedup number) must wait for the
+    original's reply, not run the handler again and report
+    FileExists/FileNotFound for the caller's own op."""
+    eng = Engine()
+    plan = FaultPlan(seed=1, rpc_timeout_ns=20_000)
+    system = SolrosSystem(
+        eng, SolrosConfig(disk_blocks=8192, max_inodes=32, fault_plan=plan)
+    )
+    eng.run_process(system.boot(n_phis=1))
+    phi = system.dataplane(0)
+    core = phi.core(0)
+    proxy = system.control.fs_proxy
+
+    def create(path):
+        fd = yield from phi.fs.open(core, path, O_CREAT | O_RDWR)
+        yield from phi.fs.close(core, fd)
+
+    for i in range(3):
+        eng.run_process(create(f"/f{i}"))
+
+    def once(gen):
+        """Run one logical op; returns (error or None, handler runs)."""
+        before = proxy.stats.requests
+        try:
+            eng.run_process(gen)
+        except RemoteCallError as error:
+            return error, proxy.stats.requests - before
+        return None, proxy.stats.requests - before
+
+    ops = [phi.fs.mkdir(core, f"/d{i}") for i in range(3)]
+    ops += [phi.fs.unlink(core, f"/f{i}") for i in range(3)]
+    for gen in ops:
+        error, runs = once(gen)
+        assert error is None or getattr(error.cause, "transient", False), error
+        assert runs == 1
+    assert system.faults_state()["counts"]["faults.rpc.dedup_hits"] > 0
+
+
+def test_dedup_replays_final_errors_and_reruns_transient_ones():
+    """A re-issue gets the original's non-transient error from the
+    cache; after a transient error it runs the handler again."""
+    eng = Engine()
+    m = build_machine(eng)
+    ch = RpcChannel(eng, m.fabric, client_cpu=m.phi(0), server_cpu=m.host)
+    executions = []
+
+    def handler(core, method, payload, ctx):
+        executions.append(method)
+        yield core.compute(100)
+        if method == "final":
+            raise FileExistsError(payload)
+        if len(executions) == 2:
+            raise InjectedFault("injected EIO")
+        return payload
+
+    ch.start_client(m.phi_core(0, 60))
+    ch.start_server([m.host_core(1)], handler)
+
+    def attempt(method, seq):
+        try:
+            result = yield from ch.call(m.phi_core(0, 0), method, 7, dedup=seq)
+        except RemoteCallError as error:
+            return type(error.cause).__name__
+        return result
+
+    def client(eng):
+        final = ch.next_dedup()
+        a = yield from attempt("final", final)
+        b = yield from attempt("final", final)
+        flaky = ch.next_dedup()
+        c = yield from attempt("flaky", flaky)
+        d = yield from attempt("flaky", flaky)
+        e = yield from attempt("flaky", flaky)
+        ch.stop()
+        return [a, b, c, d, e]
+
+    got = eng.run_process(client(eng))
+    assert got == ["FileExistsError"] * 2 + ["InjectedFault", 7, 7]
+    assert executions == ["final", "flaky", "flaky"]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit tests for the NIC model and parameter plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw import (
+    CPU,
     HOST_CPU,
     KB,
     MB,
@@ -114,6 +117,14 @@ def test_core_compute_rejects_bad_args():
 
     with pytest.raises(SimError):
         eng.run_process(negative(eng))
+
+
+def test_cpu_rejects_negative_work_multiplier():
+    """``Core.compute`` relies on non-negative multipliers, so a CPU
+    refuses a negative one when it is built."""
+    eng = Engine()
+    with pytest.raises(ValueError, match="branchy_mult"):
+        CPU(eng, replace(PHI_CPU, branchy_mult=-1.0), "bad")
 
 
 def test_irq_line_serializes_interrupts():

@@ -529,6 +529,29 @@ def test_scheduler_metrics_exported():
     assert metrics.get("sched.wait_ns").count > 0
 
 
+def test_admitted_counter_matches_stats():
+    """``sched.admitted`` counts what ``stats.admitted`` counts: every
+    admission, and no rejection."""
+    eng = Engine()
+    cfg = SolrosConfig(
+        disk_blocks=8192, max_inodes=16, trace=True,
+        sched=SchedConfig("priority", source_credits=2),
+    )
+    system = SolrosSystem(eng, cfg)
+    eng.run_process(system.boot(n_phis=1))
+    phi = system.dataplane(0)
+    _write_file(eng, phi, "/f.bin", b"a" * 4096)
+    procs = [
+        eng.spawn(_read_once(phi.fs, phi.core(i), "/f.bin", 4096))
+        for i in range(6)
+    ]
+    eng.run()
+    assert all(p.ok for p in procs)
+    stats = system.scheduler.stats
+    assert stats.admitted > 0 and stats.rejected > 0
+    assert system.obs.metrics.get("sched.admitted").value == stats.admitted
+
+
 def test_captured_qos_run_exports_every_scheduler_series():
     """A captured drr+priority overload run (the ``bench sched``
     workload, shortened) exports the full ``sched.*`` series set with
