@@ -19,7 +19,6 @@ __all__ = [
     "Tclunk",
     "Tread",
     "Twrite",
-    "Tcreate",
     "Tremove",
     "Tstat",
     "Tmkdir",
@@ -66,14 +65,6 @@ class Twrite:
     source_node: str
     buffer_id: int = 0
     data: Optional[bytes] = field(default=None, compare=False)
-
-
-# Kept for 9P protocol completeness even though the stub delegates
-# creation through Topen(O_CREAT); the proxy still handles it for
-# foreign (non-repro) clients speaking the wire format.
-@dataclass(frozen=True)
-class Tcreate:  # lint: allow(rpc-conformance)
-    path: str
 
 
 @dataclass(frozen=True)

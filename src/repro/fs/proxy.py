@@ -40,7 +40,6 @@ from .errors import (
 from .extfs import FS_PAGE_UNITS, ExtFS
 from .ninep import (
     Tclunk,
-    Tcreate,
     Tfsync,
     Tmkdir,
     Topen,
@@ -205,9 +204,6 @@ class SolrosFsProxy:
             result = yield from self._read(core, session, msg, ctx)
         elif isinstance(msg, Twrite):
             result = yield from self._write(core, session, msg, ctx)
-        elif isinstance(msg, Tcreate):
-            inode = yield from self.fs.create(core, msg.path)
-            result = inode.ino
         elif isinstance(msg, Tremove):
             yield from self.fs.unlink(core, msg.path)
             result = None

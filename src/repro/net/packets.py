@@ -1,11 +1,21 @@
-"""Wire-level message records for the simplified TCP stack."""
+"""Wire-level message records: TCP segments, and one ``Net*`` message
+per data-plane socket call (§4.4.1), as ``fs/ninep.py`` has one ``T*``
+per 9P op.  ``NetConnect``/``NetListen``/``NetCloseListener`` are
+control RPCs; ``NetSend``/``NetClose`` ride the outbound ring."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Optional
 
-__all__ = ["Segment", "SocketAddr", "MSS"]
+if TYPE_CHECKING:
+    from ..obs.tracer import SpanContext
+    from .balancer import LoadBalancer
+
+__all__ = [
+    "Segment", "SocketAddr", "MSS",
+    "NetConnect", "NetListen", "NetCloseListener", "NetSend", "NetClose",
+]
 
 MSS = 1460  # TCP payload per segment (Ethernet MTU 1500 - headers)
 
@@ -39,3 +49,35 @@ class Segment:
     @property
     def nsegs(self) -> int:
         return max(1, (self.nbytes + MSS - 1) // MSS)
+
+
+@dataclass(frozen=True)
+class NetConnect:
+    addr: SocketAddr
+
+
+@dataclass(frozen=True)
+class NetListen:
+    """Join the shared listening socket on ``port``; the first member's
+    ``balancer`` (None: round-robin) fixes the policy."""
+
+    port: int
+    balancer: Optional[LoadBalancer] = None
+
+
+@dataclass(frozen=True)
+class NetCloseListener:
+    port: int
+
+
+@dataclass(frozen=True)
+class NetSend:
+    sock_id: int
+    payload: Any
+    nbytes: int
+    trace: Optional[SpanContext] = None
+
+
+@dataclass(frozen=True)
+class NetClose:
+    sock_id: int

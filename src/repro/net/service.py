@@ -2,11 +2,16 @@
 
 Structure (Figure 7):
 
-* **Control path**: socket-initiating operations (connect, listen,
-  close-listener) are RPCs from the data-plane stub to the host proxy.
-* **Outbound data** (send, close): enqueued on a ring *mastered at the
-  co-processor* — the Phi's enqueue is a local memory operation and a
-  host proxy worker pulls it across PCIe with host DMA engines.
+Each socket call is one typed message from ``net/packets.py`` (§4.4.1),
+which the proxy dispatches by type.
+
+* **Control path**: socket-initiating operations (``NetConnect``,
+  ``NetListen``, ``NetCloseListener``) are RPCs from the data-plane
+  stub to the host proxy.
+* **Outbound data** (``NetSend``, ``NetClose``): enqueued on a ring
+  *mastered at the co-processor* — the Phi's enqueue is a local memory
+  operation and a host proxy worker pulls it across PCIe with host DMA
+  engines.
 * **Inbound data** (recv, accept events): the proxy enqueues events on
   a large ring *mastered at the host*; the co-processor's single-thread
   event dispatcher (§4.4.2) claims slots and routes them to per-socket
@@ -31,7 +36,9 @@ from ..sim.primitives import Store
 from ..transport.ringbuf import RingBuffer, RingPolicy
 from ..transport.rpc import RpcChannel
 from .balancer import LoadBalancer, RoundRobinBalancer
-from .packets import SocketAddr
+from .packets import (
+    NetClose, NetCloseListener, NetConnect, NetListen, NetSend, SocketAddr,
+)
 from .tcp import Connection, Network, TcpHost
 
 __all__ = ["SolrosNetProxy", "NetChannel", "NetEvent", "NetStats"]
@@ -242,21 +249,14 @@ class SolrosNetProxy:
     # ------------------------------------------------------------------
     # Control RPC (connect / listen / close_listener)
     # ------------------------------------------------------------------
-    def _rpc(self, core: Core, phi_index: int, payload: Any) -> Generator:
-        op = payload[0]
-        if op == "connect":
-            _, addr = payload
-            result = yield from self._connect(core, phi_index, addr)
-            return result
-        if op == "listen":
-            _, port, balancer = payload
-            yield from self._listen(core, phi_index, port, balancer)
-            return None
-        if op == "close_listener":
-            _, port = payload
-            yield from self._close_listener(core, phi_index, port)
-            return None
-        raise SimError(f"unknown net RPC: {op!r}")
+    def _rpc(self, core: Core, phi_index: int, msg: Any) -> Generator:
+        if isinstance(msg, NetConnect):
+            return (yield from self._connect(core, phi_index, msg.addr))
+        if isinstance(msg, NetListen):
+            return (yield from self._listen(core, phi_index, msg.port, msg.balancer))
+        if isinstance(msg, NetCloseListener):
+            return (yield from self._close_listener(core, phi_index, msg.port))
+        raise SimError(f"unknown net RPC: {msg!r}")
 
     def _connect(
         self, core: Core, phi_index: int, addr: SocketAddr
@@ -376,28 +376,31 @@ class SolrosNetProxy:
         return sock_id
 
     def _outbound_worker(self, core: Core, channel: NetChannel) -> Generator:
-        """Pull ('send'|'close', ...) records off the outbound ring."""
+        """Pull NetSend/NetClose records off the outbound ring."""
         try:
             while self._running:
                 msg = yield from channel.outbound.recv(core)
                 yield core.compute(PROXY_NET_UNITS, "branchy")
-                op, sock_id = msg[0], msg[1]
-                psock = self.socks.get(sock_id)
-                if psock is None:
-                    continue  # raced with close
-                if op == "send":
-                    payload, nbytes, ctx = msg[2:]
+                if isinstance(msg, NetSend):
+                    psock = self.socks.get(msg.sock_id)
+                    if psock is None:
+                        continue  # raced with close
+                    nbytes = msg.nbytes
                     span = self.tracer.child(
-                        "net.tcp_send", "net", ctx, core=core, nbytes=nbytes
+                        "net.tcp_send", "net", msg.trace, core=core, nbytes=nbytes
                     )
-                    yield from psock.conn.send(core, payload, nbytes)
+                    yield from psock.conn.send(core, msg.payload, nbytes)
                     self.tracer.end(span)
                     self.stats.messages_out += 1
                     self.stats.bytes_out += nbytes
                     self._m_out.add(nbytes)
-                elif op == "close":
-                    yield from psock.conn.close(core)
-                    self._teardown(psock)
+                elif isinstance(msg, NetClose):
+                    psock = self.socks.get(msg.sock_id)
+                    if psock is not None:  # None: raced with close
+                        yield from psock.conn.close(core)
+                        self._teardown(psock)
+                else:
+                    raise SimError(f"unknown net ring record: {msg!r}")
         except Interrupt:
             pass
 

@@ -1,7 +1,8 @@
 """Data-plane socket API: what co-processor applications program to.
 
 The paper keeps a one-to-one mapping between socket system calls and
-RPC/ring messages (§4.4.1); this module is that socket layer.
+RPC/ring messages (§4.4.1); this module is that socket layer.  Each
+call sends one typed message from ``net/packets.py``:
 ``connect``/``listen`` go over the control RPC, ``send``/``close``
 ride the outbound ring, and ``recv``/``accept`` consume events the
 dispatcher routed to per-socket queues — with the application thread
@@ -19,7 +20,9 @@ from ..sched.qos import QOS_NORMAL, Qos
 from ..sim.engine import SimError
 from ..sim.primitives import Store
 from .balancer import LoadBalancer
-from .packets import SocketAddr
+from .packets import (
+    NetClose, NetCloseListener, NetConnect, NetListen, NetSend, SocketAddr,
+)
 from .service import (
     EVENT_HDR_BYTES,
     STUB_NET_UNITS,
@@ -67,7 +70,7 @@ class SolrosNetApi:
             yield core.syscall()
             yield core.compute(STUB_NET_UNITS, "branchy")
             sock_id = yield from self.channel.rpc.call(
-                core, "net", ("connect", addr),
+                core, "net", NetConnect(addr),
                 ctx=ctx_of(span),
                 **self._qos_kwargs(),
             )
@@ -90,17 +93,24 @@ class SolrosNetApi:
         yield core.compute(STUB_NET_UNITS, "branchy")
         if port in self.channel.listener_stores:
             raise SimError(f"phi{self.phi_index} already listening on {port}")
+        # Registered before the call: an accept event that arrives while
+        # no store exists is dropped.
         self.channel.listener_stores[port] = Store(self.channel.engine)
-        yield from self.channel.rpc.call(
-            core, "net", ("listen", port, balancer), **self._qos_kwargs()
-        )
+        try:
+            yield from self.channel.rpc.call(
+                core, "net", NetListen(port, balancer), **self._qos_kwargs()
+            )
+        except BaseException:
+            # A failed (e.g. timed-out) listen must stay retryable.
+            self.channel.listener_stores.pop(port, None)
+            raise
         return SolrosListener(self, port)
 
     def close_listener(self, core: Core, port: int) -> Generator:
         yield core.syscall()
         self.channel.listener_stores.pop(port, None)
         yield from self.channel.rpc.call(
-            core, "net", ("close_listener", port), **self._qos_kwargs()
+            core, "net", NetCloseListener(port), **self._qos_kwargs()
         )
 
 
@@ -155,7 +165,7 @@ class SolrosSocket:
             ctx = ctx_of(span)
             yield from self.api.channel.outbound.send(
                 core,
-                ("send", self.sock_id, payload, nbytes, ctx),
+                NetSend(self.sock_id, payload, nbytes, ctx),
                 nbytes + EVENT_HDR_BYTES,
                 ctx=ctx,
             )
@@ -199,5 +209,5 @@ class SolrosSocket:
         self._closed = True
         yield core.syscall()
         yield from self.api.channel.outbound.send(
-            core, ("close", self.sock_id), EVENT_HDR_BYTES
+            core, NetClose(self.sock_id), EVENT_HDR_BYTES
         )

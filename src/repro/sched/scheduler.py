@@ -319,13 +319,12 @@ class RequestScheduler:
             if req.shed:
                 self.stats.shed += 1
                 self._c_shed.inc()
-                if not req.msg.oneway:
-                    yield from req.channel.reply_error(
-                        core,
-                        req.msg,
-                        SchedDeadlineExceeded(req.deadline, now),
-                        req.response_size,
-                    )
+                yield from req.channel.reply_error(
+                    core,
+                    req.msg,
+                    SchedDeadlineExceeded(req.deadline, now),
+                    req.response_size,
+                )
                 return
             src = self.stats.source(req.source)
             self._h_wait.record(now - req.t_submit)

@@ -113,7 +113,7 @@ class RpcMessage:
     """
 
     __slots__ = (
-        "req_id", "method", "payload", "size", "is_error", "oneway", "trace",
+        "req_id", "method", "payload", "size", "is_error", "trace",
         "priority", "deadline", "dedup",
     )
 
@@ -124,7 +124,6 @@ class RpcMessage:
         payload: Any,
         size: int,
         is_error: bool = False,
-        oneway: bool = False,
         trace=None,
         priority: int = 1,
         deadline: Optional[int] = None,
@@ -135,7 +134,6 @@ class RpcMessage:
         self.payload = payload
         self.size = size
         self.is_error = is_error
-        self.oneway = oneway
         self.trace = trace
         self.priority = priority
         self.deadline = deadline
@@ -297,21 +295,6 @@ class RpcChannel:
             raise RemoteCallError(method, response.payload)
         return response.payload
 
-    def notify(
-        self,
-        core: Core,
-        method: str,
-        payload: Any = None,
-        size: int = DEFAULT_MSG_BYTES,
-        ctx=None,
-    ) -> Generator:
-        """Fire-and-forget message (no response expected)."""
-        self._next_id += 1
-        msg = RpcMessage(
-            self._next_id, method, payload, size, oneway=True, trace=ctx
-        )
-        yield from self.request_ring.send(core, msg, size, ctx=ctx)
-
     def _client_dispatch(self, core: Core) -> Generator:
         try:
             while self._running:
@@ -410,13 +393,6 @@ class RpcChannel:
             # reply.  The client recovers via timeout + re-issue.
             self.tracer.end(span, error=True, dropped=True)
             return
-        if msg.oneway:
-            try:
-                yield from handler(core, msg.method, msg.payload, hctx)
-            except Exception:
-                pass  # nowhere to report a one-way failure
-            self.tracer.end(span, oneway=True)
-            return
         dedup = msg.dedup
         outcome = None
         if dedup is not None:
@@ -478,8 +454,6 @@ class RpcChannel:
         requests: the client sees the same :class:`RemoteCallError`
         wrapping it would get from a raising handler.
         """
-        if msg.oneway:
-            return
         reply = RpcMessage(
             msg.req_id, msg.method, error, response_size,
             is_error=True, trace=msg.trace,

@@ -179,8 +179,31 @@ _RPC_OK = {
 }
 
 
+_NET_OK = {
+    "src/repro/net/packets.py": """
+        class NetConnect:
+            pass
+
+        class NetSend:
+            pass
+    """,
+    "src/repro/net/service.py": """
+        def dispatch(msg):
+            if isinstance(msg, NetConnect):
+                return 1
+            if isinstance(msg, NetSend):
+                return 2
+    """,
+    "src/repro/net/socket_api.py": """
+        def emit(rpc, ring, core):
+            rpc.call(core, "net", NetConnect())
+            ring.send(core, NetSend())
+    """,
+}
+
+
 def test_rpc_conformance_clean_registry(tmp_path):
-    findings, _ = run_fixture(tmp_path, dict(_RPC_OK),
+    findings, _ = run_fixture(tmp_path, {**_RPC_OK, **_NET_OK},
                               rules=["rpc-conformance"])
     assert findings == []
 
@@ -204,41 +227,47 @@ def test_rpc_conformance_flags_unhandled_and_unemitted_opcode(tmp_path):
     assert any("never emitted" in m for m in messages)
 
 
-def test_rpc_conformance_flags_duplicate_handler(tmp_path):
-    files = dict(_RPC_OK)
-    files["src/repro/fs/proxy.py"] = """
-        def handle(msg):
-            if isinstance(msg, Topen):
-                return 1
-            if isinstance(msg, Tread):
-                return 2
-            if isinstance(msg, Topen):
+@pytest.mark.parametrize("files,handler,dup", [
+    pytest.param(_RPC_OK, "src/repro/fs/proxy.py", "Topen", id="9p"),
+    pytest.param(_NET_OK, "src/repro/net/service.py", "NetSend", id="net"),
+])
+def test_rpc_conformance_flags_duplicate_handler(tmp_path, files, handler, dup):
+    files = dict(files)
+    files[handler] += f"""
+        def handle_again(msg):
+            if isinstance(msg, {dup}):
                 return 3
     """
     findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
     assert len(findings) == 1
-    assert "2 proxy branches" in findings[0].message
+    assert f"opcode {dup} dispatched by 2 proxy branches" in findings[0].message
 
 
 def test_rpc_conformance_net_op_sets_must_agree(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/net/service.py": """
-            def dispatch(op):
-                if op == "connect":
-                    return 1
-                if op == "shutdown":
-                    return 2
-        """,
-        "src/repro/net/socket_api.py": """
-            def emit(rpc, core):
-                rpc.call(core, "net", ("connect", 1))
-                return ("ping", 2)
-        """,
-    }, rules=["rpc-conformance"])
+    """Net messages follow the 9P rule: an emitted message with no
+    service branch and a handled one that nothing emits are flagged."""
+    files = dict(_NET_OK)
+    files["src/repro/net/packets.py"] += """
+        class NetPing:
+            pass
+
+        class NetShutdown:
+            pass
+    """
+    files["src/repro/net/socket_api.py"] += """
+        def ping(ring, core):
+            ring.send(core, NetPing())
+    """
+    files["src/repro/net/service.py"] += """
+        def dispatch_more(msg):
+            if isinstance(msg, NetShutdown):
+                return 3
+    """
+    findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
     messages = sorted(f.message for f in findings)
     assert len(findings) == 2
-    assert "'ping' is emitted by the socket API" in messages[0]
-    assert "'shutdown' is dispatched by the service" in messages[1]
+    assert "opcode NetPing has no proxy-side isinstance handler" in messages[0]
+    assert "opcode NetShutdown is never emitted" in messages[1]
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +510,10 @@ def test_cli_json_output(tmp_path, capsys):
 
 
 def test_repo_is_clean(capsys):
-    """The committed tree must pass its own gate (the CI contract)."""
+    """The committed tree must pass its own gate (the CI contract),
+    with no finding suppressed inline."""
     assert lint_main(["--root", str(repo_root())]) == 0
+    assert ", 0 suppressed," in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

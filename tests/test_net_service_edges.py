@@ -5,9 +5,11 @@ balancing end to end."""
 import pytest
 
 from repro.core import SolrosConfig, SolrosSystem
+from repro.faults import FaultPlan, ProxyFaults
 from repro.net import LeastLoadedBalancer, SocketAddr
 from repro.net.testbed import NetTestbed
 from repro.sim import Engine, SimError
+from repro.transport import RemoteCallError, RpcTimeout
 
 
 @pytest.fixture()
@@ -52,6 +54,61 @@ def test_double_listen_same_plane_rejected(env):
 
     with pytest.raises(SimError, match="already listening"):
         eng.run_process(flow(eng))
+
+
+def test_timed_out_listen_can_be_retried():
+    """A listen whose RPC times out (the proxy crashed on it) leaves no
+    data-plane listener behind, so retrying it succeeds."""
+    eng = Engine()
+    plan = FaultPlan(
+        seed=1,
+        rpc_timeout_ns=50_000,
+        proxy=ProxyFaults(
+            crash_at_requests=(1,), restart_after_ns=10_000,
+            targets=("net.",),
+        ),
+    )
+    system = SolrosSystem(eng, SolrosConfig(
+        disk_blocks=8192, max_inodes=16, fault_plan=plan,
+    ))
+    eng.run_process(system.boot(n_phis=1))
+    proxy = NetTestbed(eng, system.machine).solros_proxy()
+    api = proxy.attach(system.dataplane(0))
+    core = system.dataplane(0).core(0)
+
+    def flow(eng):
+        try:
+            yield from api.listen(core, 9000)
+        except RemoteCallError as err:
+            assert isinstance(err.cause, RpcTimeout)
+        else:
+            raise AssertionError("the first listen should time out")
+        assert 9000 not in api.channel.listener_stores
+        yield from api.listen(core, 9000)
+        return list(proxy.listeners)
+
+    assert eng.run_process(flow(eng)) == [9000]
+
+
+def test_unknown_net_messages_raise(env):
+    """Both dispatchers raise on a record that is no net message
+    instead of dropping it."""
+    eng, system, tb, proxy, apis = env
+    core = system.dataplane(0).core(0)
+    channel = apis[0].channel
+
+    def bad_rpc(eng):
+        yield from channel.rpc.call(core, "net", ("connect", None))
+
+    with pytest.raises(RemoteCallError, match="unknown net RPC"):
+        eng.run_process(bad_rpc(eng))
+
+    def bad_record(eng):
+        yield from channel.outbound.send(core, ("close", 1), 32)
+
+    eng.spawn(bad_record(eng))
+    with pytest.raises(SimError, match="unknown net ring record"):
+        eng.run()
 
 
 def test_partial_membership_listener_survives(env):

@@ -275,7 +275,6 @@ class _FakeMsg:
     deadline = None
     payload = None
     size = 64
-    oneway = False
 
 
 def test_deadline_expired_requests_are_shed():

@@ -99,28 +99,6 @@ def test_concurrent_calls_multiplex_correctly():
     assert results == {i: (f"m{i}", i * 10) for i in range(16)}
 
 
-def test_oneway_notify_is_processed():
-    eng = Engine()
-    m = build_machine(eng)
-    ch = make_channel(eng, m)
-    seen = []
-
-    def handler(core, method, payload, ctx):
-        yield 0
-        seen.append((method, payload))
-
-    ch.start_client(m.phi_core(0, 60))
-    ch.start_server([m.host_core(1)], handler)
-
-    def client(eng):
-        yield from ch.notify(m.phi_core(0, 0), "event", 42)
-        yield 1_000_000  # allow processing
-        ch.stop()
-
-    eng.run_process(client(eng))
-    assert seen == [("event", 42)]
-
-
 def test_rpc_latency_is_microseconds_not_milliseconds():
     """A 64-byte RPC across PCIe should cost on the order of tens of
     microseconds — the foundation of the Figure 1(b) latency story."""
