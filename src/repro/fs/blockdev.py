@@ -1,9 +1,16 @@
 """Block device: functional storage layered on the NVMe timing model.
 
-Bytes are held sparsely (block number → bytes); unwritten blocks read
-back as zeros.  Large benchmark files can therefore be "stored" without
-materializing gigabytes of Python bytes — reads of never-written blocks
-return deterministic zero-filled content.
+A device's bytes are one flat image: an anonymous mapping of
+``capacity_blocks * block_size`` bytes.  The kernel backs a page only
+once it is written, and unwritten pages read back as zeros, so large
+benchmark files can be "stored" without materializing gigabytes of
+Python bytes and without bookkeeping of which blocks exist.  Reading
+or writing an extent is one slice of the image.
+
+The mapping is private (``MAP_PRIVATE``).  Python's default mapping is
+shared, which Linux backs with shmem; its page faults cost more, and
+they made both setting up a file system and the reads after it
+measurably slower.
 
 Timing flows through :class:`repro.hw.nvme.NvmeDevice`: every read or
 write charges doorbells, command latency, flash bandwidth, the PCIe
@@ -13,7 +20,8 @@ completion interrupts.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Sequence, Tuple
+import mmap
+from typing import Generator, List, Sequence, Tuple
 
 from ..hw.cpu import Core
 from ..hw.nvme import NvmeDevice, NvmeOp
@@ -43,8 +51,8 @@ class BlockDevice:
         self.capacity_blocks = capacity_blocks
         self.block_size = block_size
         self.name = name
-        self._blocks: Dict[int, bytes] = {}
-        self._zero = bytes(block_size)
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        self._image = mmap.mmap(-1, self.capacity_bytes, flags=flags)
 
     # ------------------------------------------------------------------
     # Functional (zero-simulated-time) byte access.  Callers charge
@@ -53,69 +61,54 @@ class BlockDevice:
     # ------------------------------------------------------------------
     def read_block_data(self, blockno: int) -> bytes:
         self._check_block(blockno)
-        return self._blocks.get(blockno, self._zero)
+        at = blockno * self.block_size
+        return self._image[at : at + self.block_size]
 
     def write_block_data(self, blockno: int, data: bytes) -> None:
         self._check_block(blockno)
-        if len(data) > self.block_size:
+        bs = self.block_size
+        if len(data) > bs:
             raise SimError(f"data larger than block: {len(data)}")
-        if len(data) < self.block_size:
-            data = data + bytes(self.block_size - len(data))
-        if data == self._zero:
-            self._blocks.pop(blockno, None)
-        else:
-            self._blocks[blockno] = data
+        at = blockno * bs
+        self._image[at : at + bs] = data + bytes(bs - len(data))
 
     def gather(self, extents: Sequence[Extent], offset: int, count: int) -> bytes:
         """Return ``count`` bytes at file ``offset`` from ``extents``.
 
         ``extents`` map the file range starting at the block that holds
-        ``offset`` (as ``Inode.map_range`` returns them).  Only the
-        partial first and last blocks are trimmed; the rest are joined
-        once.  The result is short if the extents end first.
+        ``offset`` (as ``Inode.map_range`` returns them).  Each extent
+        is one slice of the image.  The result is short if the extents
+        end first.
         """
-        bs = self.block_size
-        get, zero = self._blocks.get, self._zero
+        bs, image = self.block_size, self._image
+        skip = offset % bs
         parts: List[bytes] = []
         for first, n in extents:
             self._check_extent(first, n)
-            parts += [get(b, zero) for b in range(first, first + n)]
-        skip = offset % bs
-        end = skip + count
-        # A directory that shrank keeps blocks past its size.
-        del parts[(end + bs - 1) // bs :]
-        if parts:
-            parts[-1] = parts[-1][: end - (len(parts) - 1) * bs]
-            parts[0] = parts[0][skip:]
+            take = min(count, n * bs - skip)
+            if take > 0:
+                at = first * bs + skip
+                parts.append(image[at : at + take])
+                count -= take
+                skip = 0
         return b"".join(parts)
 
     def scatter(self, extents: Sequence[Extent], offset: int, data: bytes) -> None:
         """Store ``data`` at file ``offset`` into the blocks of ``extents``.
 
-        ``extents`` are as for :meth:`gather`.  A partial first or last
-        block is read, modified and written back.
+        ``extents`` are as for :meth:`gather`, and as there every one is
+        range-checked.  Each takes one slice assignment.
         """
-        bs = self.block_size
-        blocks, zero = self._blocks, self._zero
+        bs, image = self.block_size, self._image
         view = memoryview(data)
         skip, pos, end = offset % bs, 0, len(view)
         for first, n in extents:
             self._check_extent(first, n)
-            for blockno in range(first, first + n):
-                if pos >= end:
-                    return
-                chunk = view[pos : pos + bs - skip]
-                pos += len(chunk)
-                if len(chunk) == bs:
-                    block = bytes(chunk)
-                else:
-                    old = blocks.get(blockno, zero)
-                    block = old[:skip] + chunk + old[skip + len(chunk) :]
-                skip = 0
-                if block == zero:
-                    blocks.pop(blockno, None)
-                else:
-                    blocks[blockno] = block
+            take = min(end - pos, n * bs - skip)
+            at = first * bs + skip
+            image[at : at + take] = view[pos : pos + take]
+            pos += take
+            skip = 0
         if pos < end:
             raise SimError("data overflows extents")
 
@@ -183,5 +176,6 @@ class BlockDevice:
         return self.capacity_blocks * self.block_size
 
     def materialized_blocks(self) -> int:
-        """How many blocks hold explicit (non-zero) data."""
-        return len(self._blocks)
+        """How many blocks hold non-zero bytes (a scan of the image)."""
+        bs, image, zero = self.block_size, self._image, bytes(self.block_size)
+        return sum(image[at : at + bs] != zero for at in range(0, len(image), bs))

@@ -76,27 +76,31 @@ class BufferCache:
         """Partition ``extents`` into (cached, missing) block runs.
 
         Touches LRU recency for hits and updates hit/miss statistics.
+        An empty cache misses every block: one run per extent.
         """
         lru = self._lru
         touch = lru.move_to_end
         dev = id(device)
         cached: List[Extent] = []
         missing: List[Extent] = []
-        for first, count in extents:
-            run_start, run_hit = first, None
-            for blockno in range(first, first + count):
-                key = (dev, blockno)
-                hit = key in lru
-                if hit:
-                    touch(key)
-                if hit is not run_hit:
-                    if run_hit is not None:
-                        bucket = cached if run_hit else missing
-                        bucket.append((run_start, blockno - run_start))
-                    run_start, run_hit = blockno, hit
-            if run_hit is not None:
-                bucket = cached if run_hit else missing
-                bucket.append((run_start, first + count - run_start))
+        if not lru:
+            missing = list(extents)
+        else:
+            for first, count in extents:
+                run_start, run_hit = first, None
+                for blockno in range(first, first + count):
+                    key = (dev, blockno)
+                    hit = key in lru
+                    if hit:
+                        touch(key)
+                    if hit is not run_hit:
+                        if run_hit is not None:
+                            bucket = cached if run_hit else missing
+                            bucket.append((run_start, blockno - run_start))
+                        run_start, run_hit = blockno, hit
+                if run_hit is not None:
+                    bucket = cached if run_hit else missing
+                    bucket.append((run_start, first + count - run_start))
         hits = sum(n for _s, n in cached)
         misses = sum(n for _s, n in missing)
         self.stats.hits += hits
@@ -126,9 +130,10 @@ class BufferCache:
 
     def invalidate(self, device: BlockDevice, extents: List[Extent]) -> None:
         """Drop blocks (e.g. after a P2P write bypassed the cache)."""
-        for first, count in extents:
-            for blockno in range(first, first + count):
-                self._lru.pop(self._key(device, blockno), None)
+        if self._lru:
+            for first, count in extents:
+                for blockno in range(first, first + count):
+                    self._lru.pop(self._key(device, blockno), None)
         self._g_resident.set(len(self._lru))
 
     def clear(self) -> None:

@@ -108,10 +108,13 @@ class SolrosNetApi:
 
     def close_listener(self, core: Core, port: int) -> Generator:
         yield core.syscall()
-        self.channel.listener_stores.pop(port, None)
         yield from self.channel.rpc.call(
             core, "net", NetCloseListener(port), **self._qos_kwargs()
         )
+        # Dropped only once the proxy has let go: a failed (e.g.
+        # timed-out) close keeps the plane a member, so its accepts
+        # still need the store, and the close stays retryable.
+        self.channel.listener_stores.pop(port, None)
 
 
 class SolrosListener:

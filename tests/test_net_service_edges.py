@@ -90,6 +90,43 @@ def test_timed_out_listen_can_be_retried():
     assert eng.run_process(flow(eng)) == [9000]
 
 
+def test_timed_out_close_listener_can_be_retried():
+    """A close_listener whose RPC times out (the proxy crashed on it)
+    keeps the plane's listener store, because the proxy still lists the
+    plane as a member; a retry drops both."""
+    eng = Engine()
+    plan = FaultPlan(
+        seed=1,
+        rpc_timeout_ns=50_000,
+        proxy=ProxyFaults(
+            crash_at_requests=(2,), restart_after_ns=10_000,
+            targets=("net.",),
+        ),
+    )
+    system = SolrosSystem(eng, SolrosConfig(
+        disk_blocks=8192, max_inodes=16, fault_plan=plan,
+    ))
+    eng.run_process(system.boot(n_phis=1))
+    proxy = NetTestbed(eng, system.machine).solros_proxy()
+    api = proxy.attach(system.dataplane(0))
+    core = system.dataplane(0).core(0)
+
+    def flow(eng):
+        yield from api.listen(core, 9000)
+        try:
+            yield from api.close_listener(core, 9000)
+        except RemoteCallError as err:
+            assert isinstance(err.cause, RpcTimeout)
+        else:
+            raise AssertionError("the first close should time out")
+        assert 9000 in api.channel.listener_stores
+        assert proxy.listeners[9000].members == [0]
+        yield from api.close_listener(core, 9000)
+        return 9000 in api.channel.listener_stores, list(proxy.listeners)
+
+    assert eng.run_process(flow(eng)) == (False, [])
+
+
 def test_unknown_net_messages_raise(env):
     """Both dispatchers raise on a record that is no net message
     instead of dropping it."""

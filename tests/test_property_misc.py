@@ -1,10 +1,10 @@
 """Property-based tests for the DES engine, statistics, TCP ordering,
-the buffer cache, and the load balancers."""
+the block device, the buffer cache, and the load balancers."""
 
 from collections import OrderedDict
 from itertools import groupby
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fs import BlockDevice, BufferCache
 from repro.hw import build_machine
@@ -18,7 +18,7 @@ from repro.net import (
     SocketAddr,
     TcpHost,
 )
-from repro.sim import Engine
+from repro.sim import Engine, SimError
 from repro.sim.stats import cdf_points, percentile, summarize
 
 settings.register_profile("misc", max_examples=30, deadline=None)
@@ -207,17 +207,18 @@ def _split_reference(lru, dev, extents):
     return cached, missing, hits
 
 
-extent_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=120),
-        st.integers(min_value=1, max_value=24),
-    ),
-    min_size=1,
-    max_size=8,
+cache_extents = st.tuples(
+    st.integers(min_value=0, max_value=120),
+    st.integers(min_value=1, max_value=24),
 )
+extent_lists = st.lists(cache_extents, min_size=1, max_size=8)
 
 
-@given(inserts=extent_lists, queries=st.lists(extent_lists, min_size=1, max_size=4))
+@given(
+    inserts=st.lists(cache_extents, min_size=0, max_size=8),
+    queries=st.lists(extent_lists, min_size=1, max_size=4),
+)
+@example(inserts=[], queries=[[(0, 4), (10, 2)], [(3, 1)]])
 def test_cache_split_matches_per_block_reference(inserts, queries):
     eng = Engine()
     m = build_machine(eng)
@@ -237,6 +238,144 @@ def test_cache_split_matches_per_block_reference(inserts, queries):
         assert metrics.counter("cache.hits").value == hits
         assert metrics.counter("cache.misses").value == misses
         assert metrics.gauge("cache.hit_rate").value == cache.stats.hit_rate
+    # invalidate against a per-block pop, the empty cache included.
+    for query in queries:
+        cache.invalidate(dev, query)
+        for first, count in query:
+            for b in range(first, first + count):
+                lru.pop((id(dev), b), None)
+        assert list(cache._lru) == list(lru)
+        assert metrics.gauge("cache.resident_blocks").value == len(lru)
+
+
+# ----------------------------------------------------------------------
+# Block device
+# ----------------------------------------------------------------------
+DEV_BS, DEV_BLOCKS = 512, 32
+
+
+class _DictDevice:
+    """Reference device: a dict of whole blocks; an absent block is
+    zeros.  A partial block is read, modified and written back, and
+    every extent of a call is range-checked."""
+
+    def __init__(self):
+        self.blocks = {}
+
+    def _check(self, *blocknos):
+        for b in blocknos:
+            if not 0 <= b < DEV_BLOCKS:
+                raise SimError(f"block {b} out of range")
+
+    def _block(self, b):
+        return self.blocks.get(b, bytes(DEV_BS))
+
+    def read_block_data(self, b):
+        self._check(b)
+        return self._block(b)
+
+    def write_block_data(self, b, data):
+        self._check(b)
+        if len(data) > DEV_BS:
+            raise SimError("data larger than block")
+        self.blocks[b] = data + bytes(DEV_BS - len(data))
+
+    def gather(self, extents, offset, count):
+        for first, n in extents:
+            self._check(first, first + n - 1)
+        blocks = [self._block(b) for f, n in extents for b in range(f, f + n)]
+        skip = offset % DEV_BS
+        return b"".join(blocks)[skip : skip + count]
+
+    def scatter(self, extents, offset, data):
+        skip, pos = offset % DEV_BS, 0
+        for first, n in extents:
+            self._check(first, first + n - 1)
+            for b in range(first, first + n):
+                chunk = data[pos : pos + DEV_BS - skip]
+                if chunk:
+                    old = self._block(b)
+                    self.blocks[b] = old[:skip] + chunk + old[skip + len(chunk) :]
+                    pos, skip = pos + len(chunk), 0
+        if pos < len(data):
+            raise SimError("data overflows extents")
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except SimError:
+        return SimError
+
+
+# Some extents run past the last block, so every call can hit the
+# range check.
+dev_extents = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=DEV_BLOCKS),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=3,
+)
+dev_offsets = st.integers(min_value=0, max_value=3 * DEV_BS)
+dev_ops = st.one_of(
+    st.tuples(
+        st.just("scatter"), dev_extents, dev_offsets,
+        st.binary(max_size=5 * DEV_BS),
+    ),
+    st.tuples(
+        st.just("write_block_data"),
+        st.integers(min_value=-1, max_value=DEV_BLOCKS),
+        st.binary(max_size=DEV_BS + 8),
+    ),
+)
+dev_reads = st.lists(
+    st.tuples(dev_extents, dev_offsets, st.integers(min_value=0, max_value=6 * DEV_BS)),
+    max_size=6,
+)
+
+
+@settings(max_examples=200)
+@given(ops=st.lists(dev_ops, max_size=12), reads=dev_reads)
+@example(
+    # An unaligned write with a partial first and last block; reads of
+    # it, a short read, and a read of never-written blocks.
+    ops=[("scatter", [(3, 2), (10, 1)], 700, bytes(range(256)) * 4)],
+    reads=[
+        ([(3, 2), (10, 1)], 700, 1024),
+        ([(3, 1)], 100, 2000),
+        ([(20, 2)], 0, 1024),
+    ],
+)
+@example(
+    # Overflowing data, out-of-range blocks, a short block write
+    # (zero-padded) and an oversized one.
+    ops=[
+        ("scatter", [(1, 1)], 0, b"y" * 600),
+        ("scatter", [(30, 3)], 0, b"z"),
+        ("write_block_data", 5, b"abc"),
+        ("write_block_data", 5, b"de"),
+        ("write_block_data", DEV_BLOCKS, b""),
+        ("write_block_data", 6, b"q" * (DEV_BS + 1)),
+    ],
+    reads=[([(5, 1)], 0, DEV_BS), ([(30, 3)], 0, 10)],
+)
+def test_flat_image_matches_dict_of_blocks(ops, reads):
+    dev = BlockDevice(build_machine(Engine()).nvme, DEV_BLOCKS, block_size=DEV_BS)
+    oracle = _DictDevice()
+    for name, *args in ops:
+        got = _outcome(getattr(dev, name), *args)
+        assert got == _outcome(getattr(oracle, name), *args)
+        for b in range(-1, DEV_BLOCKS + 1):
+            got = _outcome(dev.read_block_data, b)
+            assert got == _outcome(oracle.read_block_data, b)
+    for extents, offset, count in reads:
+        assert _outcome(dev.gather, extents, offset, count) == _outcome(
+            oracle.gather, extents, offset, count
+        )
+    nonzero = sum(any(block) for block in oracle.blocks.values())
+    assert dev.materialized_blocks() == nonzero
 
 
 # ----------------------------------------------------------------------
