@@ -27,7 +27,6 @@ __all__ = ["Prefetcher", "PrefetchStats"]
 
 class PrefetchStats:
     def __init__(self) -> None:
-        self.tracked_files = 0
         self.prefetches = 0
         self.bytes_prefetched = 0
         self.skipped_too_large = 0
@@ -78,7 +77,6 @@ class Prefetcher:
         if heat is None:
             heat = _FileHeat()
             self._heat[inode.ino] = heat
-            self.stats.tracked_files += 1
         heat.accesses += 1
         heat.planes.add(plane_node)
         if self._should_prefetch(inode, heat):

@@ -6,10 +6,10 @@ draws from its own :class:`random.Random` stream keyed by
 ``faults/<seed>/<site>``, so decisions are independent across sites
 and byte-reproducible across runs of the same plan.
 
-The injector keeps local counters unconditionally (cheap ints, used
-by tests and the chaos bench) and mirrors them into its engine's
-``repro.obs`` metrics registry — the ``faults.*`` rows in
-docs/OBSERVABILITY.md's catalog.
+The injector keeps its counters as plain ints in ``counts`` (read by
+tests and the chaos bench); each is the source of the ``faults.*``
+counter view of the same name in its engine's ``repro.obs`` metrics
+registry, declared in :mod:`repro.obs.catalog`.
 """
 
 from __future__ import annotations
@@ -17,27 +17,18 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
+from ..obs.catalog import METRICS
 from ..obs.hub import hub_of
 from ..sim.engine import Engine
 from .plan import FaultPlan
 
 __all__ = ["FaultInjector"]
 
-# Every series the injector can emit, in catalog order.
-COUNTER_NAMES = (
-    "faults.nvme.read_errors",
-    "faults.nvme.write_errors",
-    "faults.nvme.latency_spikes",
-    "faults.ring.stalls",
-    "faults.pcie.degraded",
-    "faults.proxy.crashes",
-    "faults.proxy.dropped",
-    "faults.nic.drops",
-    "faults.rpc.timeouts",
-    "faults.rpc.retries",
-    "faults.rpc.dedup_hits",
-    "faults.breaker.trips",
-    "faults.fallback.buffered",
+# Every series the injector can emit: the catalog's faults.* counters.
+COUNTER_NAMES = tuple(
+    row.pattern
+    for row in METRICS
+    if row.pattern.startswith("faults.") and row.kind == "counter"
 )
 
 
@@ -56,9 +47,10 @@ class FaultInjector:
         # Per-channel proxy-crash bookkeeping.
         self._req_counts: Dict[str, int] = {}
         self._down_until: Dict[str, int] = {}
-        self.counts: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
+        self.counts = counts = {name: 0 for name in COUNTER_NAMES}
         metrics = hub_of(engine).metrics
-        self._counters = {name: metrics.counter(name) for name in COUNTER_NAMES}
+        for name in COUNTER_NAMES:
+            metrics.view(name, lambda name=name: counts[name])
 
     # ------------------------------------------------------------------
     # Internals
@@ -77,7 +69,6 @@ class FaultInjector:
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
-        self._counters[name].inc(n)
 
     # ------------------------------------------------------------------
     # NVMe (hw/nvme.py)

@@ -27,7 +27,6 @@ class BufferCacheStats:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.insertions = 0
         self.evictions = 0
 
     @property
@@ -51,9 +50,9 @@ class BufferCache:
         self.capacity_blocks = capacity_bytes // block_size
         self.block_size = block_size
         self._lru: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self.stats = BufferCacheStats()
-        self._c_hits = metrics.counter("cache.hits")
-        self._c_misses = metrics.counter("cache.misses")
+        self.stats = stats = BufferCacheStats()
+        metrics.view("cache.hits", lambda: stats.hits)
+        metrics.view("cache.misses", lambda: stats.misses)
         self._g_hit_rate = metrics.gauge("cache.hit_rate")
         self._g_resident = metrics.gauge("cache.resident_blocks")
 
@@ -105,8 +104,6 @@ class BufferCache:
         misses = sum(n for _s, n in missing)
         self.stats.hits += hits
         self.stats.misses += misses
-        self._c_hits.inc(hits)
-        self._c_misses.inc(misses)
         self._g_hit_rate.set(self.stats.hit_rate)
         return cached, missing
 
@@ -122,7 +119,6 @@ class BufferCache:
                     self._lru.move_to_end(key)
                     continue
                 self._lru[key] = None
-                self.stats.insertions += 1
                 if len(self._lru) > self.capacity_blocks:
                     self._lru.popitem(last=False)
                     self.stats.evictions += 1

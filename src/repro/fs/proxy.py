@@ -64,7 +64,6 @@ class ProxyStats:
         self.p2p_writes = 0
         self.buffered_writes = 0
         self.bytes_read = 0
-        self.bytes_written = 0
 
 
 class _Session:
@@ -96,7 +95,7 @@ class SolrosFsProxy:
         self.policy = policy or DataPathPolicy(
             fabric, disk_node=host_fs.device.nvme.node
         )
-        self.stats = ProxyStats()
+        self.stats = stats = ProxyStats()
         self._sessions: Dict[int, _Session] = {}
         # Optional cross-co-processor prefetcher (§4): set by the
         # control plane when enabled.
@@ -110,8 +109,13 @@ class SolrosFsProxy:
         self._breakers: Dict[str, CircuitBreaker] = {}
         obs = hub_of(engine)
         self.tracer = obs.tracer
-        self._c_p2p = obs.metrics.counter("proxy.path.p2p")
-        self._c_buffered = obs.metrics.counter("proxy.path.buffered")
+        obs.metrics.view(
+            "proxy.path.p2p", lambda: stats.p2p_reads + stats.p2p_writes
+        )
+        obs.metrics.view(
+            "proxy.path.buffered",
+            lambda: stats.buffered_reads + stats.buffered_writes,
+        )
 
     # ------------------------------------------------------------------
     # Circuit breaker (repro.faults)
@@ -297,7 +301,6 @@ class SolrosFsProxy:
         if msg.offset + msg.count > inode.size:
             inode.size = msg.offset + msg.count
             self.fs._dirty_inodes.add(inode.ino)
-        self.stats.bytes_written += msg.count
         return msg.count
 
     def _transfer(
@@ -363,7 +366,6 @@ class SolrosFsProxy:
                 yield from self._dma(core, "dma.push", host, node, nbytes, ctx)
         field = f"{'p2p' if p2p else 'buffered'}_{op}s"
         setattr(self.stats, field, getattr(self.stats, field) + 1)
-        (self._c_p2p if p2p else self._c_buffered).inc()
 
     def _dma(
         self, core: Core, name: str, src: str, dst: str, nbytes: int, ctx

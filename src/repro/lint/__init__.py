@@ -3,8 +3,8 @@
 Static side (stdlib ``ast``): a checker registry enforcing the
 invariants the Solros design states but Python cannot — sim-coroutine
 discipline, determinism of simulated packages, RPC registry
-conformance, observability-catalog conformance, and lock/ring-phase
-ordering.  Run it with ``python -m repro.lint [--json]``.
+conformance, and lock/ring-phase ordering.  Run it with
+``python -m repro.lint [--json]``.
 
 Runtime side (:mod:`repro.lint.sanitize`): a lockdep-style acquisition
 -order graph with cycle detection plus ring-slot phase assertions,

@@ -3,7 +3,6 @@
 from . import (  # noqa: F401  (import-for-side-effect registration)
     coroutines,
     determinism,
-    obsconf,
     phases,
     protocol,
 )
@@ -11,7 +10,6 @@ from . import (  # noqa: F401  (import-for-side-effect registration)
 __all__ = [
     "coroutines",
     "determinism",
-    "obsconf",
     "phases",
     "protocol",
 ]

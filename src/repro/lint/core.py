@@ -4,9 +4,9 @@ The stack's correctness rests on invariants the paper states but
 Python cannot enforce: simulation functions are generator coroutines
 (a call without ``yield from`` is a silent no-op), simulated packages
 must stay deterministic, every delegated opcode needs a matching
-proxy handler, observability names must match the documented catalog,
-and lock/ring-phase protocols must be well-ordered.  ``repro.lint``
-checks these by analysis of the code graph rather than by convention.
+proxy handler, and lock/ring-phase protocols must be well-ordered.
+``repro.lint`` checks these by analysis of the code graph rather than
+by convention.
 
 Framework pieces:
 
@@ -148,12 +148,9 @@ def _annotated_yieldable(func: ast.AST) -> bool:
 class Project:
     """All parsed modules plus shared cross-module indexes."""
 
-    def __init__(self, modules: List[Module], docs: Optional[Dict[str, str]] = None):
+    def __init__(self, modules: List[Module]):
         self.modules = modules
         self.by_path = {m.path: m for m in modules}
-        # Extra non-Python project files checkers may consult
-        # (e.g. docs/OBSERVABILITY.md), keyed by repo-relative path.
-        self.docs = docs or {}
         self._gen_defs: Optional[List[_GeneratorDef]] = None
         self._gen_by_name: Optional[Dict[str, List[_GeneratorDef]]] = None
 
@@ -255,7 +252,7 @@ def load_project(
     paths: Optional[Sequence[Path]] = None,
 ) -> Project:
     """Parse every ``src/**/*.py`` under ``root`` (or just ``paths``)
-    into a :class:`Project`, attaching any docs checkers consult."""
+    into a :class:`Project`."""
     root = root or repo_root()
     if paths is None:
         paths = sorted((root / "src").rglob("*.py"))
@@ -269,12 +266,7 @@ def load_project(
         else:
             rel = str(p)
         modules.append(Module(rel, p.read_text()))
-    docs: Dict[str, str] = {}
-    for doc_rel in ("docs/OBSERVABILITY.md",):
-        doc_path = root / doc_rel
-        if doc_path.exists():
-            docs[doc_rel] = doc_path.read_text()
-    return Project(modules, docs=docs)
+    return Project(modules)
 
 
 # ----------------------------------------------------------------------

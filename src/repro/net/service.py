@@ -64,7 +64,6 @@ class NetEvent:
 
 class NetStats:
     def __init__(self) -> None:
-        self.connects = 0
         self.accepts = 0
         self.messages_out = 0
         self.messages_in = 0
@@ -165,7 +164,7 @@ class SolrosNetProxy:
         # control RPCs of every attached channel are admitted/dispatched
         # through it instead of a dedicated per-channel server loop.
         self.scheduler = scheduler
-        self.stats = NetStats()
+        self.stats = stats = NetStats()
         self.socks: Dict[int, _ProxySock] = {}
         self.channels: Dict[int, NetChannel] = {}
         self.listeners: Dict[int, _SharedListener] = {}
@@ -176,8 +175,12 @@ class SolrosNetProxy:
         self._worker_core_base = 8
         obs = hub_of(engine)
         self.tracer = obs.tracer
-        self._m_out = obs.metrics.meter("net.outbound")
-        self._m_in = obs.metrics.meter("net.inbound")
+        obs.metrics.view(
+            "net.outbound", lambda: (stats.bytes_out, stats.messages_out)
+        )
+        obs.metrics.view(
+            "net.inbound", lambda: (stats.bytes_in, stats.messages_in)
+        )
 
     # ------------------------------------------------------------------
     # Attachment
@@ -262,9 +265,7 @@ class SolrosNetProxy:
         self, core: Core, phi_index: int, addr: SocketAddr
     ) -> Generator:
         conn = yield from self.host_tcp.connect(core, addr)
-        sock_id = self._register(conn, phi_index)
-        self.stats.connects += 1
-        return sock_id
+        return self._register(conn, phi_index)
 
     def _register(self, conn: Connection, phi_index: int) -> int:
         self._next_sock += 1
@@ -352,7 +353,6 @@ class SolrosNetProxy:
             )
             self.stats.messages_in += 1
             self.stats.bytes_in += nbytes
-            self._m_in.add(nbytes)
         except Interrupt:
             pass
 
@@ -393,7 +393,6 @@ class SolrosNetProxy:
                     self.tracer.end(span)
                     self.stats.messages_out += 1
                     self.stats.bytes_out += nbytes
-                    self._m_out.add(nbytes)
                 elif isinstance(msg, NetClose):
                     psock = self.socks.get(msg.sock_id)
                     if psock is not None:  # None: raced with close
@@ -424,7 +423,6 @@ class SolrosNetProxy:
                 )
                 self.stats.messages_in += 1
                 self.stats.bytes_in += nbytes
-                self._m_in.add(nbytes)
         except Interrupt:
             pass
 

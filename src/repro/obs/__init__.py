@@ -1,11 +1,14 @@
 """``repro.obs`` — end-to-end observability for the Solros stack.
 
-Three pieces:
+Four pieces:
 
+* :mod:`~repro.obs.catalog` — the one declaration of every metric name
+  and span category; the registry and tracer reject anything else.
 * :mod:`~repro.obs.tracer` — request-scoped spans on the simulated
   clock, propagated across the RPC/ring transport as trace contexts.
 * :mod:`~repro.obs.metrics` — counters, gauges, histograms, and rate
-  meters keyed by name and timestamped with ``engine.now``.
+  meters keyed by name and timestamped with ``engine.now``, and
+  views that read a component's own stats at snapshot time.
 * :mod:`~repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   flat metrics JSON, wired into ``python -m repro.bench`` via
   ``--trace-out`` / ``--metrics-out``.
@@ -13,7 +16,8 @@ Three pieces:
 One :class:`ObservabilityHub` per engine holds the tracer and the
 registry; components read it with :func:`hub_of` when they are built.
 
-See ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
+See ``docs/OBSERVABILITY.md`` for the span model and the rendered
+catalog.
 """
 
 from .export import (

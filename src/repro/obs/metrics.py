@@ -2,8 +2,8 @@
 
 Four metric types, all timestamped with ``engine.now``:
 
-* :class:`Counter` — monotonically increasing totals (RPC calls, cache
-  hits, DMA-vs-memcpy decisions).
+* :class:`Counter` — monotonically increasing totals (perf-gate
+  errors; cache hits and DMA-vs-memcpy decisions are views).
 * :class:`Gauge` — point-in-time values with a bounded time series
   (ring occupancy, RPC in-flight depth).  Samples are recorded on
   *change*, not by a polling process: a recurring sampler would keep
@@ -17,24 +17,31 @@ Four metric types, all timestamped with ``engine.now``:
   one place.
 
 All metrics are created lazily by name through
-:class:`MetricsRegistry`; instrumented components cache the metric
-object once (at construction) so the hot path pays one method call.
-A disabled hub hands out :data:`NULL_METRICS` instead, whose metrics
-are one shared no-op object, so that call needs no ``None`` guard.
+:class:`MetricsRegistry`, which accepts a name only as the kind
+:mod:`repro.obs.catalog` declares for it.  Instrumented components
+cache the metric object once (at construction) so the hot path pays
+one method call.  A counter or meter that mirrors a component's own
+stats is a *view* instead (:meth:`MetricsRegistry.view`): it reads
+those fields when a snapshot is taken, so the hot path updates only
+the stats.  A disabled hub hands out :data:`NULL_METRICS` instead,
+whose metrics are one shared no-op object, so no call needs a
+``None`` guard.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim.stats import Histogram, ThroughputMeter
+from .catalog import row_of
 
 __all__ = [
     "Counter",
     "Gauge",
     "HistogramMetric",
     "RateMeter",
+    "View",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_METRIC",
@@ -159,6 +166,28 @@ class RateMeter:
         }
 
 
+class View:
+    """A counter or meter read from its sources when exported: each
+    ``read()`` returns a count, or a meter's ``(bytes, ops)``."""
+
+    __slots__ = ("name", "kind", "reads")
+
+    def __init__(self, name: str, kind: str):
+        self.name = name
+        self.kind = kind
+        self.reads: List[Callable[[], Any]] = []
+
+    @property
+    def value(self) -> int:
+        return sum(read() for read in self.reads)
+
+    def to_dict(self) -> Dict[str, Any]:
+        if self.kind == "counter":
+            return {"type": "counter", "value": self.value}
+        nbytes, nops = map(sum, zip(*(read() for read in self.reads)))
+        return {"type": "meter", "bytes": nbytes, "ops": nops, "intervals": 0}
+
+
 class MetricsRegistry:
     """Name-keyed metric store for one simulation engine."""
 
@@ -167,33 +196,41 @@ class MetricsRegistry:
         self.max_samples = max_samples
         self._metrics: Dict[str, Any] = {}
 
-    def _get(self, name: str, kind, factory):
+    def _get(self, name: str, kind: str, factory):
+        declared = row_of(name).kind
+        if declared != kind:
+            raise TypeError(
+                f"metric {name!r} is declared a {declared}, not a {kind}"
+            )
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}"
-            )
+            metric = self._metrics[name] = factory()
         return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, "counter", lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
         return self._get(
-            name, Gauge, lambda: Gauge(name, self.engine, self.max_samples)
+            name, "gauge", lambda: Gauge(name, self.engine, self.max_samples)
         )
 
     def histogram(self, name: str) -> HistogramMetric:
-        return self._get(name, HistogramMetric, lambda: HistogramMetric(name))
+        return self._get(name, "histogram", lambda: HistogramMetric(name))
 
     def meter(self, name: str) -> RateMeter:
         return self._get(
-            name, RateMeter, lambda: RateMeter(name, self.engine, self.max_samples)
+            name, "meter", lambda: RateMeter(name, self.engine, self.max_samples)
         )
+
+    def view(self, name: str, read: Callable[[], Any]) -> None:
+        """Register counter or meter ``name`` as a view of ``read``.
+        Every source registered under one name adds to its total, as
+        they would all have counted into one shared metric."""
+        kind = row_of(name).kind
+        if kind not in ("counter", "meter"):
+            raise TypeError(f"metric {name!r} is a {kind}: it cannot be a view")
+        self._metrics.setdefault(name, View(name, kind)).reads.append(read)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -245,6 +282,9 @@ class NullRegistry:
         return NULL_METRIC
 
     gauge = histogram = meter = counter
+
+    def view(self, name: str, read) -> None:
+        pass
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {}

@@ -24,13 +24,15 @@ Design constraints:
   (and on ring-buffer slots), mirroring how real distributed tracers
   propagate a trace-context header.
 
-Categories used by the stack (see ``docs/OBSERVABILITY.md``):
+The categories are the six :mod:`repro.obs.catalog` declares:
 ``stub``, ``transport``, ``proxy``, ``fs``, ``device``, ``net``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
+
+from .catalog import CATEGORY_NAMES
 
 __all__ = [
     "Span",
@@ -172,7 +174,13 @@ class Tracer:
         (None starts a new trace — a *root* span).  ``core`` names the
         execution track (for the Perfetto lanes); ``start_ns`` allows
         retroactive spans (e.g. a queue-wait measured at dequeue time).
+        ``category`` must be one :mod:`repro.obs.catalog` declares.
         """
+        if category not in CATEGORY_NAMES:
+            raise ValueError(
+                f"span category {category!r} is not one of "
+                f"{sorted(CATEGORY_NAMES)}"
+            )
         if parent is None:
             self._next_trace += 1
             trace_id = self._next_trace

@@ -167,7 +167,7 @@ class RequestScheduler:
         self.policy = make_policy(config.policy)
         self.source_credits = config.source_credits
         self.record_decisions = config.record_decisions
-        self.stats = SchedStats()
+        self.stats = stats = SchedStats()
         self.decision_log: List[Tuple] = []
         self._outstanding: Dict[str, int] = {}  # queued + in service
         self._channels: Dict[str, Any] = {}
@@ -190,17 +190,16 @@ class RequestScheduler:
         # Metrics only: the RPC serve spans already time scheduled
         # execution.
         self.metrics = metrics = hub_of(engine).metrics
-        self._c_submitted = metrics.counter("sched.submitted")
-        self._c_admitted = metrics.counter("sched.admitted")
-        self._c_rejected = metrics.counter("sched.rejected")
-        self._c_shed = metrics.counter("sched.shed")
+        metrics.view("sched.submitted", lambda: stats.submitted)
+        metrics.view("sched.admitted", lambda: stats.admitted)
+        metrics.view("sched.rejected", lambda: stats.rejected)
+        metrics.view("sched.shed", lambda: stats.shed)
         self._g_depth = metrics.gauge("sched.queue.depth")
         self._g_class_depth = [
             metrics.gauge(f"sched.queue.depth.c{cls}") for cls in (0, 1, 2)
         ]
         self._h_wait = metrics.histogram("sched.wait_ns")
         self._h_service = metrics.histogram("sched.service_ns")
-        self._src_bytes: Dict[str, Any] = {}
         self.pool.start()
 
     # ------------------------------------------------------------------
@@ -235,7 +234,6 @@ class RequestScheduler:
         """Admit ``msg`` or return a rejection verdict (never raises)."""
         now = self.engine.now
         self.stats.submitted += 1
-        self._c_submitted.inc()
         cls = clamp_class(getattr(msg, "priority", 1))
         payload = getattr(msg, "payload", None)
         # 9P data ops carry their I/O size as ``payload.count``; other
@@ -248,7 +246,6 @@ class RequestScheduler:
         verdict = self._admit(source, cls, now)
         if verdict is not None:
             self.stats.rejected += 1
-            self._c_rejected.inc()
             self._log("reject", now, source, cls, verdict.reason)
             return verdict
         seq = self.stats.admitted
@@ -267,7 +264,6 @@ class RequestScheduler:
         self._outstanding[source] = self._outstanding.get(source, 0) + 1
         self.policy.push(req)
         self.stats.admitted += 1
-        self._c_admitted.inc()
         self._gauge_depth(cls)
         self._log("admit", now, source, cls, seq)
         self.pool.wake(cls)
@@ -318,7 +314,6 @@ class RequestScheduler:
         try:
             if req.shed:
                 self.stats.shed += 1
-                self._c_shed.inc()
                 yield from req.channel.reply_error(
                     core,
                     req.msg,
@@ -335,12 +330,10 @@ class RequestScheduler:
             self.stats.completed += 1
             src.requests += 1
             src.bytes += req.cost
-            counter = self._src_bytes.get(req.source)
-            if counter is None:
-                counter = self._src_bytes[req.source] = (
-                    self.metrics.counter(f"sched.src.{req.source}.bytes")
+            if src.requests == 1:
+                self.metrics.view(
+                    f"sched.src.{req.source}.bytes", lambda: src.bytes
                 )
-            counter.inc(req.cost)
         finally:
             self._inflight -= 1
             self._outstanding[req.source] -= 1

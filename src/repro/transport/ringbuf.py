@@ -97,10 +97,8 @@ class RingStats:
         self.dequeues = 0
         self.would_blocks = 0
         self.pcie_tx = 0
-        self.refreshes = 0
         self.dma_copies = 0
         self.memcpy_copies = 0
-        self.bytes_transferred = 0
 
 
 class Slot:
@@ -179,15 +177,15 @@ class RingBuffer:
         self.name = name
         # Both ends run on the master's processor (Fig. 8).
         self._local_ring = sender_cpu is receiver_cpu
-        self.stats = RingStats()
+        self.stats = stats = RingStats()
         # Fault injection (repro.faults); None keeps the hooks dormant.
         self.faults = None
         obs = hub_of(engine)
         metrics = obs.metrics
         self.tracer = obs.tracer
         self._g_occupancy = metrics.gauge(f"ring.{name}.occupancy_bytes")
-        self._c_dma = metrics.counter(f"ring.{name}.copy.dma")
-        self._c_memcpy = metrics.counter(f"ring.{name}.copy.memcpy")
+        metrics.view(f"ring.{name}.copy.dma", lambda: stats.dma_copies)
+        metrics.view(f"ring.{name}.copy.memcpy", lambda: stats.memcpy_copies)
 
         # Functional truth (mutated only inside side-serialized ops).
         self._seq = 0
@@ -272,7 +270,6 @@ class RingBuffer:
         yield self._remote_ctrl_post(core)
 
     def _refresh_head_at_sender(self, core: Core) -> Generator:
-        self.stats.refreshes += 1
         if self._local_ring:
             yield from self._head_cell.load(core)
         else:
@@ -280,7 +277,6 @@ class RingBuffer:
         self._sender_freed_view = self._freed_bytes
 
     def _refresh_tail_at_receiver(self, core: Core) -> Generator:
-        self.stats.refreshes += 1
         if self._local_ring:
             yield from self._tail_cell.load(core)
         else:
@@ -531,7 +527,6 @@ class RingBuffer:
     # Data movement
     # ------------------------------------------------------------------
     def _data_copy(self, core: Core, size: int, into_ring: bool) -> Generator:
-        self.stats.bytes_transferred += size
         side_cpu = self.sender_cpu if into_ring else self.receiver_cpu
         if self.master_cpu is side_cpu:
             # Ring memory is local to this side.
@@ -546,11 +541,9 @@ class RingBuffer:
             )
         if mode == "memcpy":
             self.stats.memcpy_copies += 1
-            self._c_memcpy.inc()
             yield self.fabric.loadstore_copy(core, size)
         elif mode == "dma":
             self.stats.dma_copies += 1
-            self._c_dma.inc()
             if into_ring:
                 src, dst = side_cpu.node, self.master_cpu.node
             else:

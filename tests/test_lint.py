@@ -271,91 +271,6 @@ def test_rpc_conformance_net_op_sets_must_agree(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# obs-conformance
-# ----------------------------------------------------------------------
-_OBS_DOC = """
-## Span categories
-
-| category | meaning |
-| --- | --- |
-| `stub` | co-processor side |
-| `proxy` | host side |
-
-## Metric catalog
-
-| metric | type |
-| --- | --- |
-| `sched.submitted` | counter |
-| `ring.<name>.bytes` | counter |
-"""
-
-
-def _write_obs_doc(tmp_path):
-    p = tmp_path / "docs" / "OBSERVABILITY.md"
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(_OBS_DOC)
-
-
-def test_obs_conformance_accepts_documented_names(tmp_path):
-    _write_obs_doc(tmp_path)
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/obs_use.py": """
-            def setup(metrics, tracer, core, name):
-                metrics.counter("sched.submitted")
-                metrics.counter(f"ring.{name}.bytes")
-                tracer.begin("fs.open", "stub", core=core)
-                span = tracer.root("fs.open", "stub", core=core)
-                tracer.child("rpc.9p", "stub", span, core=core)
-        """,
-    }, rules=["obs-conformance"])
-    assert findings == []
-
-
-def test_obs_conformance_flags_undocumented_and_misnamed(tmp_path):
-    _write_obs_doc(tmp_path)
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/obs_use.py": """
-            def setup(metrics, tracer, core):
-                metrics.counter("Sched.Bad")
-                metrics.counter("sched.unknown")
-                tracer.begin("fs.open", "bogus", core=core)
-        """,
-    }, rules=["obs-conformance"])
-    messages = " | ".join(f.message for f in findings)
-    assert len(findings) == 3
-    assert "naming scheme" in messages
-    assert "not documented" in messages
-    assert "span category 'bogus'" in messages
-
-
-def test_obs_conformance_reads_root_and_child_categories(tmp_path):
-    _write_obs_doc(tmp_path)
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/obs_use.py": """
-            def op(tracer, core, ctx):
-                span = tracer.root("fs.open", "rootcat", core=core)
-                tracer.child("rpc.9p", "childcat", ctx, core=core)
-                return span
-        """,
-    }, rules=["obs-conformance"])
-    assert sorted(f.message.split("'")[1] for f in findings) == [
-        "childcat", "rootcat",
-    ]
-
-
-def test_obs_conformance_without_doc_only_checks_naming(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/obs_use.py": """
-            def setup(metrics):
-                metrics.counter("anything.goes")
-                metrics.counter("But.Not.This")
-        """,
-    }, rules=["obs-conformance"])
-    assert len(findings) == 1
-    assert "naming scheme" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # lock-phase
 # ----------------------------------------------------------------------
 def test_lock_phase_flags_leaked_and_unmatched(tmp_path):

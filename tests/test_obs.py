@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import SolrosConfig, SolrosSystem
 from repro.obs import (
+    NULL_METRICS,
     NULL_TRACER,
     Counter,
     Gauge,
@@ -153,29 +154,29 @@ def test_root_child_helpers_and_ctx_of():
 def test_registry_creates_and_reuses_by_name():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    c = reg.counter("rpc.calls")
-    g = reg.gauge("ring.occ")
-    h = reg.histogram("batch")
-    m = reg.meter("net.out")
+    c = reg.counter("faults.rpc.retries")
+    g = reg.gauge("ring.r.occupancy_bytes")
+    h = reg.histogram("combining.q.batch")
+    m = reg.meter("rpc.r.calls")
     assert isinstance(c, Counter) and isinstance(g, Gauge)
     assert isinstance(h, HistogramMetric) and isinstance(m, RateMeter)
-    assert reg.counter("rpc.calls") is c
-    assert len(reg) == 4 and "ring.occ" in reg
+    assert reg.counter("faults.rpc.retries") is c
+    assert len(reg) == 4 and "ring.r.occupancy_bytes" in reg
     with pytest.raises(TypeError):
-        reg.gauge("rpc.calls")
+        reg.gauge("faults.rpc.retries")
 
 
 def test_counter_and_gauge_semantics():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    c = reg.counter("hits")
+    c = reg.counter("faults.rpc.retries")
     c.inc()
     c.inc(4)
     assert c.value == 5
     with pytest.raises(ValueError):
         c.inc(-1)
 
-    g = reg.gauge("depth")
+    g = reg.gauge("sched.queue.depth")
 
     def proc(eng):
         g.set(3)
@@ -192,7 +193,7 @@ def test_counter_and_gauge_semantics():
 def test_rate_meter_ticks_on_sim_clock():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    meter = reg.meter("io")
+    meter = reg.meter("rpc.io.calls")
 
     def proc(eng):
         meter.add(nbytes=2000, nops=2)
@@ -209,15 +210,37 @@ def test_rate_meter_ticks_on_sim_clock():
 def test_snapshot_is_json_ready():
     eng = Engine()
     reg = MetricsRegistry(eng)
-    reg.counter("a").inc()
-    reg.gauge("b").set(1.5)
-    reg.histogram("c").record(10)
-    reg.meter("d").add(nbytes=100)
+    a, b = "faults.rpc.retries", "sched.queue.depth"
+    c, d = "sched.wait_ns", "rpc.d.calls"
+    reg.counter(a).inc()
+    reg.gauge(b).set(1.5)
+    reg.histogram(c).record(10)
+    reg.meter(d).add(nbytes=100)
     snap = reg.snapshot()
-    assert set(snap) == {"a", "b", "c", "d"}
-    assert snap["a"]["type"] == "counter"
-    assert snap["c"]["count"] == 1
+    assert set(snap) == {a, b, c, d}
+    assert snap[a]["type"] == "counter"
+    assert snap[c]["count"] == 1
     json.dumps(snap)  # must not raise
+
+
+def test_views_read_their_sources_at_snapshot():
+    eng = Engine()
+    reg = MetricsRegistry(eng)
+    ops = {"a": 0, "b": 0}
+    traffic = [0, 0]
+    reg.view("sched.submitted", lambda: ops["a"])
+    # A second source under one name adds to the same total.
+    reg.view("sched.submitted", lambda: ops["b"])
+    reg.view("net.inbound", lambda: tuple(traffic))
+    ops["a"], ops["b"], traffic[:] = 2, 3, [640, 10]
+    assert reg.counter("sched.submitted").value == 5
+    # The same export as the counter and meter they stand for.
+    assert reg.snapshot() == {
+        "net.inbound": {"type": "meter", "bytes": 640, "ops": 10, "intervals": 0},
+        "sched.submitted": {"type": "counter", "value": 5},
+    }
+    assert NULL_METRICS.view("sched.submitted", lambda: 1) is None
+    assert NULL_METRICS.snapshot() == {}
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +254,7 @@ def test_chrome_trace_document_shape():
     def proc(eng):
         root = tracer.begin("req", "stub")
         yield 2000
-        reg.gauge("depth").set(1)
+        reg.gauge("sched.queue.depth").set(1)
         yield 500
         tracer.end(root)
 
@@ -250,7 +273,7 @@ def test_chrome_trace_document_shape():
     json.dumps(doc)
 
     mdoc = metrics_json([("sim", reg)])
-    assert mdoc["sim"]["depth"]["value"] == 1
+    assert mdoc["sim"]["sched.queue.depth"]["value"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ record into its hub from construction on, with no wiring call, and a
 disabled hub hands every component the same no-op tracer and metrics.
 """
 
+from repro.bench.perfgate.suite import export_to_obs
 from repro.core import SolrosConfig, SolrosSystem
 from repro.faults import FaultPlan
 from repro.fs.vfs import O_BUFFER, O_CREAT, O_RDWR
@@ -10,6 +11,7 @@ from repro.hw import build_machine
 from repro.net import ContentBasedBalancer, SocketAddr
 from repro.net.testbed import NetTestbed
 from repro.obs import NULL_METRICS, NULL_TRACER, ObservabilityHub, hub_of
+from repro.obs.catalog import METRICS, row_of
 from repro.obs.metrics import NULL_METRIC
 from repro.sched import SchedConfig
 from repro.sim import Engine
@@ -149,6 +151,66 @@ def test_traced_system_registers_the_pinned_metric_names():
     assert system.obs.metrics.names() == TRACED_SYSTEM_METRICS
 
 
+def test_every_catalog_row_has_an_emitter():
+    """A row no component registers is stale: the traced system and the
+    perf gate's registry mirror together register every one."""
+    eng, system, tb, _proxy, api = _full_system(trace=True)
+    _fs_ops_and_one_echo(eng, system, tb, api)
+    perfgate = export_to_obs({
+        "metrics": {"fs.read.p2p.gbps": {"value": 1.0}},
+        "errors": {"fs_read_p2p": "boom"},
+    })
+    names = system.obs.metrics.names() + perfgate.names()
+    emitted = {row_of(name) for name in names}
+    assert [row.pattern for row in METRICS if row not in emitted] == []
+
+
+def test_views_export_their_stats_fields():
+    eng, system, tb, proxy, api = _full_system(trace=True)
+    _fs_ops_and_one_echo(eng, system, tb, api)
+    control = system.control
+    cache, fs = control.cache.stats, control.fs_proxy.stats
+    sched, net = control.scheduler.stats, proxy.stats
+    channel = proxy.channels[0]
+    rings = [
+        system.dataplane(0).fs_channel.request_ring,
+        system.dataplane(0).fs_channel.response_ring,
+        channel.rpc.request_ring, channel.rpc.response_ring,
+        channel.inbound, channel.outbound,
+    ]
+    expected = {
+        "cache.hits": cache.hits,
+        "cache.misses": cache.misses,
+        "proxy.path.p2p": fs.p2p_reads + fs.p2p_writes,
+        "proxy.path.buffered": fs.buffered_reads + fs.buffered_writes,
+        "sched.submitted": sched.submitted,
+        "sched.admitted": sched.admitted,
+        "sched.rejected": sched.rejected,
+        "sched.shed": sched.shed,
+        **{
+            f"sched.src.{name}.bytes": src.bytes
+            for name, src in sched.per_source.items()
+        },
+        **{f"ring.{r.name}.copy.dma": r.stats.dma_copies for r in rings},
+        **{f"ring.{r.name}.copy.memcpy": r.stats.memcpy_copies for r in rings},
+        **control.faults.counts,
+    }
+    snap = system.obs.metrics.snapshot()
+    assert {name: snap[name]["value"] for name in expected} == expected
+    assert snap["net.inbound"] == {
+        "type": "meter", "bytes": net.bytes_in, "ops": net.messages_in,
+        "intervals": 0,
+    }
+    assert snap["net.outbound"] == {
+        "type": "meter", "bytes": net.bytes_out, "ops": net.messages_out,
+        "intervals": 0,
+    }
+    # Both paths and every scheduled source saw work, so a view wired
+    # to the wrong field or registered twice reads a different number.
+    assert fs.p2p_writes and fs.buffered_reads and sched.submitted
+    assert all(src.bytes for src in sched.per_source.values())
+
+
 def test_bare_rpc_channel_records_into_its_engines_hub():
     eng = Engine()
     hub = ObservabilityHub(eng)
@@ -196,14 +258,10 @@ def test_disabled_hub_hands_out_shared_null_objects():
     assert all(t is NULL_TRACER for t in tracers)
     metrics = [
         system.machine.nvme._h_cmd_bytes, channel._m_calls,
-        channel._g_inflight, ring._g_occupancy, ring._c_dma,
+        channel._g_inflight, ring._g_occupancy,
         ring._enq_side._h_batch, control.cache._g_resident,
-        control.cache._c_hits, control.fs_proxy._c_p2p,
-        control.scheduler._c_submitted, control.scheduler._h_wait,
-        control.scheduler.pool._g_workers,
-        control.faults._counters["faults.rpc.timeouts"],
+        control.scheduler._h_wait, control.scheduler.pool._g_workers,
         control.fs_proxy.breaker("nvme0")._g_state,
-        proxy._m_in, proxy._m_out,
     ]
     assert all(m is NULL_METRIC for m in metrics)
     assert hub.metrics.snapshot() == {}
@@ -292,5 +350,5 @@ def test_net_inbound_meter_counts_content_balanced_first_requests():
     assert proc.ok
     inbound = system.obs.metrics.get("net.inbound")
     assert proxy.stats.messages_in >= 4
-    assert inbound.meter.ops == proxy.stats.messages_in
-    assert inbound.meter.bytes == proxy.stats.bytes_in
+    assert inbound.to_dict()["ops"] == proxy.stats.messages_in
+    assert inbound.to_dict()["bytes"] == proxy.stats.bytes_in
