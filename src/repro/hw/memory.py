@@ -24,10 +24,10 @@ themselves are exchanged functionally (real algorithm, simulated time).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Union
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from ..lint.sanitize import SANITIZER
-from ..sim.engine import Engine, Event
+from ..sim.engine import Delay, Engine, Event
 from .params import CpuParams
 
 __all__ = ["MemCell", "CoherenceStats", "STORE", "SWAP", "CAS", "FAA"]
@@ -120,21 +120,23 @@ class MemCell:
         but still collapse relative to MCS handoff.
         """
         params = self.params
-        if core is self._owner or core in self._sharers:
-            self.stats.local_hits += 1
+        if self._load_hit(core):
             yield params.l1_ns
         else:
-            self.stats.line_transfers += 1
-            yield self._acquire()
+            if self._busy:
+                yield self._queue_transfer()
+            else:
+                self._busy = True
+                yield 0
             try:
                 yield params.line_share_ns
             finally:
-                self._release()
+                if self._waiters:
+                    self._hand_off()
+                else:
+                    self._busy = False
             yield params.line_transfer_ns - params.line_share_ns
-            if self._sharers:
-                self._sharers.add(core)
-            else:
-                self._sharers = {core}
+            self._add_sharer(core)
         return self._value
 
     def store(self, core: Any, value: Any) -> Generator:
@@ -172,39 +174,23 @@ class MemCell:
         alone, else a line transfer; an atomic adds ``atomic_extra_ns``.
         Everything but a plain local write holds the line.
         """
-        params = self.params
-        stats = self.stats
-        local = self._owner is core and not self._sharers
-        if local:
-            stats.local_hits += 1
-            cost = params.l1_ns
-        else:
-            stats.line_transfers += 1
-            cost = params.line_transfer_ns
-        if op != STORE:
-            stats.atomics += 1
-            cost += params.atomic_extra_ns
-        if local and op == STORE:
+        cost = self._exclusive_cost(core, op)
+        if op == STORE and self._owner is core and not self._sharers:
             yield cost  # pure local write: no line serialization
         else:
-            yield self._acquire()
+            if self._busy:
+                yield self._queue_transfer()
+            else:
+                self._busy = True
+                yield 0
             try:
                 yield cost
             finally:
-                self._release()
-        self._owner = core
-        self._sharers = _NO_SHARERS
-        value = self._value
-        if op == CAS:
-            if value != expected:
-                return False
-            result = True
-        else:
-            result = None if op == STORE else value
-        self._value = value + arg if op == FAA else arg
-        if self._watchers:
-            self._wake_watchers()
-        return result
+                if self._waiters:
+                    self._hand_off()
+                else:
+                    self._busy = False
+        return self._apply(core, op, arg, expected)
 
     def wait_until(self, core: Any, predicate: Callable[[Any], bool]) -> Generator:
         """Spin until ``predicate(value)`` holds; returns the value.
@@ -235,25 +221,75 @@ class MemCell:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _acquire(self) -> Union[int, Event]:
-        """Something to ``yield`` that resumes once the line is this
-        transfer's: ``0`` if it is free, else an event queued behind
-        the transfers already waiting."""
-        if not self._busy:
-            self._busy = True
-            return 0
+    # The coherence rules, as plain calls: the generators above and
+    # callers that run a line op in their own frame (the combining
+    # queue's tail and request lines) share them.  A caller grants a
+    # free line itself (``_busy = True``, then ``yield 0``) and frees
+    # it when no transfer waits (``_busy = False``); the busy cases go
+    # through ``_queue_transfer`` and ``_hand_off``.
+    def _load_hit(self, core: Any) -> bool:
+        """Whether ``core`` holds a copy of the line; counts the load
+        as a local hit or a line transfer."""
+        if core is self._owner or core in self._sharers:
+            self.stats.local_hits += 1
+            return True
+        self.stats.line_transfers += 1
+        return False
+
+    def _add_sharer(self, core: Any) -> None:
+        """Record the read copy a load that missed brought in."""
+        if self._sharers:
+            self._sharers.add(core)
+        else:
+            self._sharers = {core}
+
+    def _exclusive_cost(self, core: Any, op: int) -> Delay:
+        """Count an exclusive op in the stats; returns its cost: an L1
+        hit when ``core`` already holds the line alone, else a line
+        transfer, plus ``atomic_extra_ns`` for an atomic."""
+        params = self.params
+        stats = self.stats
+        if self._owner is core and not self._sharers:
+            stats.local_hits += 1
+            cost = params.l1_ns
+        else:
+            stats.line_transfers += 1
+            cost = params.line_transfer_ns
+        if op != STORE:
+            stats.atomics += 1
+            cost += params.atomic_extra_ns
+        return cost
+
+    def _apply(self, core: Any, op: int, arg: Any, expected: Any) -> Any:
+        """Take the line for ``core`` and apply ``op``; returns the op's
+        result.  A failed CAS leaves the value alone and wakes no
+        spinner."""
+        self._owner = core
+        self._sharers = _NO_SHARERS
+        value = self._value
+        if op == CAS:
+            if value != expected:
+                return False
+            result = True
+        else:
+            result = None if op == STORE else value
+        self._value = value + arg if op == FAA else arg
+        if self._watchers:
+            self._wake_watchers()
+        return result
+
+    def _queue_transfer(self) -> Event:
+        """An event that fires once the busy line is this transfer's,
+        queued behind the transfers already waiting."""
         ev = Event(self.engine)
         if self._waiters is None:
             self._waiters = deque()
         self._waiters.append(ev)
         return ev
 
-    def _release(self) -> None:
-        """Hand the line to the oldest waiting transfer, or free it."""
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._busy = False
+    def _hand_off(self) -> None:
+        """Hand the line to the oldest waiting transfer."""
+        self._waiters.popleft().succeed()
 
     def _wake_watchers(self) -> None:
         watchers, self._watchers = self._watchers, None

@@ -233,16 +233,14 @@ class NvmeDevice:
                 yield extra_ns
             if cmd.op == "read":
                 yield p.read_latency_ns
-                links = [self._read_bus] + self.fabric.path_links(
-                    self.node, cmd.target
+                yield from self.fabric.transfer_via(
+                    self._read_bus, self.node, cmd.target, cmd.nbytes
                 )
-                yield from self.fabric.transfer_links(links, cmd.nbytes)
                 self.stats.bytes_read += cmd.nbytes
             else:
-                links = [self._write_bus] + self.fabric.path_links(
-                    cmd.target, self.node
+                yield from self.fabric.transfer_via(
+                    self._write_bus, cmd.target, self.node, cmd.nbytes
                 )
-                yield from self.fabric.transfer_links(links, cmd.nbytes)
                 yield p.write_latency_ns
                 self.stats.bytes_written += cmd.nbytes
         finally:

@@ -57,7 +57,8 @@ class Fabric:
         self.engine = engine
         self.params = params or PcieParams()
         self._nodes: Dict[str, NodeInfo] = {}
-        # (src, dst) -> the transfer route (see _route), built on first use.
+        # (src, dst), or (bus, src, dst) for transfer_via -> the transfer
+        # route (see _route), built on first use.
         self._routes: Dict[tuple, tuple] = {}
         p = self.params
         # Root complexes (host RAM lives here).
@@ -226,18 +227,23 @@ class Fabric:
             route = self._routes[(src, dst)] = _route(self.path_links(src, dst))
         return _move(route, nbytes, rate_scale)
 
-    def transfer_links(
+    def transfer_via(
         self,
-        links: List[BandwidthLink],
+        bus: BandwidthLink,
+        src: str,
+        dst: str,
         nbytes: int,
         rate_scale: float = 1.0,
     ) -> Generator:
-        """Cut-through transfer over an explicit link list.
-
-        Used directly by devices that add internal buses (e.g. the NVMe
-        flash channels) to the PCIe path.
-        """
-        return _move(_route(links), nbytes, rate_scale)
+        """Cut-through transfer src → dst that also occupies ``bus``, a
+        device's internal link (e.g. the NVMe flash channels).  Like
+        :meth:`transfer`, the route is built once per ``(bus, src,
+        dst)``: links are static."""
+        key = (bus, src, dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = _route([bus] + self.path_links(src, dst))
+        return _move(route, nbytes, rate_scale)
 
 
 def _route(links: List[BandwidthLink]) -> tuple:

@@ -79,6 +79,13 @@ class CombiningQueue:
     combiner — possibly the caller itself — has run it.  Op generators
     receive the executing (combiner) core and run serially, so they may
     freely mutate shared Python state between their own yields.
+
+    The queue's own line operations (the tail ``SWAP`` that joins, the
+    loads of the requests' ``next`` pointers, the tail ``CAS`` that
+    closes) run in ``execute``'s frame through ``MemCell``'s rule
+    helpers, with the same yields and state changes as the ``MemCell``
+    generators.  Ops on other requests' lines (link, status) still go
+    through those generators.
     """
 
     def __init__(
@@ -114,9 +121,22 @@ class CombiningQueue:
         result.  A combiner runs the op as ``op(combiner_core, *args)``."""
         cpu = self.cpu
         req = _Request(cpu, self._next_name, op, args)
-        prev: Optional[_Request] = yield from self._tail.exclusive(
-            core, SWAP, req, None
-        )
+        # Join: the tail SWAP, as MemCell.exclusive runs it.
+        tail = self._tail
+        cost = tail._exclusive_cost(core, SWAP)
+        if tail._busy:
+            yield tail._queue_transfer()
+        else:
+            tail._busy = True
+            yield 0
+        try:
+            yield cost
+        finally:
+            if tail._waiters:
+                tail._hand_off()
+            else:
+                tail._busy = False
+        prev: Optional[_Request] = tail._apply(core, SWAP, req, None)
         if prev is not None:
             req.status = MemCell(
                 cpu.engine, cpu.params, _WAITING, self._status_name, cpu.coherence
@@ -135,6 +155,7 @@ class CombiningQueue:
         # Combiner role: run our op, then our successors' ops.
         stats = self.stats
         stats.batches += 1
+        params = cpu.params
         current = req
         processed = 0
         while True:
@@ -145,13 +166,41 @@ class CombiningQueue:
             current.result = yield from current.op(core, *current.args)
             processed += 1
 
-            successor = yield from current.load(core)
+            # Load current's ``next`` pointer, as MemCell.load runs it.
+            if current._load_hit(core):
+                yield params.l1_ns
+            else:
+                if current._busy:
+                    yield current._queue_transfer()
+                else:
+                    current._busy = True
+                    yield 0
+                try:
+                    yield params.line_share_ns
+                finally:
+                    if current._waiters:
+                        current._hand_off()
+                    else:
+                        current._busy = False
+                yield params.line_transfer_ns - params.line_share_ns
+                current._add_sharer(core)
+            successor = current._value
             if successor is None:
-                # Try to close the queue.
-                closed = yield from self._tail.exclusive(
-                    core, CAS, None, current
-                )
-                if closed:
+                # Try to close the queue: the tail CAS.
+                cost = tail._exclusive_cost(core, CAS)
+                if tail._busy:
+                    yield tail._queue_transfer()
+                else:
+                    tail._busy = True
+                    yield 0
+                try:
+                    yield cost
+                finally:
+                    if tail._waiters:
+                        tail._hand_off()
+                    else:
+                        tail._busy = False
+                if tail._apply(core, CAS, None, current):
                     if current is not req:
                         yield from current.status.exclusive(
                             core, STORE, _DONE, None

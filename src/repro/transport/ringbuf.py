@@ -150,7 +150,20 @@ class _LockedSide:
 
 
 class RingBuffer:
-    """A fixed-size, variable-element ring buffer over PCIe."""
+    """A fixed-size, variable-element ring buffer over PCIe.
+
+    Each side of a message runs in one generator frame: ``send`` and
+    ``try_enqueue`` are ``_enqueue``, and ``recv``, ``try_dequeue``
+    and ``dequeue_blocking`` are ``_dequeue``.  Below that frame are
+    only the side's combining pass (or MCS lock) and, for a DMA copy,
+    ``Fabric.dma_copy``.  Each Figure 5 phase is a pair of plain
+    helpers around one ``yield``: a start (``_copy_start``,
+    ``_ready_start``, ``_done_start``) and an end (``_copy_in_end``,
+    ``_ready_end``, ``_done_end``).  ``send``/``recv`` and the
+    decoupled ``copy_to``/``set_ready``/``copy_from``/``set_done``
+    share them, so both ways through a phase take the same time and
+    make the same checks.
+    """
 
     def __init__(
         self,
@@ -269,19 +282,13 @@ class RingBuffer:
         self._sender_freed_view = self._freed_bytes
         yield self._remote_ctrl_post(core)
 
-    def _refresh_head_at_sender(self, core: Core) -> Generator:
+    def _read_ctrl(self, core: Core, cell) -> Generator:
+        """Read the other side's original control variable ``cell``: a
+        load of the line on a local ring, else one PCIe read.  The
+        caller then refreshes its replica."""
         if self._local_ring:
-            yield from self._head_cell.load(core)
-        else:
-            yield from self._remote_ctrl_tx(core)
-        self._sender_freed_view = self._freed_bytes
-
-    def _refresh_tail_at_receiver(self, core: Core) -> Generator:
-        if self._local_ring:
-            yield from self._tail_cell.load(core)
-        else:
-            yield from self._remote_ctrl_tx(core)
-        self._recv_visible_seq = self._seq
+            return cell.load(core)
+        return self._remote_ctrl_tx(core)
 
     # ------------------------------------------------------------------
     # Enqueue path (sender side)
@@ -289,32 +296,63 @@ class RingBuffer:
     def try_enqueue(self, core: Core, size: int, ctx=None) -> Generator:
         """Reserve a slot for ``size`` bytes; None when the ring is full
         (the paper's EWOULDBLOCK)."""
+        return self._enqueue(core, size, ctx, None, send=False)
+
+    def _enqueue(
+        self, core: Core, size: int, ctx, data: Any, send: bool
+    ) -> Generator:
+        """The sender's side of one message, in one frame: reserve a
+        slot and return it.  With ``send``, wait while the ring is full,
+        then fill the slot with ``data`` and ready it (the phases of
+        ``copy_to`` and ``set_ready``); else return None when full."""
         if size <= 0:
             raise SimError(f"element size must be positive: {size}")
         if size + self.policy.header_bytes > self.capacity:
             raise SimError(f"element larger than ring: {size}")
-        span = self.tracer.child(
-            "rb.enqueue", "transport", ctx, core=core, ring=self.name,
-            size=size,
-        )
-        yield core.compute(RB_OP_WORK_UNITS, "branchy")
-        if self.faults is not None:
-            # Transient slot stall: the producer loses the slot for a
-            # while (SMI / preemption) before the reservation runs.
-            stall = self.faults.ring_stall(self.name)
-            if stall:
-                yield stall
-        result = yield from self._enq_side.execute(
-            core, self._enqueue_op, size, ctx=ctx
-        )
-        if result is _WOULD_BLOCK:
+        tracer = self.tracer
+        while True:
+            span = tracer.child(
+                "rb.enqueue", "transport", ctx, core=core, ring=self.name,
+                size=size,
+            )
+            yield core.compute(RB_OP_WORK_UNITS, "branchy")
+            if self.faults is not None:
+                # Transient slot stall: the producer loses the slot for
+                # a while (SMI / preemption) before the reservation runs.
+                stall = self.faults.ring_stall(self.name)
+                if stall:
+                    yield stall
+            slot = yield from self._enq_side.execute(
+                core, self._enqueue_op, size, ctx=ctx
+            )
+            if slot is not _WOULD_BLOCK:
+                break
             self.stats.would_blocks += 1
-            self.tracer.end(span, would_block=True)
-            return None
-        result.trace = ctx
+            tracer.end(span, would_block=True)
+            if not send:
+                return None
+            # Full: sleep until a consumer frees space, wait one poll
+            # interval and try again.
+            ev = self.engine.event()
+            self._space_waiters.append(ev)
+            used = self._enqueued_bytes - self._freed_bytes
+            if used + size + self.policy.header_bytes <= self.capacity:
+                self._wake(self._space_waiters)
+            yield ev
+            yield self.policy.poll_interval_ns
+        slot.trace = ctx
         self._set_occupancy()
-        self.tracer.end(span)
-        return result
+        tracer.end(span)
+        if send:
+            span, copy = self._copy_start(core, slot, into_ring=True)
+            if type(copy) is int:
+                yield copy
+            else:
+                yield from copy
+            self._copy_in_end(slot, data, span)
+            yield self._ready_start(core, slot)
+            self._ready_end(core, slot)
+        return slot
 
     def _enqueue_op(self, core: Core, size: int) -> Generator:
         yield core.compute(RB_ENQ_COMBINER_UNITS, "scalar")
@@ -328,7 +366,8 @@ class RingBuffer:
             self._sender_freed_view = self._freed_bytes
         if self._enqueued_bytes - self._sender_freed_view + need > self.capacity:
             # Appears full: synchronize the head replica and re-check.
-            yield from self._refresh_head_at_sender(core)
+            yield from self._read_ctrl(core, self._head_cell)
+            self._sender_freed_view = self._freed_bytes
             if (
                 self._enqueued_bytes - self._sender_freed_view + need
                 > self.capacity
@@ -352,45 +391,32 @@ class RingBuffer:
 
     def copy_to(self, core: Core, slot: Slot, data: Any) -> Generator:
         """Fill the reserved slot (rb_copy_to_rb_buf)."""
-        if slot.state != _RESERVED:
-            raise SimError(f"copy_to on {slot.state} slot")
-        span = self.tracer.child(
-            "rb.copy_in", "transport", slot.trace, core=core, ring=self.name,
-            size=slot.size,
-        )
-        yield from self._data_copy(core, slot.size, into_ring=True)
-        slot.data = data
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_copy(self, slot.seq)
-        self.tracer.end(span)
+        span, copy = self._copy_start(core, slot, into_ring=True)
+        if type(copy) is int:
+            yield copy
+        else:
+            yield from copy
+        self._copy_in_end(slot, data, span)
 
     def set_ready(self, core: Core, slot: Slot) -> Generator:
         """Mark the slot dequeueable (rb_set_ready)."""
-        if slot.state != _RESERVED:
-            raise SimError(f"set_ready on {slot.state} slot")
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_phase(self, slot.seq, "ready")
-        yield self._slot_header_write(core, writer_is_sender=True)
-        slot.state = _READY
-        # Queued-residency span: open now, ended when the receiver
-        # claims the slot in try_dequeue.
-        slot.qspan = self.tracer.child(
-            "rb.queued", "transport", slot.trace, core=core, ring=self.name,
-            size=slot.size,
-        )
-        self._wake(self._data_waiters)
+        yield self._ready_start(core, slot)
+        self._ready_end(core, slot)
 
     # ------------------------------------------------------------------
     # Dequeue path (receiver side)
     # ------------------------------------------------------------------
     def try_dequeue(self, core: Core) -> Generator:
         """Claim the oldest ready slot; None when empty."""
-        return self._claim(core, block=False)
+        return self._dequeue(core, block=False, recv=False)
 
-    def _claim(self, core: Core, block: bool) -> Generator:
-        """Claim the oldest ready slot.  When the ring looks empty,
+    def _dequeue(self, core: Core, block: bool, recv: bool) -> Generator:
+        """The receiver's side of one message, in one frame: claim the
+        oldest ready slot and return it.  When the ring looks empty,
         return None, or with ``block`` sleep until a producer readies a
-        slot, wait one poll interval and try again."""
+        slot, wait one poll interval and try again.  With ``recv``,
+        copy the payload out and release the slot (the phases of
+        ``copy_from`` and ``set_done``), and return the payload."""
         while True:
             yield core.compute(RB_OP_WORK_UNITS, "branchy")
             if self.faults is not None:
@@ -398,8 +424,8 @@ class RingBuffer:
                 stall = self.faults.ring_stall(self.name)
                 if stall:
                     yield stall
-            result = yield from self._deq_side.execute(core, self._dequeue_op)
-            if result is not _WOULD_BLOCK:
+            slot = yield from self._deq_side.execute(core, self._dequeue_op)
+            if slot is not _WOULD_BLOCK:
                 break
             self.stats.would_blocks += 1
             if not block:
@@ -411,10 +437,20 @@ class RingBuffer:
                 self._wake(self._data_waiters)
             yield ev
             yield self.policy.poll_interval_ns  # poll granularity
-        if result.qspan is not None:
-            self.tracer.end(result.qspan, claimed_by=f"c{core.cid}")
-            result.qspan = None
-        return result
+        if slot.qspan is not None:
+            self.tracer.end(slot.qspan, claimed_by=f"c{core.cid}")
+            slot.qspan = None
+        if not recv:
+            return slot
+        span, copy = self._copy_start(core, slot, into_ring=False)
+        if type(copy) is int:
+            yield copy
+        else:
+            yield from copy
+        self.tracer.end(span)
+        yield self._done_start(core, slot)
+        self._done_end(slot)
+        return slot.data
 
     def _dequeue_op(self, core: Core) -> Generator:
         yield core.compute(RB_DEQ_COMBINER_UNITS, "scalar")
@@ -423,7 +459,8 @@ class RingBuffer:
                 yield from self._remote_ctrl_tx(core)
             self._recv_visible_seq = self._seq
         if not self._head_ready():
-            yield from self._refresh_tail_at_receiver(core)
+            yield from self._read_ctrl(core, self._tail_cell)
+            self._recv_visible_seq = self._seq
             if not self._head_ready():
                 return _WOULD_BLOCK
         slot = self._to_dequeue.popleft()
@@ -447,23 +484,132 @@ class RingBuffer:
 
     def copy_from(self, core: Core, slot: Slot) -> Generator:
         """Copy the payload out (rb_copy_from_rb_buf); returns it."""
-        if slot.state != _CONSUMED:
-            raise SimError(f"copy_from on {slot.state} slot")
-        span = self.tracer.child(
-            "rb.copy_out", "transport", slot.trace, core=core, ring=self.name,
-            size=slot.size,
-        )
-        yield from self._data_copy(core, slot.size, into_ring=False)
+        span, copy = self._copy_start(core, slot, into_ring=False)
+        if type(copy) is int:
+            yield copy
+        else:
+            yield from copy
         self.tracer.end(span)
         return slot.data
 
     def set_done(self, core: Core, slot: Slot) -> Generator:
         """Release the slot's space (rb_set_done)."""
+        yield self._done_start(core, slot)
+        self._done_end(slot)
+
+    # ------------------------------------------------------------------
+    # Blocking conveniences
+    # ------------------------------------------------------------------
+    def send(self, core: Core, data: Any, size: int, ctx=None) -> Generator:
+        """Enqueue + copy + ready, waiting while the ring is full;
+        returns the slot."""
+        return self._enqueue(core, size, ctx, data, send=True)
+
+    def dequeue_blocking(self, core: Core) -> Generator:
+        """Claim the next slot, waiting while the ring is empty.
+
+        The caller is responsible for ``copy_from`` + ``set_done`` —
+        this is the §4.4.2 event-dispatcher pattern, where a single
+        thread claims slots and application threads copy in parallel.
+        """
+        return self._dequeue(core, block=True, recv=False)
+
+    def recv(self, core: Core) -> Generator:
+        """Dequeue + copy + done, waiting while the ring is empty;
+        returns the payload."""
+        return self._dequeue(core, block=True, recv=True)
+
+    def _wake(self, waiters: list) -> None:
+        pending, waiters[:] = waiters[:], []
+        for ev in pending:
+            if not ev.triggered:
+                ev.succeed()
+
+    # ------------------------------------------------------------------
+    # Slot phases (Figure 5), as plain calls.  Each phase is a start
+    # (check the slot, open its span, return the delay), the caller's
+    # ``yield`` of that delay, and an end (the state change).  The
+    # decoupled calls and the one-frame send/recv share these helpers.
+    # ------------------------------------------------------------------
+    def _copy_start(self, core: Core, slot: Slot, into_ring: bool):
+        """The start of ``copy_to`` (``into_ring``) or ``copy_from``:
+        check the slot and open the copy's span.  Returns the span and
+        the copy: a delay to ``yield``, or for a DMA copy the
+        ``Fabric.dma_copy`` generator to ``yield from``."""
+        if into_ring:
+            if slot.state != _RESERVED:
+                raise SimError(f"copy_to on {slot.state} slot")
+            name, side_cpu = "rb.copy_in", self.sender_cpu
+        else:
+            if slot.state != _CONSUMED:
+                raise SimError(f"copy_from on {slot.state} slot")
+            name, side_cpu = "rb.copy_out", self.receiver_cpu
+        size = slot.size
+        span = self.tracer.child(
+            name, "transport", slot.trace, core=core, ring=self.name,
+            size=size,
+        )
+        if self.master_cpu is side_cpu:
+            # Ring memory is local to this side.
+            return span, core.memcpy_local(size)
+        mode = self.policy.copy_mode
+        if mode == "adaptive":
+            mode = (
+                "memcpy"
+                if size < core.params.adaptive_copy_threshold
+                else "dma"
+            )
+        if mode == "memcpy":
+            self.stats.memcpy_copies += 1
+            return span, self.fabric.loadstore_copy(core, size)
+        if mode == "dma":
+            self.stats.dma_copies += 1
+            if into_ring:
+                src, dst = side_cpu.node, self.master_cpu.node
+            else:
+                src, dst = self.master_cpu.node, side_cpu.node
+            return span, self.fabric.dma_copy(core, src, dst, size)
+        raise SimError(f"unknown copy mode: {mode!r}")
+
+    def _copy_in_end(self, slot: Slot, data: Any, span) -> None:
+        """The end of ``copy_to``: the slot holds ``data``."""
+        slot.data = data
+        if SANITIZER.enabled:
+            SANITIZER.on_slot_copy(self, slot.seq)
+        self.tracer.end(span)
+
+    def _ready_start(self, core: Core, slot: Slot) -> Delay:
+        """The start of ``set_ready``: check the slot; returns the time
+        of its header write."""
+        if slot.state != _RESERVED:
+            raise SimError(f"set_ready on {slot.state} slot")
+        if SANITIZER.enabled:
+            SANITIZER.on_slot_phase(self, slot.seq, "ready")
+        return self._slot_header_write(core, writer_is_sender=True)
+
+    def _ready_end(self, core: Core, slot: Slot) -> None:
+        """The end of ``set_ready``: the slot is dequeueable."""
+        slot.state = _READY
+        # Queued-residency span: open now, ended when the receiver
+        # claims the slot.
+        slot.qspan = self.tracer.child(
+            "rb.queued", "transport", slot.trace, core=core, ring=self.name,
+            size=slot.size,
+        )
+        self._wake(self._data_waiters)
+
+    def _done_start(self, core: Core, slot: Slot) -> Delay:
+        """The start of ``set_done``: check the slot; returns the time
+        of its header write."""
         if slot.state != _CONSUMED:
             raise SimError(f"set_done on {slot.state} slot")
         if SANITIZER.enabled:
             SANITIZER.on_slot_phase(self, slot.seq, "done")
-        yield self._slot_header_write(core, writer_is_sender=False)
+        return self._slot_header_write(core, writer_is_sender=False)
+
+    def _done_end(self, slot: Slot) -> None:
+        """The end of ``set_done``: the slot is done, and the space of
+        the done slots at the head of the ring is reclaimed."""
         slot.state = _DONE
         # Space is reclaimed in ring order.
         freed_any = False
@@ -476,81 +622,6 @@ class RingBuffer:
         if freed_any:
             self._set_occupancy()
             self._wake(self._space_waiters)
-
-    # ------------------------------------------------------------------
-    # Blocking conveniences
-    # ------------------------------------------------------------------
-    def send(self, core: Core, data: Any, size: int, ctx=None) -> Generator:
-        """Enqueue + copy + ready, waiting while the ring is full."""
-        while True:
-            slot = yield from self.try_enqueue(core, size, ctx=ctx)
-            if slot is not None:
-                break
-            yield from self._wait_for_space(size)
-        yield from self.copy_to(core, slot, data)
-        yield from self.set_ready(core, slot)
-        return slot
-
-    def dequeue_blocking(self, core: Core) -> Generator:
-        """Claim the next slot, waiting while the ring is empty.
-
-        The caller is responsible for ``copy_from`` + ``set_done`` —
-        this is the §4.4.2 event-dispatcher pattern, where a single
-        thread claims slots and application threads copy in parallel.
-        """
-        return self._claim(core, block=True)
-
-    def recv(self, core: Core) -> Generator:
-        """Dequeue + copy + done, waiting while the ring is empty;
-        returns the payload."""
-        slot = yield from self.dequeue_blocking(core)
-        data = yield from self.copy_from(core, slot)
-        yield from self.set_done(core, slot)
-        return data
-
-    def _wait_for_space(self, size: int) -> Generator:
-        ev = self.engine.event()
-        self._space_waiters.append(ev)
-        used = self._enqueued_bytes - self._freed_bytes
-        if used + size + self.policy.header_bytes <= self.capacity:
-            self._wake(self._space_waiters)
-        yield ev
-        yield self.policy.poll_interval_ns
-
-    def _wake(self, waiters: list) -> None:
-        pending, waiters[:] = waiters[:], []
-        for ev in pending:
-            if not ev.triggered:
-                ev.succeed()
-
-    # ------------------------------------------------------------------
-    # Data movement
-    # ------------------------------------------------------------------
-    def _data_copy(self, core: Core, size: int, into_ring: bool) -> Generator:
-        side_cpu = self.sender_cpu if into_ring else self.receiver_cpu
-        if self.master_cpu is side_cpu:
-            # Ring memory is local to this side.
-            yield core.memcpy_local(size)
-            return
-        mode = self.policy.copy_mode
-        if mode == "adaptive":
-            mode = (
-                "memcpy"
-                if size < core.params.adaptive_copy_threshold
-                else "dma"
-            )
-        if mode == "memcpy":
-            self.stats.memcpy_copies += 1
-            yield self.fabric.loadstore_copy(core, size)
-        elif mode == "dma":
-            self.stats.dma_copies += 1
-            if into_ring:
-                src, dst = side_cpu.node, self.master_cpu.node
-            else:
-                src, dst = self.master_cpu.node, side_cpu.node
-            yield from self.fabric.dma_copy(core, src, dst, size)
-        else:
-            raise SimError(f"unknown copy mode: {mode!r}")
 
     def _slot_header_write(self, core: Core, writer_is_sender: bool) -> Delay:
         """The time of one slot-header write (a delay to ``yield``)."""
