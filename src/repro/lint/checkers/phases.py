@@ -1,18 +1,16 @@
-"""Lock and ring-phase protocol ordering, statically.
+"""Lock protocol ordering, statically.
 
-Two protocol state machines run through the transport:
+``yield from lock.acquire(...)`` / ``lock.release(...)`` must be
+well-nested per function body: releases match the most recent
+unreleased acquire *of the same receiver*, and no acquire survives to
+the end of the function.  (Functions that *are* lock wrappers — named
+``acquire``/``release`` — are exempt: they implement the protocol
+rather than use it.)
 
-* **Locks** — ``yield from lock.acquire(...)`` / ``lock.release(...)``
-  must be well-nested per function body: releases match the most
-  recent unreleased acquire *of the same receiver*, and no acquire
-  survives to the end of the function.  (Functions that *are* lock
-  wrappers — named ``acquire``/``release`` — are exempt: they
-  implement the protocol rather than use it.)
-* **Ring slots** — a slot obtained from ``try_enqueue``/``send`` must
-  be ``copy_to``-ed before ``set_ready``; a slot claimed by
-  ``try_dequeue``/``dequeue_blocking`` must be ``copy_from``-ed before
-  ``set_done`` (Figure 5's decoupled enqueue→copy→ready protocol —
-  readying an uncopied slot publishes garbage).
+The ring's slot phases (Figure 5's enqueue -> copy -> ready and
+dequeue -> copy -> done) are not checked here: ``RingBuffer`` raises
+on any misordered phase at run time, including for slots that pass
+through a store, which this per-function walk cannot follow.
 
 The analysis is a linear walk of each function body in source order
 (try bodies before their finally blocks, matching execution order for
@@ -22,22 +20,11 @@ the straight-line protocol code this stack uses).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..core import Checker, Finding, Module, Project, register
 
 RULE = "lock-phase"
-
-_ENQ_SOURCES = ("try_enqueue", "send")
-_DEQ_SOURCES = ("try_dequeue", "dequeue_blocking")
-
-# Slot-phase partial orders: op -> the op that must precede it, keyed
-# by how the slot variable was obtained.
-_PHASE_PREREQ = {
-    "enqueue": {"set_ready": "copy_to"},
-    "dequeue": {"set_done": "copy_from"},
-}
-_PHASE_OPS = {"copy_to", "set_ready", "copy_from", "set_done"}
 
 
 def _receiver_key(func: ast.Attribute) -> str:
@@ -81,25 +68,10 @@ def _calls_in(stmt: ast.stmt) -> Iterable[ast.Call]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _assigned_name(stmt: ast.stmt) -> Optional[str]:
-    """The simple name bound by ``x = ...`` / ``x: T = ...``."""
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        tgt = stmt.targets[0]
-        if isinstance(tgt, ast.Name):
-            return tgt.id
-    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        return stmt.target.id
-    return None
-
-
 @register
 class LockPhaseOrdering(Checker):
     name = RULE
-    doc = (
-        "acquire/release well-nested per function; ring slots follow "
-        "enqueue -> copy_to -> set_ready and dequeue -> copy_from -> "
-        "set_done"
-    )
+    doc = "acquire/release well-nested per function"
 
     def check(self, project: Project) -> Iterable[Finding]:
         for mod in project.modules:
@@ -114,12 +86,9 @@ class LockPhaseOrdering(Checker):
     # ------------------------------------------------------------------
     def _check_function(self, mod: Module, func: ast.AST) -> Iterable[Finding]:
         lock_stack: List[Tuple[str, int]] = []  # (receiver, line)
-        # slot var -> (kind, {ops seen}) where kind is enqueue/dequeue.
-        slots: Dict[str, Tuple[str, set]] = {}
         findings: List[Finding] = []
 
         for stmt in _linear_statements(func.body):
-            target = _assigned_name(stmt)
             for call in _calls_in(stmt):
                 attr = call.func.attr
                 key = _receiver_key(call.func)
@@ -144,24 +113,6 @@ class LockPhaseOrdering(Checker):
                             f"release of {key!r} without a matching "
                             f"acquire in this function",
                         ))
-                elif attr in _ENQ_SOURCES and target is not None:
-                    slots[target] = ("enqueue", set())
-                elif attr in _DEQ_SOURCES and target is not None:
-                    slots[target] = ("dequeue", set())
-                elif attr in _PHASE_OPS:
-                    slot_arg = self._slot_argument(call)
-                    if slot_arg is None or slot_arg not in slots:
-                        continue
-                    kind, seen = slots[slot_arg]
-                    prereq = _PHASE_PREREQ[kind].get(attr)
-                    if prereq is not None and prereq not in seen:
-                        findings.append(Finding(
-                            RULE, mod.path, call.lineno, call.col_offset,
-                            f"{attr}() on slot {slot_arg!r} before "
-                            f"{prereq}() — the {kind} protocol is "
-                            f"{'enqueue -> copy_to -> set_ready' if kind == 'enqueue' else 'dequeue -> copy_from -> set_done'}",
-                        ))
-                    seen.add(attr)
         for key, line in lock_stack:
             findings.append(Finding(
                 RULE, mod.path, line, 0,
@@ -169,13 +120,3 @@ class LockPhaseOrdering(Checker):
                 f"{getattr(func, 'name', '?')}()",
             ))
         return findings
-
-    @staticmethod
-    def _slot_argument(call: ast.Call) -> Optional[str]:
-        """The slot variable in ``ring.copy_to(core, slot, ...)`` /
-        ``ring.set_ready(core, slot)`` — the second positional arg,
-        falling back to the first for one-arg forms."""
-        for arg in call.args[1:2] or call.args[:1]:
-            if isinstance(arg, ast.Name):
-                return arg.id
-        return None

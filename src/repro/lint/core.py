@@ -4,7 +4,7 @@ The stack's correctness rests on invariants the paper states but
 Python cannot enforce: simulation functions are generator coroutines
 (a call without ``yield from`` is a silent no-op), simulated packages
 must stay deterministic, every delegated opcode needs a matching
-proxy handler, and lock/ring-phase protocols must be well-ordered.
+proxy handler, and lock acquire/release must be well-nested.
 ``repro.lint`` checks these by analysis of the code graph rather than
 by convention.
 

@@ -1,4 +1,4 @@
-"""Runtime invariant sanitizer (lockdep-lite) for the transport stack.
+"""Runtime lock-order sanitizer (lockdep-lite) for the transport stack.
 
 Armed by ``REPRO_SANITIZE=1`` in the environment.  When disabled every
 hook is a single attribute check, so the simulated fast path keeps its
@@ -12,30 +12,24 @@ cost.  When enabled:
   was ever taken while holding A) raises :class:`SanitizerError` with
   the witness edge set — the simulated analogue of lockdep's inversion
   report.
-* **Ring-slot phases** — slots must move ``reserved -> ready ->
-  consumed -> done`` and must be ``copy_to``-ed before ``set_ready``
-  (the paper's decoupled enqueue/copy/ready protocol: readying an
-  uncopied slot publishes garbage to the consumer).  State lives in a
-  per-ring weak map, so dead rings cost nothing and recycled object
-  ids cannot alias.
 * **Wait-while-holding** — ``MemCell.wait_until`` while holding locks
   is recorded (not raised: lock-internal handoff legitimately spins on
   cells while queued) so tests can assert on the observed set.
 
 Everything is keyed per *core* (the simulated execution context), not
 per OS thread — the simulator is single-threaded but interleaves many
-logical cores.
+logical cores.  Ring-slot phases are not checked here: ``RingBuffer``
+enforces the whole Figure 5 slot lifecycle itself, on every run.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 
 class SanitizerError(AssertionError):
-    """An ordering or phase invariant was violated at runtime."""
+    """A lock-ordering invariant was violated at runtime."""
 
 
 def _label(obj: object) -> str:
@@ -43,16 +37,6 @@ def _label(obj: object) -> str:
     if name:
         return f"{type(obj).__name__}({name})"
     return f"{type(obj).__name__}@{id(obj):#x}"
-
-
-class _RingState:
-    """Per-ring slot phase tracking (attached via weak map)."""
-
-    __slots__ = ("phase", "copied")
-
-    def __init__(self) -> None:
-        self.phase: Dict[int, str] = {}
-        self.copied: Set[int] = set()
 
 
 class Sanitizer:
@@ -74,10 +58,6 @@ class Sanitizer:
         self._held: Dict[object, List[object]] = {}
         # Acquisition-order edges between lock labels (lock classes).
         self.lock_order_edges: Set[Tuple[str, str]] = set()
-        # ring -> _RingState; dies with the ring.
-        self._rings: "weakref.WeakKeyDictionary[object, _RingState]" = (
-            weakref.WeakKeyDictionary()
-        )
         self.waits_while_holding: List[Tuple[str, str]] = []
         # Total acquisitions observed — lets tests assert the hooks
         # actually ran before trusting an empty order graph.
@@ -147,61 +127,6 @@ class Sanitizer:
             self.waits_while_holding.append(
                 (_label(held[-1]), _label(cell))
             )
-
-    # ------------------------------------------------------------------
-    # Ring-slot phase hooks
-    # ------------------------------------------------------------------
-    _TRANSITIONS = {
-        "reserved": {"ready"},
-        "ready": {"consumed"},
-        "consumed": {"done"},
-    }
-
-    def _ring_state(self, ring: object) -> _RingState:
-        state = self._rings.get(ring)
-        if state is None:
-            state = self._rings[ring] = _RingState()
-        return state
-
-    def on_slot_reserve(self, ring: object, index: int) -> None:
-        state = self._ring_state(ring)
-        prev = state.phase.get(index)
-        if prev is not None:
-            raise SanitizerError(
-                f"slot {_label(ring)}#{index} re-reserved while in "
-                f"phase {prev!r}"
-            )
-        state.phase[index] = "reserved"
-        state.copied.discard(index)
-
-    def on_slot_copy(self, ring: object, index: int) -> None:
-        self._ring_state(ring).copied.add(index)
-
-    def on_slot_phase(self, ring: object, index: int, phase: str) -> None:
-        state = self._ring_state(ring)
-        prev = state.phase.get(index)
-        if phase == "ready" and index not in state.copied:
-            raise SanitizerError(
-                f"slot {_label(ring)}#{index} set_ready before copy_to "
-                f"— an uncopied payload would be published to the "
-                f"consumer"
-            )
-        if prev is None or phase not in self._TRANSITIONS.get(prev, set()):
-            raise SanitizerError(
-                f"slot {_label(ring)}#{index} illegal phase transition "
-                f"{prev!r} -> {phase!r}"
-            )
-        if phase == "done":
-            # Terminal: drop the record so state stays bounded over
-            # long simulations (seqs are never reused).
-            del state.phase[index]
-            state.copied.discard(index)
-            return
-        state.phase[index] = phase
-        if phase == "consumed":
-            # The consumer-side copy_from happens next; reset the
-            # copied mark so producer reuse starts clean.
-            state.copied.discard(index)
 
 
 SANITIZER = Sanitizer()

@@ -72,7 +72,11 @@ Otherwise one ``(callback, event)`` entry is queued.
 on before throwing: a pending ``yield N`` heap entry is marked dead, a
 queued ``yield 0`` or event wake-up is removed, and an event callback
 is unregistered.  A process that catches :class:`Interrupt` and waits
-again is resumed by that new wait alone.
+again is resumed by that new wait alone.  That holds also for an
+interrupt issued while the awaited event is being delivered (by an
+earlier waiter's callback): the delivery already holds the process's
+callback, so a process ignores a resume by any event but the one it
+waits on.
 
 Timers are cancellable by lazy deletion.  When :meth:`Engine.any_of`
 resolves, each losing :meth:`Engine.timeout` that has no other waiter
@@ -344,6 +348,10 @@ class Process(Event):
     # Generator driving
     # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
+        if self._waiting_on is not event:
+            # A stale resume: an interrupt issued during this event's
+            # delivery detached the wait after _deliver took the list.
+            return
         self._waiting_on = None
         if event._state == _SUCCEEDED:
             self._step(event._value)

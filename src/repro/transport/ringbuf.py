@@ -11,6 +11,9 @@ Design points reproduced from the paper:
   reserve/claim a slot; the data copy (``copy_to``/``copy_from``) and
   the readiness flips (``set_ready``/``set_done``) are separate, so
   multiple threads copy concurrently while queue order is maintained.
+  A slot moves ``reserved -> filled -> ready -> consumed -> drained ->
+  done``, one state per phase; each phase raises ``SimError`` unless
+  the slot is in the state the phase before it left.
 * **Combining** (§4.2.3): both ends serialize their slot operations
   through a :class:`~repro.transport.combining.CombiningQueue` instead
   of a lock.
@@ -39,7 +42,6 @@ from typing import Any, Deque, Generator, Optional
 
 from ..hw.cpu import CPU, Core
 from ..hw.topology import Fabric
-from ..lint.sanitize import SANITIZER
 from ..obs.hub import hub_of
 from ..sim.engine import Delay, Engine, Event, SimError
 from .combining import CombiningQueue
@@ -47,11 +49,13 @@ from .locks import MCSLock
 
 __all__ = ["RingBuffer", "RingPolicy", "RingStats", "Slot"]
 
-# Slot lifecycle.
-_RESERVED = "reserved"
-_READY = "ready"
-_CONSUMED = "consumed"
-_DONE = "done"
+# Slot lifecycle, in order; each phase sets the next state.
+_RESERVED = "reserved"   # enqueue
+_FILLED = "filled"       # copy_to
+_READY = "ready"         # set_ready
+_CONSUMED = "consumed"   # dequeue
+_DRAINED = "drained"     # copy_from
+_DONE = "done"           # set_done
 
 # A sentinel op-result distinguishing "no space/data" from a payload.
 _WOULD_BLOCK = object()
@@ -59,6 +63,11 @@ _WOULD_BLOCK = object()
 # Fixed per-op bookkeeping executed by the calling thread (argument
 # marshalling, size checks) — branch-divergent queue code.
 RB_OP_WORK_UNITS = 110
+
+# The on-ring header of each slot, and the retry backoff of the
+# blocking send/recv when the ring is full/empty.
+RB_HEADER_BYTES = 16
+RB_POLL_INTERVAL_NS = 2_000
 
 # Ring bookkeeping executed *by the combiner* for each operation it
 # processes (slot accounting, wrap handling).  This is the serial
@@ -85,8 +94,6 @@ class RingPolicy:
     combining: bool = True            # §4.2.3 combining vs MCS locking
     copy_mode: str = "adaptive"       # 'memcpy' | 'dma' | 'adaptive'
     combine_max: int = 16
-    header_bytes: int = 16            # per-slot on-ring header
-    poll_interval_ns: int = 2_000     # retry backoff for send/recv
 
 
 class RingStats:
@@ -158,11 +165,12 @@ class RingBuffer:
     only the side's combining pass (or MCS lock) and, for a DMA copy,
     ``Fabric.dma_copy``.  Each Figure 5 phase is a pair of plain
     helpers around one ``yield``: a start (``_copy_start``,
-    ``_ready_start``, ``_done_start``) and an end (``_copy_in_end``,
-    ``_ready_end``, ``_done_end``).  ``send``/``recv`` and the
-    decoupled ``copy_to``/``set_ready``/``copy_from``/``set_done``
-    share them, so both ways through a phase take the same time and
-    make the same checks.
+    ``_ready_start``, ``_done_start``) that checks the slot's state,
+    and an end (``_copy_in_end``, ``_ready_end``, ``_done_end``; a
+    copy out sets ``drained`` in place) that advances it.  ``send``/
+    ``recv`` and the decoupled ``copy_to``/``set_ready``/``copy_from``/
+    ``set_done`` share them, so both ways through a phase take the
+    same time and make the same checks.
     """
 
     def __init__(
@@ -307,7 +315,7 @@ class RingBuffer:
         ``copy_to`` and ``set_ready``); else return None when full."""
         if size <= 0:
             raise SimError(f"element size must be positive: {size}")
-        if size + self.policy.header_bytes > self.capacity:
+        if size + RB_HEADER_BYTES > self.capacity:
             raise SimError(f"element larger than ring: {size}")
         tracer = self.tracer
         while True:
@@ -336,10 +344,10 @@ class RingBuffer:
             ev = self.engine.event()
             self._space_waiters.append(ev)
             used = self._enqueued_bytes - self._freed_bytes
-            if used + size + self.policy.header_bytes <= self.capacity:
+            if used + size + RB_HEADER_BYTES <= self.capacity:
                 self._wake(self._space_waiters)
             yield ev
-            yield self.policy.poll_interval_ns
+            yield RB_POLL_INTERVAL_NS
         slot.trace = ctx
         self._set_occupancy()
         tracer.end(span)
@@ -356,7 +364,7 @@ class RingBuffer:
 
     def _enqueue_op(self, core: Core, size: int) -> Generator:
         yield core.compute(RB_ENQ_COMBINER_UNITS, "scalar")
-        need = size + self.policy.header_bytes
+        need = size + RB_HEADER_BYTES
         if not self.policy.lazy_update:
             # Eager (no replication): the control variables live in the
             # master ring's memory, so only the non-master side pays a
@@ -375,8 +383,6 @@ class RingBuffer:
                 return _WOULD_BLOCK
         self._seq += 1
         slot = Slot(self._seq, size)
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_reserve(self, slot.seq)
         yield from self._tail_cell.store(core, self._seq)
         if not self.policy.lazy_update:
             if self.master_cpu is not self.sender_cpu:
@@ -436,7 +442,7 @@ class RingBuffer:
             if self._head_ready():
                 self._wake(self._data_waiters)
             yield ev
-            yield self.policy.poll_interval_ns  # poll granularity
+            yield RB_POLL_INTERVAL_NS  # poll granularity
         if slot.qspan is not None:
             self.tracer.end(slot.qspan, claimed_by=f"c{core.cid}")
             slot.qspan = None
@@ -447,6 +453,7 @@ class RingBuffer:
             yield copy
         else:
             yield from copy
+        slot.state = _DRAINED
         self.tracer.end(span)
         yield self._done_start(core, slot)
         self._done_end(slot)
@@ -464,8 +471,6 @@ class RingBuffer:
             if not self._head_ready():
                 return _WOULD_BLOCK
         slot = self._to_dequeue.popleft()
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_phase(self, slot.seq, "consumed")
         slot.state = _CONSUMED
         self._unfreed.append(slot)
         yield from self._head_cell.store(core, slot.seq)
@@ -489,6 +494,7 @@ class RingBuffer:
             yield copy
         else:
             yield from copy
+        slot.state = _DRAINED
         self.tracer.end(span)
         return slot.data
 
@@ -574,17 +580,14 @@ class RingBuffer:
     def _copy_in_end(self, slot: Slot, data: Any, span) -> None:
         """The end of ``copy_to``: the slot holds ``data``."""
         slot.data = data
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_copy(self, slot.seq)
+        slot.state = _FILLED
         self.tracer.end(span)
 
     def _ready_start(self, core: Core, slot: Slot) -> Delay:
         """The start of ``set_ready``: check the slot; returns the time
         of its header write."""
-        if slot.state != _RESERVED:
+        if slot.state != _FILLED:
             raise SimError(f"set_ready on {slot.state} slot")
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_phase(self, slot.seq, "ready")
         return self._slot_header_write(core, writer_is_sender=True)
 
     def _ready_end(self, core: Core, slot: Slot) -> None:
@@ -601,10 +604,8 @@ class RingBuffer:
     def _done_start(self, core: Core, slot: Slot) -> Delay:
         """The start of ``set_done``: check the slot; returns the time
         of its header write."""
-        if slot.state != _CONSUMED:
+        if slot.state != _DRAINED:
             raise SimError(f"set_done on {slot.state} slot")
-        if SANITIZER.enabled:
-            SANITIZER.on_slot_phase(self, slot.seq, "done")
         return self._slot_header_write(core, writer_is_sender=False)
 
     def _done_end(self, slot: Slot) -> None:
@@ -615,7 +616,7 @@ class RingBuffer:
         freed_any = False
         while self._unfreed and self._unfreed[0].state == _DONE:
             done = self._unfreed.popleft()
-            self._freed_bytes += done.size + self.policy.header_bytes
+            self._freed_bytes += done.size + RB_HEADER_BYTES
             freed_any = True
             if self._local_ring:
                 self._sender_freed_view = self._freed_bytes

@@ -322,42 +322,6 @@ def test_lock_phase_well_nested_try_finally_is_clean(tmp_path):
     assert findings == []
 
 
-def test_lock_phase_flags_ready_before_copy(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/transport/use.py": """
-            def bad(core, ring, data):
-                slot = yield from ring.try_enqueue(core, 8)
-                yield from ring.set_ready(core, slot)
-
-            def bad_rx(core, ring):
-                slot = yield from ring.try_dequeue(core)
-                yield from ring.set_done(core, slot)
-        """,
-    }, rules=["lock-phase"])
-    messages = " | ".join(f.message for f in findings)
-    assert len(findings) == 2
-    assert "set_ready() on slot 'slot' before copy_to()" in messages
-    assert "set_done() on slot 'slot' before copy_from()" in messages
-
-
-def test_lock_phase_ordered_ring_protocol_is_clean(tmp_path):
-    findings, _ = run_fixture(tmp_path, {
-        "src/repro/transport/use.py": """
-            def good(core, ring, data):
-                slot = yield from ring.try_enqueue(core, 8)
-                yield from ring.copy_to(core, slot, data)
-                yield from ring.set_ready(core, slot)
-
-            def good_rx(core, ring):
-                slot = yield from ring.try_dequeue(core)
-                payload = yield from ring.copy_from(core, slot)
-                yield from ring.set_done(core, slot)
-                return payload
-        """,
-    }, rules=["lock-phase"])
-    assert findings == []
-
-
 # ----------------------------------------------------------------------
 # Inline suppressions
 # ----------------------------------------------------------------------
@@ -489,30 +453,6 @@ def test_sanitizer_lock_classes_merge_by_label():
     s.on_acquire(core, b)
     with pytest.raises(SanitizerError, match="inversion"):
         s.on_acquire(core, a2)
-
-
-def test_sanitizer_slot_phase_machine():
-    s = Sanitizer(enabled=True)
-    ring = _L("rb")
-    # Correct protocol is silent, and 'done' retires the slot so the
-    # seq can be reserved again.
-    s.on_slot_reserve(ring, 1)
-    s.on_slot_copy(ring, 1)
-    s.on_slot_phase(ring, 1, "ready")
-    s.on_slot_phase(ring, 1, "consumed")
-    s.on_slot_phase(ring, 1, "done")
-    # ready-before-copy is the paper's protocol violation.
-    s.on_slot_reserve(ring, 2)
-    with pytest.raises(SanitizerError, match="before copy_to"):
-        s.on_slot_phase(ring, 2, "ready")
-    # Skipping 'ready' is an illegal transition.
-    s.on_slot_reserve(ring, 3)
-    s.on_slot_copy(ring, 3)
-    with pytest.raises(SanitizerError, match="illegal phase transition"):
-        s.on_slot_phase(ring, 3, "consumed")
-    # Double-reserve of a live slot.
-    with pytest.raises(SanitizerError, match="re-reserved"):
-        s.on_slot_reserve(ring, 2)
 
 
 def test_sanitizer_disabled_by_default_costs_nothing():

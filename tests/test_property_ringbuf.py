@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw import build_machine
 from repro.sim import Engine
 from repro.transport import RingBuffer, RingPolicy
+from repro.transport.ringbuf import RB_HEADER_BYTES
 
 settings.register_profile("ring", max_examples=25, deadline=None)
 settings.load_profile("ring")
@@ -110,7 +111,7 @@ def test_capacity_never_exceeded(sizes):
     """Fill-then-drain: reserved bytes stay within capacity and the
     ring is completely reusable afterwards."""
     eng, m, rb = build_ring({}, "phi", ring_bytes=4096)
-    hdr = rb.policy.header_bytes
+    hdr = RB_HEADER_BYTES
 
     def main(eng):
         core = m.phi_core(0, 0)

@@ -94,14 +94,70 @@ def test_ring_copy_state_machine_guards():
 
     def bad_order(eng):
         slot = yield from rb.try_enqueue(core, 64)
-        # set_ready before copy is allowed; but set_done on a slot
-        # that was never consumed must be rejected.
+        # set_done on a slot that was never dequeued must be rejected.
         yield from rb.copy_to(core, slot, "x")
         yield from rb.set_ready(core, slot)
-        yield from rb.set_done(core, slot)  # not CONSUMED -> error
+        yield from rb.set_done(core, slot)
 
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match="set_done on ready slot"):
         eng.run_process(bad_order(eng))
+
+
+def _ready_before_copy(rb, tx, rx):
+    slot = yield from rb.try_enqueue(tx, 64)
+    yield from rb.set_ready(tx, slot)
+
+
+def _copy_to_twice(rb, tx, rx):
+    slot = yield from rb.try_enqueue(tx, 64)
+    yield from rb.copy_to(tx, slot, "x")
+    yield from rb.copy_to(tx, slot, "y")
+
+
+def _done_before_copy(rb, tx, rx):
+    yield from rb.send(tx, "x", 64)
+    slot = yield from rb.dequeue_blocking(rx)
+    yield from rb.set_done(rx, slot)
+
+
+def _copy_from_twice(rb, tx, rx):
+    yield from rb.send(tx, "x", 64)
+    slot = yield from rb.dequeue_blocking(rx)
+    yield from rb.copy_from(rx, slot)
+    yield from rb.copy_from(rx, slot)
+
+
+def _ready_twice(rb, tx, rx):
+    slot = yield from rb.try_enqueue(tx, 64)
+    yield from rb.copy_to(tx, slot, "x")
+    yield from rb.set_ready(tx, slot)
+    yield from rb.set_ready(tx, slot)
+
+
+@pytest.mark.parametrize("master", ["phi", "host"])
+@pytest.mark.parametrize("misorder, error", [
+    pytest.param(_ready_before_copy, "set_ready on reserved slot",
+                 id="ready_before_copy"),
+    pytest.param(_copy_to_twice, "copy_to on filled slot", id="copy_to_twice"),
+    pytest.param(_done_before_copy, "set_done on consumed slot",
+                 id="done_before_copy"),
+    pytest.param(_copy_from_twice, "copy_from on drained slot",
+                 id="copy_from_twice"),
+    pytest.param(_ready_twice, "set_ready on ready slot", id="ready_twice"),
+])
+def test_ring_rejects_misordered_phases(master, misorder, error):
+    """Each Figure 5 phase checks the state the one before it left, so
+    a phase run early, twice or out of order fails on every run, on a
+    ring mastered at either end."""
+    eng = Engine()
+    m = build_machine(eng)
+    rb = RingBuffer(
+        eng, m.fabric, 64 * KB,
+        master_cpu=m.phi(0) if master == "phi" else m.host,
+        sender_cpu=m.phi(0), receiver_cpu=m.host,
+    )
+    with pytest.raises(SimError, match=error):
+        eng.run_process(misorder(rb, m.phi_core(0, 0), m.host_core(0)))
 
 
 def test_ring_unknown_copy_mode_rejected():

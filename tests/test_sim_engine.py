@@ -6,7 +6,7 @@ from collections import deque
 from contextlib import suppress
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     Engine, Interrupt, Lock, ProcessGroup, Resource, SimError, Store,
@@ -802,6 +802,7 @@ _op = st.one_of(
     st.tuples(st.just("sleep"), st.sampled_from([0, 0, 1, 2, 5])),
     st.tuples(st.just("timer"), st.sampled_from([0, 1, 2, 5])),
     st.tuples(st.just("trigger"), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("fail"), st.integers(0, N_EVENTS - 1)),
     st.tuples(st.just("wait"), st.integers(0, N_EVENTS - 1)),
     st.tuples(st.just("ready"), st.just(0)),
     st.tuples(st.just("lock"), st.sampled_from([0, 1, 3])),
@@ -843,6 +844,9 @@ def play(eng, program, lock, res, store, slices=()):
                 elif kind == "trigger":
                     if not events[op[1]].triggered:
                         events[op[1]].succeed(here)
+                elif kind == "fail":
+                    if not events[op[1]].triggered:
+                        events[op[1]].fail(ValueError(here))
                 elif kind == "wait":
                     here += f"={(yield events[op[1]])}"
                 elif kind == "ready":
@@ -902,6 +906,19 @@ def play(eng, program, lock, res, store, slices=()):
 @given(
     program=_programs,
     slices=st.lists(st.integers(0, 30), max_size=4).map(sorted),
+)
+# Process 2's resume, run by event 0's delivery, interrupts process 3,
+# whose resume that same delivery still holds: 3 must see the Interrupt.
+@example(
+    program=[[], [("sleep", 0), ("trigger", 0)], [("wait", 0), ("interrupt", 3)],
+             [("wait", 0)]],
+    slices=[],
+)
+# The same with a failed event: 2 catches the failure, then interrupts 3.
+@example(
+    program=[[], [("sleep", 0), ("fail", 0)], [("wait", 0), ("interrupt", 3)],
+             [("wait", 0)]],
+    slices=[],
 )
 def test_engine_matches_reference_order(program, slices):
     """Random programs log the same ``(now, tag)`` sequence on Engine
