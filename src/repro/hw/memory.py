@@ -131,10 +131,7 @@ class MemCell:
             try:
                 yield params.line_share_ns
             finally:
-                if self._waiters:
-                    self._hand_off()
-                else:
-                    self._busy = False
+                self._release()
             yield params.line_transfer_ns - params.line_share_ns
             self._add_sharer(core)
         return self._value
@@ -175,21 +172,15 @@ class MemCell:
         Everything but a plain local write holds the line.
         """
         cost = self._exclusive_cost(core, op)
-        if op == STORE and self._owner is core and not self._sharers:
+        grant = self._grant(core, op)
+        if grant is None:
             yield cost  # pure local write: no line serialization
         else:
-            if self._busy:
-                yield self._queue_transfer()
-            else:
-                self._busy = True
-                yield 0
+            yield grant
             try:
                 yield cost
             finally:
-                if self._waiters:
-                    self._hand_off()
-                else:
-                    self._busy = False
+                self._release()
         return self._apply(core, op, arg, expected)
 
     def wait_until(self, core: Any, predicate: Callable[[Any], bool]) -> Generator:
@@ -223,10 +214,11 @@ class MemCell:
     # ------------------------------------------------------------------
     # The coherence rules, as plain calls: the generators above and
     # callers that run a line op in their own frame (the combining
-    # queue's tail and request lines) share them.  A caller grants a
-    # free line itself (``_busy = True``, then ``yield 0``) and frees
-    # it when no transfer waits (``_busy = False``); the busy cases go
-    # through ``_queue_transfer`` and ``_hand_off``.
+    # queue's tail and request lines, the ring's control variables)
+    # share them.  ``_grant`` and ``_release`` take and free the line;
+    # the combining queue inlines their free-line cases (``_busy =
+    # True``, then ``yield 0``; ``_busy = False``), and the busy cases
+    # go through ``_queue_transfer`` and ``_hand_off``.
     def _load_hit(self, core: Any) -> bool:
         """Whether ``core`` holds a copy of the line; counts the load
         as a local hit or a line transfer."""
@@ -235,6 +227,28 @@ class MemCell:
             return True
         self.stats.line_transfers += 1
         return False
+
+    def _grant(self, core: Any, op: int) -> Any:
+        """The first wait of exclusive op ``op`` by ``core``: None for
+        a plain local write (a STORE to a line ``core`` owns and no
+        core shares), which does not hold the line; else the line's
+        grant (``0`` for a free line, now held, or the queued
+        transfer).  The caller frees a held line with
+        :meth:`_release`."""
+        if op == STORE and self._owner is core and not self._sharers:
+            return None
+        if self._busy:
+            return self._queue_transfer()
+        self._busy = True
+        return 0
+
+    def _release(self) -> None:
+        """Free the held line, or hand it to the oldest waiting
+        transfer."""
+        if self._waiters:
+            self._hand_off()
+        else:
+            self._busy = False
 
     def _add_sharer(self, core: Any) -> None:
         """Record the read copy a load that missed brought in."""

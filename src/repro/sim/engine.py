@@ -32,28 +32,39 @@ Scheduling
 Work is a callback plus one argument, ``fn(arg)``, never a closure.
 Work due later sits in a heap as ``[when, seq, fn, arg]``; work due
 *now* (a triggered event's delivery, a process kick-off, an interrupt,
-``yield 0``) sits in a FIFO **now-queue** as ``(fn, arg)``.  At each
-instant :meth:`Engine.run` first runs the heap entries due at ``now``,
-then drains the now-queue, then advances the clock to the next heap
-entry.  This is exactly ``(time, seq)`` order: a heap entry due at
-``now`` was scheduled before the clock reached ``now``, so its sequence
-number is smaller than that of every now-queue entry, and while the
-clock stands at ``now`` nothing new can be scheduled into the heap at
-``now`` (a positive delay lands later, a zero delay on the now-queue).
+``yield 0``) sits in a FIFO **now-queue** as ``(fn, arg)``.  Each step
+of :meth:`Engine.run` runs one entry: the heap top if it is due at
+``now``, else the now-queue head; with the now-queue empty it pops the
+heap top, which moves the clock (a cancelled entry moves nothing).  This
+is exactly ``(time, seq)`` order: a heap entry due at ``now`` was
+scheduled before the clock reached ``now``, so its sequence number is
+smaller than that of every now-queue entry, and while the clock stands
+at ``now`` nothing new can be scheduled into the heap at ``now`` (a
+positive delay lands later, a zero delay on the now-queue).
+
+Each run pushes a **horizon entry** ``[until + 1, -1, None, None]``
+(``until`` defaults to 2**62).  Its sequence number ``-1`` sorts it
+after every entry due by ``until`` and before every later one, so the
+heap is never empty during a run, and reaching the horizon ends it; no
+separate "heap empty" or ``until`` test runs per entry.  Its ``fn`` is
+None, so anything scanning the heap sees it as a dead entry.  At the
+horizon the clock moves on to ``until`` only if live work remains
+beyond it, so a drained run ends at its last real event; a run that
+raises takes its horizon out again.
 
 A process's own wake-up (``yield N`` or ``yield 0``) is resumed inside
 :meth:`Engine.run`, not through :meth:`Process._step`.  When it then
 yields another delay ``d >= 0``, the wake-up at ``now + d`` is run in
 place, with no heap or queue entry, if it is provably the next entry:
 the now-queue is empty, ``now + d`` is strictly before the heap top (a
-tie goes to the older heap entry), ``now + d`` is within ``until`` and
-the ``max_events`` budget has room.  No other entry could run before
-that wake-up, so running it at once keeps the ``(time, seq)`` order.
-The skipped entry draws no sequence number, which shifts later numbers
-by one but not their relative order.  Each in-place resume counts as
-one entry, so ``events_processed`` and the point where
-:class:`SimulationLimitExceeded` fires do not move.  Event waits,
-kick-offs, throws and invalid commands still go through
+tie goes to the older heap entry; the horizon keeps it within
+``until``) and the ``max_events`` budget has room.  No other entry
+could run before that wake-up, so running it at once keeps the
+``(time, seq)`` order.  The skipped entry draws no sequence number,
+which shifts later numbers by one but not their relative order.  Each
+in-place resume counts as one entry, so ``events_processed`` and the
+point where :class:`SimulationLimitExceeded` fires do not move.  Event
+waits, kick-offs, throws and invalid commands still go through
 :meth:`Process._step`.
 
 An acquire that is granted at once (``Lock``/``Semaphore.acquire``,
@@ -89,7 +100,7 @@ again is restored and fires at its deadline (at once if that passed).
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -452,6 +463,10 @@ def _start(process: Process) -> None:
     process._step()
 
 
+# The horizon of a run without ``until``: later than any real entry.
+_NO_HORIZON = 1 << 62
+
+
 class Engine:
     """The simulation engine: clock, event heap, now-queue, and
     process registry."""
@@ -601,95 +616,88 @@ class Engine:
         queue = self._queue
         popleft = queue.popleft
         seq = self._seq
-        # processed == stop raises; 0 is never reached after an increment.
-        stop = 0 if max_events is None else max_events + 1
-        processed = 0
+        # The budget counts down once per entry and raises at 0; without
+        # one it starts at 0 and never comes back to it.
+        left = budget = 0 if max_events is None else max_events + 1
         now = self._now
+        # The horizon entry sorts after every entry due by ``until`` and
+        # before every later one, so the heap is never empty here.  It
+        # reads as dead (``fn`` None) to anything that scans the heap.
+        horizon = [
+            _NO_HORIZON if until is None else max(until, now) + 1, -1, None, None
+        ]
+        heappush(heap, horizon)
         try:
             while True:
-                # 1. Heap entries due now: scheduled before the clock
-                #    reached ``now``, so they precede the now-queue.
-                while heap and heap[0][0] == now:
-                    _when, _seq, fn, arg = heappop(heap)
+                # With the now-queue empty, the heap top is next and may
+                # move the clock.  Heap entries due now precede the
+                # now-queue: they were scheduled before the clock got here.
+                if not queue or heap[0][0] == now:
+                    when, entry_seq, fn, arg = heappop(heap)
                     if fn is None:
-                        continue  # cancelled timer
-                    if fn is _wake:
-                        break  # resumed below
-                    fn(arg)
-                    processed += 1
-                    if processed == stop:
-                        raise SimulationLimitExceeded(
-                            f"exceeded {max_events} events at t={now}ns"
-                        )
+                        if entry_seq < 0:
+                            horizon = None  # reached: nothing left by until
+                            break
+                        continue  # cancelled timer: the clock stays
+                    self._now = now = when
                 else:
-                    # 2. The now-queue, in FIFO order, including
-                    #    whatever its entries queue at this instant.
-                    while queue:
-                        fn, arg = popleft()
-                        if fn is _wake:
-                            break  # resumed below
-                        fn(arg)
-                        processed += 1
-                        if processed == stop:
-                            raise SimulationLimitExceeded(
-                                f"exceeded {max_events} events at t={now}ns"
-                            )
-                    else:
-                        # 3. Advance the clock to the next live heap entry.
-                        while heap and heap[0][2] is None:
-                            heappop(heap)
-                        if not heap:
-                            break
-                        when = heap[0][0]
-                        if until is not None and when > until:
-                            self._now = until
-                            break
-                        self._now = now = when
-                        continue
-                # 4. A process's wake-up: resume it here.  While it
-                #    yields a delay whose wake-up would be the next entry
-                #    run anyway, move the clock and resume it again in
-                #    place, counting one entry per resume.
-                proc = arg
-                if proc._state == _PENDING:
-                    send = proc._send
-                    while True:
-                        try:
-                            command = send(None)
-                        except StopIteration as done:
-                            proc._finish_ok(done.value)
-                            break
-                        except BaseException as error:  # noqa: BLE001
-                            proc._finish_fail(error)
-                            break
-                        if type(command) is not int or command < 0:
-                            if isinstance(command, Event):
+                    fn, arg = popleft()
+                if fn is _wake:
+                    # A process's wake-up: resume it here.  While it
+                    # yields a delay whose wake-up would be the next
+                    # entry run anyway, move the clock and resume it
+                    # again in place, counting one entry per resume.
+                    proc = arg
+                    if not proc._state:  # _PENDING
+                        send = proc._send
+                        while True:
+                            try:
+                                command = send(None)
+                            except StopIteration as done:
+                                proc._finish_ok(done.value)
+                                break
+                            except BaseException as error:  # noqa: BLE001
+                                proc._finish_fail(error)
+                                break
+                            if type(command) is int and command >= 0:
+                                when = now + command
+                                if queue or heap[0][0] <= when or left == 1:
+                                    if command:
+                                        heappush(
+                                            heap, [when, next(seq), _wake, proc]
+                                        )
+                                    else:
+                                        queue.append((_wake, proc))
+                                    break
+                                left -= 1
+                                self._now = now = when
+                            elif isinstance(command, Event):
                                 proc._waiting_on = command
                                 command._add_callback(proc._resume_cb)
+                                break
                             else:
                                 proc._dispatch(command)
-                            break
-                        when = now + command
-                        if (
-                            queue
-                            or (heap and heap[0][0] <= when)
-                            or (until is not None and when > until)
-                            or processed + 1 == stop
-                        ):
-                            if command:
-                                heappush(heap, [when, next(seq), _wake, proc])
-                            else:
-                                queue.append((_wake, proc))
-                            break
-                        processed += 1
-                        self._now = now = when
-                processed += 1
-                if processed == stop:
+                                break
+                else:
+                    fn(arg)
+                left -= 1
+                if not left:
                     raise SimulationLimitExceeded(
                         f"exceeded {max_events} events at t={now}ns"
                     )
         finally:
-            self._events += processed
+            self._events += budget - left
+            if horizon is not None:
+                # The run raised before reaching it.
+                heap.remove(horizon)
+                heapify(heap)
+        if until is not None:
+            # Stopped at the horizon: the clock moves on to ``until`` only
+            # if live work remains beyond it, and never back.
+            while heap and heap[0][2] is None:
+                heappop(heap)
+            if heap and until > now:
+                self._now = until
         self._check_failures()
         return self._now
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..hw.memory import CAS, STORE, SWAP, MemCell
+from ..hw.memory import _NO_SHARERS, CAS, STORE, SWAP, MemCell
 from ..obs.hub import hub_of
+from ..sim.engine import Delay
 
 __all__ = ["CombiningQueue", "CombiningStats"]
 
@@ -48,13 +49,23 @@ class _Request(MemCell):
     """One published operation: a node in the MCS-style request queue.
 
     The node is itself the line holding its ``next`` pointer (its
-    value, None until a successor links in).
+    value, None until a successor links in).  It sets ``MemCell``'s
+    slots itself, as a fresh line counted in its CPU's coherence stats.
     """
 
     __slots__ = ("op", "args", "status", "result")
 
     def __init__(self, cpu: CPU, name: str, op, args: tuple):
-        MemCell.__init__(self, cpu.engine, cpu.params, None, name, cpu.coherence)
+        self.engine = cpu.engine
+        self.params = cpu.params
+        self.name = name
+        self.stats = cpu.coherence
+        self._value = None
+        self._owner = None
+        self._sharers = _NO_SHARERS
+        self._busy = False
+        self._waiters = None
+        self._watchers = None
         self.op = op
         self.args = args
         # The line a waiting requester spins on (O(1) handoff, like
@@ -86,6 +97,15 @@ class CombiningQueue:
     helpers, with the same yields and state changes as the ``MemCell``
     generators.  Ops on other requests' lines (link, status) still go
     through those generators.
+
+    The combiner ends each batch (§4.2.4: "a combiner thread always
+    updates original values at the end of combining"; the ring buffer
+    pushes its replicated control variables over PCIe there) in
+    ``execute``'s frame too.  ``on_batch_end(core)`` is a plain call
+    that makes the batch end's state changes and returns its delay;
+    the combiner yields that delay (``0`` without a hook) and then
+    calls ``after_batch_end()``, if given, for what must follow the
+    wait.
     """
 
     def __init__(
@@ -93,18 +113,16 @@ class CombiningQueue:
         cpu: CPU,
         combine_max: int = 16,
         name: str = "cq",
-        on_batch_end: Optional[Callable[[Core], Generator]] = None,
+        on_batch_end: Optional[Callable[[Core], Delay]] = None,
+        after_batch_end: Optional[Callable[[], None]] = None,
     ):
         if combine_max < 1:
             raise ValueError("combine_max must be >= 1")
         self.cpu = cpu
         self.combine_max = combine_max
         self.name = name
-        # Called by the combiner once per batch (the ring buffer uses
-        # this to push replicated control variables over PCIe: §4.2.4
-        # "a combiner thread always updates original values at the end
-        # of combining").
         self.on_batch_end = on_batch_end or _no_batch_end
+        self.after_batch_end = after_batch_end
         self._tail = cpu.new_cell(None, name=f"{name}.tail")
         # Every request's cells share these names.
         self._next_name = f"{name}.next"
@@ -206,7 +224,9 @@ class CombiningQueue:
                             core, STORE, _DONE, None
                         )
                     self._h_batch.record(processed)
-                    yield from self.on_batch_end(core)
+                    yield self.on_batch_end(core)
+                    if self.after_batch_end is not None:
+                        self.after_batch_end()
                     return req.result
                 # A joiner is mid-link; wait for the pointer.
                 successor = yield from current.wait_until(core, _is_set)
@@ -218,7 +238,9 @@ class CombiningQueue:
                 # Hand the combiner role to the successor.
                 stats.handoffs += 1
                 self._h_batch.record(processed)
-                yield from self.on_batch_end(core)
+                yield self.on_batch_end(core)
+                if self.after_batch_end is not None:
+                    self.after_batch_end()
                 yield from successor.status.exclusive(
                     core, STORE, _COMBINER, None
                 )
@@ -226,6 +248,6 @@ class CombiningQueue:
             current = successor
 
 
-def _no_batch_end(core: Core) -> Generator:
+def _no_batch_end(core: Core) -> Delay:
     """The batch end of a queue without ``on_batch_end``: one zero wait."""
-    yield 0
+    return 0

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Generator, Optional
 
 from ..hw.cpu import CPU, Core
+from ..hw.memory import STORE
 from ..hw.topology import Fabric
 from ..obs.hub import hub_of
 from ..sim.engine import Delay, Engine, Event, SimError
@@ -136,10 +137,11 @@ class _LockedSide:
     control-variable sync after every op.  Same ``execute`` as
     :class:`CombiningQueue`, the combining alternative."""
 
-    def __init__(self, cpu: CPU, name: str, on_batch_end):
+    def __init__(self, cpu: CPU, name: str, on_batch_end, after_batch_end=None):
         self.lock = MCSLock(cpu, name=name)
         self._nodes = {}
         self.on_batch_end = on_batch_end
+        self.after_batch_end = after_batch_end
 
     def execute(self, core: Core, op, *args, ctx=None) -> Generator:
         node = self._nodes.get(core.cid)
@@ -150,7 +152,9 @@ class _LockedSide:
         try:
             result = yield from op(core, *args)
             # Without combining, control-variable sync happens per-op.
-            yield from self.on_batch_end(core)
+            yield self.on_batch_end(core)
+            if self.after_batch_end is not None:
+                self.after_batch_end()
         finally:
             yield from self.lock.release(core, node)
         return result
@@ -236,14 +240,16 @@ class RingBuffer:
         if self.policy.combining:
             self._enq_side = CombiningQueue(
                 sender_cpu, self.policy.combine_max, f"{name}.enq",
-                self._push_tail,
+                self._push_tail, self._tail_pushed,
             )
             self._deq_side = CombiningQueue(
                 receiver_cpu, self.policy.combine_max, f"{name}.deq",
                 self._push_head,
             )
         else:
-            self._enq_side = _LockedSide(sender_cpu, f"{name}.enq", self._push_tail)
+            self._enq_side = _LockedSide(
+                sender_cpu, f"{name}.enq", self._push_tail, self._tail_pushed
+            )
             self._deq_side = _LockedSide(
                 receiver_cpu, f"{name}.deq", self._push_head
             )
@@ -279,16 +285,21 @@ class RingBuffer:
     # ------------------------------------------------------------------
     # Control-variable synchronization (§4.2.4)
     # ------------------------------------------------------------------
-    def _push_tail(self, core: Core) -> Generator:
-        """Sender-side batch end: publish tail to the receiver replica."""
+    def _push_tail(self, core: Core) -> Delay:
+        """Sender-side batch end: publish tail to the receiver replica;
+        returns the posted write's delay."""
         self._recv_visible_seq = self._seq
-        yield self._remote_ctrl_post(core)
+        return self._remote_ctrl_post(core)
+
+    def _tail_pushed(self) -> None:
+        """After the tail push's write: wake the sleeping receivers."""
         self._wake(self._data_waiters)
 
-    def _push_head(self, core: Core) -> Generator:
-        """Receiver-side batch end: publish head to the sender replica."""
+    def _push_head(self, core: Core) -> Delay:
+        """Receiver-side batch end: publish head to the sender replica;
+        returns the posted write's delay."""
         self._sender_freed_view = self._freed_bytes
-        yield self._remote_ctrl_post(core)
+        return self._remote_ctrl_post(core)
 
     def _read_ctrl(self, core: Core, cell) -> Generator:
         """Read the other side's original control variable ``cell``: a
@@ -383,7 +394,19 @@ class RingBuffer:
                 return _WOULD_BLOCK
         self._seq += 1
         slot = Slot(self._seq, size)
-        yield from self._tail_cell.store(core, self._seq)
+        # Store the tail: MemCell.store's yields, in this frame.
+        cell = self._tail_cell
+        cost = cell._exclusive_cost(core, STORE)
+        grant = cell._grant(core, STORE)
+        if grant is None:
+            yield cost
+        else:
+            yield grant
+            try:
+                yield cost
+            finally:
+                cell._release()
+        cell._apply(core, STORE, self._seq, None)
         if not self.policy.lazy_update:
             if self.master_cpu is not self.sender_cpu:
                 yield self._remote_ctrl_post(core)
@@ -473,7 +496,19 @@ class RingBuffer:
         slot = self._to_dequeue.popleft()
         slot.state = _CONSUMED
         self._unfreed.append(slot)
-        yield from self._head_cell.store(core, slot.seq)
+        # Store the head: MemCell.store's yields, in this frame.
+        cell = self._head_cell
+        cost = cell._exclusive_cost(core, STORE)
+        grant = cell._grant(core, STORE)
+        if grant is None:
+            yield cost
+        else:
+            yield grant
+            try:
+                yield cost
+            finally:
+                cell._release()
+        cell._apply(core, STORE, slot.seq, None)
         if not self.policy.lazy_update:
             if self.master_cpu is not self.receiver_cpu:
                 yield self._remote_ctrl_post(core)
@@ -526,6 +561,8 @@ class RingBuffer:
         return self._dequeue(core, block=True, recv=True)
 
     def _wake(self, waiters: list) -> None:
+        if not waiters:
+            return
         pending, waiters[:] = waiters[:], []
         for ev in pending:
             if not ev.triggered:

@@ -652,6 +652,11 @@ class RefEngine:
             self.now, _, thunk = heapq.heappop(self.heap)
             thunk()
 
+    def at_end_of(self, when, thunk):
+        """Run ``thunk`` at ``when``, after everything else due then
+        that is scheduled before it runs."""
+        heapq.heappush(self.heap, (when, 1 << 40 | next(self.seq), thunk))
+
     def event(self):
         return RefEvent(self)
 
@@ -824,10 +829,20 @@ _bodies = st.recursive(
 _programs = st.lists(_bodies, min_size=1, max_size=4)
 
 
-def play(eng, program, lock, res, store, slices=()):
+def play(eng, program, lock, res, store, slices=(), budget=None, extra=None,
+         stops=None):
     """Run ``program`` on ``eng`` with a lock, a 2-slot resource and an
-    unbounded store, first up to each time in ``slices`` and then to
-    the end; return its ``(now, tag)`` log."""
+    unbounded store, and return its ``(now, tag)`` log.
+
+    On an :class:`Engine`: first ``run(max_events=budget)``, which
+    raises :class:`SimulationLimitExceeded` after ``budget + 1`` entries
+    unless the program ends sooner, then up to each time in ``slices``,
+    then to the end.  After each slice
+    ``(until, now before, now after, live work left)`` goes on
+    ``stops``, and ``extra``, if given, is spawned there: zero-delay
+    work between slices.  On the reference, which runs in one call,
+    ``extra`` is spawned at each ``now after`` in ``stops``, after
+    everything else due by then."""
     log = []
     events = [eng.event() for _ in range(N_EVENTS)]
     procs = []
@@ -892,43 +907,100 @@ def play(eng, program, lock, res, store, slices=()):
 
     for j, ops in enumerate(program):
         spawn(str(j), ops)
-    # Engine re-raises an unconsumed failure when a run returns; the
-    # reference never does.
-    for until in slices:
+    if isinstance(eng, RefEngine):
+        for k, stop in enumerate(stops or ()):
+            eng.at_end_of(stop[2], lambda k=k: spawn(f"x{k}", extra))
+        eng.run()
+        return log
+    # Engine re-raises an unconsumed failure (or SimulationLimitExceeded)
+    # when a run returns; the reference never does.
+    if budget is not None:
+        try:
+            eng.run(max_events=budget)
+        except SimulationLimitExceeded:
+            assert eng.events_processed == budget + 1
+        except Exception:  # noqa: BLE001 - an unconsumed failure
+            assert eng.events_processed <= budget
+        else:
+            assert eng.events_processed <= budget
+    for k, until in enumerate(slices):
+        before = eng.now
         with suppress(Exception):
             eng.run(until=until)
+        live = any(entry[2] is not None for entry in eng._heap)
+        if stops is not None:
+            stops.append((until, before, eng.now, live))
+        if extra is not None:
+            spawn(f"x{k}", extra)
     with suppress(Exception):
         eng.run()
     return log
+
+
+def _play_engine(program, **run):
+    eng = Engine()
+    return eng, play(eng, program, Lock(eng), Resource(eng, 2), Store(eng), **run)
+
+
+def _play_reference(program, **run):
+    ref = RefEngine()
+    return play(ref, program, RefSlots(ref, 1), RefSlots(ref, 2), RefStore(ref), **run)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(
     program=_programs,
     slices=st.lists(st.integers(0, 30), max_size=4).map(sorted),
+    budget=st.none() | st.integers(1, 40),
+    extra=_bodies,
 )
 # Process 2's resume, run by event 0's delivery, interrupts process 3,
 # whose resume that same delivery still holds: 3 must see the Interrupt.
 @example(
     program=[[], [("sleep", 0), ("trigger", 0)], [("wait", 0), ("interrupt", 3)],
              [("wait", 0)]],
-    slices=[],
+    slices=[], budget=None, extra=[],
 )
 # The same with a failed event: 2 catches the failure, then interrupts 3.
 @example(
     program=[[], [("sleep", 0), ("fail", 0)], [("wait", 0), ("interrupt", 3)],
              [("wait", 0)]],
-    slices=[],
+    slices=[], budget=None, extra=[],
 )
-def test_engine_matches_reference_order(program, slices):
+# The budget runs out where process 0 would resume in place (its second
+# sleep); run() then takes the wake-up from the heap.
+@example(
+    program=[[("sleep", 1), ("sleep", 1), ("sleep", 1)]],
+    slices=[], budget=2, extra=[("sleep", 0)],
+)
+# Only the cancelled 5 ns timer is left at t=3: the slice ends at the
+# last real event (t=0), and so does the run; the extra work runs there.
+@example(
+    program=[[("trigger", 0)], [("any", 0, 5)]],
+    slices=[3], budget=None, extra=[("sleep", 0), ("sleep", 2)],
+)
+def test_engine_matches_reference_order(program, slices, budget, extra):
     """Random programs log the same ``(now, tag)`` sequence on Engine
-    as on the reference scheduler, whether Engine runs in one call or
-    in ``run(until=t)`` slices.  The reference's lock, resource and
-    store answer every immediate grant with a triggered event; Engine's
-    return ``0`` for it, which must wake the caller in the same order."""
-    ref = RefEngine()
-    expected = play(ref, program, RefSlots(ref, 1), RefSlots(ref, 2), RefStore(ref))
-    for cuts in ((), slices):
-        eng = Engine()
-        got = play(eng, program, Lock(eng), Resource(eng, 2), Store(eng), cuts)
-        assert got == expected
+    as on the reference scheduler, whether Engine runs in one call, or
+    under an event budget and then in ``run(until=t)`` slices.  Both
+    ways count the same entries and end at the same time; a slice ends
+    at ``until`` while live work is left, else at the run's last event.
+    Zero-delay work spawned between slices runs where the reference
+    runs it after everything due by then.  The reference's lock,
+    resource and store answer every immediate grant with a triggered
+    event; Engine's return ``0`` for it, which must wake the caller in
+    the same order."""
+    expected = _play_reference(program)
+    whole, got = _play_engine(program)
+    assert got == expected
+    stops = []
+    sliced, got = _play_engine(program, slices=slices, budget=budget, stops=stops)
+    assert got == expected
+    assert sliced.events_processed == whole.events_processed
+    assert sliced.now == whole.now
+    for until, before, after, live in stops:
+        assert after == (max(until, before) if live else whole.now)
+
+    stops = []
+    _, got = _play_engine(program, slices=slices, extra=extra, stops=stops)
+    assert got == _play_reference(program, extra=extra, stops=stops)
