@@ -1,8 +1,9 @@
-"""Benchmark harness: the experiment runners behind every figure.
+"""Benchmark harness: the paper's experiments and their runners.
 
-``benchmarks/bench_fig*.py`` (pytest-benchmark targets) sweep these
-runners over the paper's parameter grids; EXPERIMENTS.md records
-paper-reported vs measured values.
+:mod:`.figures` holds the runners behind every figure, table and
+ablation; :mod:`.claims` sweeps them over the paper's parameter grids
+and checks each claim (``python -m repro.bench <id>``).
+EXPERIMENTS.md records paper-reported vs measured values.
 """
 
 from .figures import (

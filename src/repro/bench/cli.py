@@ -1,8 +1,9 @@
 """Standalone experiment runner: ``python -m repro.bench``.
 
-Runs any figure/table/ablation without pytest, printing the same
-tables the benchmark suite produces.  Useful for poking at a single
-experiment while reading the paper::
+Runs the paper's figures, tables and ablations from
+:data:`repro.bench.claims.CLAIMS`: each prints its table and checks
+its claim, and the exit status is 1 if any claim fails.  Useful for
+poking at a single experiment while reading the paper::
 
     python -m repro.bench --list
     python -m repro.bench fig08
@@ -19,82 +20,32 @@ registries (counters/gauges/histograms/meters) as flat JSON.
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import os
 import sys
 import time
-from typing import Dict, List
+from typing import List
 
-BENCH_DIR = os.path.join(
-    os.path.dirname(__file__), "..", "..", "..", "benchmarks"
-)
+from .claims import CLAIMS
 
-__all__ = ["main", "discover", "run_one"]
+__all__ = ["main", "run_one"]
 
 
-def discover() -> Dict[str, str]:
-    """Map short experiment ids to bench file paths."""
-    table: Dict[str, str] = {}
-    if not os.path.isdir(BENCH_DIR):
-        return table
-    for name in sorted(os.listdir(BENCH_DIR)):
-        if not (name.startswith("bench_") and name.endswith(".py")):
-            continue
-        stem = name[len("bench_"):-3]
-        short = stem.split("_")[0]          # fig01a, table1, ablation...
-        if short == "ablation" or short == "kvstore":
-            short = stem                     # keep ablation_* distinct
-        table[short] = os.path.join(BENCH_DIR, name)
-    return table
-
-
-class _PrintBenchmark:
-    """Minimal stand-in for the pytest-benchmark fixture."""
-
-    def pedantic(self, func, rounds=1, iterations=1, args=(), kwargs=None):
-        return func(*args, **(kwargs or {}))
-
-    def __call__(self, func, *args, **kwargs):  # pragma: no cover
-        return func(*args, **kwargs)
-
-
-def run_one(short: str, path: str) -> bool:
-    """Import the bench module and run its test function(s).
+def run_one(short: str) -> bool:
+    """Run one claim and print its status line.
 
     A failed shape-check (AssertionError) or a crashed experiment
     (any other exception) marks the run failed but never aborts it:
     ``all`` always visits every experiment and reports at the end.
     """
-    spec = importlib.util.spec_from_file_location(f"bench_{short}", path)
-    module = importlib.util.module_from_spec(spec)
+    started = time.time()
     try:
-        spec.loader.exec_module(module)
+        CLAIMS[short]()
+        status = "ok"
+    except AssertionError as error:
+        status = f"SHAPE-CHECK FAILED: {error}"
     except Exception as error:
-        # A module that crashes at import must not abort an 'all' run:
-        # later experiments still execute and any --trace-out /
-        # --metrics-out data collected so far is still written.
-        print(f"\n[{short}] IMPORT ERROR: {error!r}")
-        return False
-    tests = [
-        getattr(module, name)
-        for name in dir(module)
-        if name.startswith("test_") and callable(getattr(module, name))
-    ]
-    ok = True
-    for test in tests:
-        started = time.time()
-        try:
-            test(_PrintBenchmark())
-            status = "ok"
-        except AssertionError as error:
-            status = f"SHAPE-CHECK FAILED: {error}"
-            ok = False
-        except Exception as error:
-            status = f"ERROR: {error!r}"
-            ok = False
-        print(f"\n[{short}] {test.__name__}: {status} "
-              f"({time.time() - started:.1f}s wall)")
-    return ok
+        status = f"ERROR: {error!r}"
+    print(f"\n[{short}] {status} ({time.time() - started:.1f}s wall)")
+    return status == "ok"
 
 
 def main(argv: List[str] = None) -> int:
@@ -124,18 +75,17 @@ def main(argv: List[str] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    table = discover()
     if args.list or not args.experiments:
         print("available experiments:")
-        for short, path in table.items():
-            print(f"  {short:<24} {os.path.basename(path)}")
+        for short, claim in CLAIMS.items():
+            print(f"  {short:<24} {claim.__doc__.splitlines()[0]}")
         return 0
 
     wanted = (
-        list(table) if args.experiments == ["all"] else args.experiments
+        list(CLAIMS) if args.experiments == ["all"] else args.experiments
     )
     for short in wanted:
-        if short not in table:
+        if short not in CLAIMS:
             print(f"unknown experiment: {short!r} (try --list)")
             return 2
 
@@ -148,7 +98,7 @@ def main(argv: List[str] = None) -> int:
     ok = True
     try:
         for short in wanted:
-            ok &= run_one(short, table[short])
+            ok &= run_one(short)
     finally:
         if capture is not None:
             from ..obs import (

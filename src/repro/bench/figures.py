@@ -1,9 +1,9 @@
-"""Shared experiment runners behind every figure/table bench.
+"""The experiment runners behind every figure, table and ablation.
 
 Each runner builds a fresh engine + machine (full isolation and
 determinism), runs one configuration, and returns scalar results.
-The ``benchmarks/bench_fig*.py`` files sweep these over the paper's
-parameter grids and print the tables.
+:mod:`repro.bench.claims` sweeps these over the paper's parameter
+grids, prints the tables and checks the paper's claims.
 
 Stacks (file system):
 
@@ -21,12 +21,24 @@ Stacks (file system):
 from __future__ import annotations
 
 import random
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..core import P2P, SolrosConfig, SolrosSystem
+import repro
+
+from ..apps import (
+    FeatureDataset,
+    ImageSearch,
+    KvClient,
+    KvShard,
+    SyntheticCorpus,
+    TextIndexer,
+    key_shard,
+)
+from ..core import BUFFERED, P2P, SolrosConfig, SolrosSystem
 from ..fs import BlockDevice, ExtFS, LocalFsBackend, NfsClientBackend, O_RDWR, Vfs, build_virtio_fs
 from ..hw import KB, MB, build_machine, default_params
-from ..net import SocketAddr
+from ..net import RoundRobinBalancer, SocketAddr
 from ..net.testbed import NetTestbed
 from ..sched import SchedConfig
 from ..sim import Engine
@@ -48,6 +60,18 @@ __all__ = [
     "sched_qos_overload",
     "sched_qos_unloaded",
     "faults_chaos_run",
+    "SHARED_SOCKET_REQUESTS",
+    "shared_socket_rate",
+    "kvstore_ops_per_sec",
+    "textindex_seconds",
+    "imagesearch_run",
+    "ring_combining_pairs_per_sec",
+    "datapath_gbps",
+    "COALESCE_FRAGMENTS",
+    "nvme_coalescing_run",
+    "shared_cache_two_readers",
+    "prefetch_scan",
+    "count_loc",
 ]
 
 FS_STACKS = ("host", "solros", "solros-xnuma", "solros-xnuma-p2p", "virtio", "nfs")
@@ -151,6 +175,14 @@ def setup_fs_stack(
     raise ValueError(f"unknown stack: {stack!r}")
 
 
+def _populate_core(setup: FsSetup, stack: str):
+    """A core that writes straight into the backing FS (setup, not
+    measured)."""
+    if stack == "virtio":
+        return setup.cores[0]
+    return (setup.machine or setup.system.machine).host_core(0)
+
+
 def fs_random_io(
     stack: str,
     block_size: int,
@@ -170,12 +202,9 @@ def fs_random_io(
     file_bytes = file_mb * MB
     # Preallocate the benchmark file directly on the backing FS (this
     # is setup, not the measured region).
-    alloc_core = (
-        setup.cores[0]
-        if stack == "virtio"
-        else (setup.machine or setup.system.machine).host_core(0)
+    eng.run_process(
+        setup.fs.preallocate(_populate_core(setup, stack), BENCH_FILE, file_bytes)
     )
-    eng.run_process(setup.fs.preallocate(alloc_core, BENCH_FILE, file_bytes))
 
     if total_mb is None:
         total_mb = max(16, min(64, n_threads * 2 * block_size // MB + 8))
@@ -1015,3 +1044,378 @@ def faults_chaos_run(
         "counts": state["counts"],
         "breakers": state["breakers"],
     }
+
+
+# ----------------------------------------------------------------------
+# §4.4.3: shared listening socket (reconstructed Figure 15) and the
+# KV-store scale-out
+# ----------------------------------------------------------------------
+SHARED_SOCKET_REQUESTS = 48  # over 8 client connections
+
+
+def shared_socket_rate(n_phis: int):
+    """Aggregate served requests/s with ``n_phis`` shared-socket
+    members; returns the rate and the requests each member served."""
+    eng, _m, tb, proxy, apis, system = _net_env("solros", n_phis)
+    port = 9500
+    served = {i: 0 for i in range(n_phis)}
+
+    def phi_server(i):
+        dp = system.dataplane(i)
+        core = dp.core(0)
+        listener = yield from apis[i].listen(
+            core, port, RoundRobinBalancer() if i == 0 else None
+        )
+        while True:
+            sock = yield from listener.accept(core)
+            while True:
+                payload, n = yield from sock.recv(core)
+                if payload is None:
+                    break
+                # Simulated request handling on the Phi: this is the
+                # per-request work the members parallelize.
+                yield core.compute(30_000, "branchy")
+                served[i] += 1
+                yield from sock.send(core, b"ok", 64)
+
+    def client(j, n_requests):
+        core = tb.client_cpu.core(j % 16)
+        conn = yield from tb.client.connect(core, SocketAddr("host", port))
+        for _ in range(n_requests):
+            yield from conn.send(core, b"req", 64)
+            yield from conn.recv(core)
+        yield from conn.close(core)
+
+    for i in range(n_phis):
+        eng.spawn(phi_server(i))
+    start = eng.now
+    n_clients = 8
+    procs = [
+        eng.spawn(client(j, SHARED_SOCKET_REQUESTS // n_clients))
+        for j in range(n_clients)
+    ]
+
+    def waiter(eng):
+        yield eng.all_of(procs)
+        return eng.now
+
+    end = eng.run_process(waiter(eng))
+    proxy.stop()
+    system.shutdown()
+    total = sum(served.values())
+    rate = total * 1e9 / (end - start)
+    return rate, served
+
+
+def kvstore_ops_per_sec(n_shards: int) -> float:
+    """Aggregate put+get ops/s with ``n_shards`` co-processor shards
+    behind the content-based balancer; checks every key's placement."""
+    n_ops = 96
+    n_client_workers = 24
+    eng = Engine()
+    system = SolrosSystem(eng, SolrosConfig(disk_blocks=8192, max_inodes=32))
+    eng.run_process(system.boot(n_phis=n_shards))
+    tb = NetTestbed(eng, system.machine)
+    proxy = tb.solros_proxy()
+    shards = []
+    for i in range(n_shards):
+        api = proxy.attach(system.dataplane(i))
+        shard = KvShard(eng, system.dataplane(i), api, i)
+        shard.start()
+        shards.append(shard)
+    client = KvClient(tb.client, tb.client_cpu)
+
+    def worker(w):
+        for j in range(w, n_ops, n_client_workers):
+            key = f"bench-key-{j}"
+            yield from client.put(key, f"value-{j}")
+            reply = yield from client.get(key)
+            assert reply == ("ok", f"value-{j}")
+
+    start = eng.now
+    procs = [eng.spawn(worker(w)) for w in range(n_client_workers)]
+    eng.run()
+    assert all(p.ok for p in procs)
+    elapsed = eng.now - start
+    ops_per_sec = 2 * n_ops * 1e9 / elapsed  # put + get per key
+    # Placement check: every key on its hash shard.
+    for j in range(n_ops):
+        key = f"bench-key-{j}"
+        owner = key_shard(key, n_shards)
+        assert shards[owner].data.get(key) == f"value-{j}"
+    for shard in shards:
+        shard.stop()
+    proxy.stop()
+    system.shutdown()
+    return ops_per_sec
+
+
+# ----------------------------------------------------------------------
+# §6.2 applications (reconstructed Figures 16 and 17)
+# ----------------------------------------------------------------------
+def textindex_seconds(stack: str) -> float:
+    """Index 32 synthetic 2 MB docs with 32 workers on one stack (I/O
+    dominates, as in the paper); returns elapsed seconds."""
+    n_docs = 32
+    workers = 32
+    setup = setup_fs_stack(stack, max_threads=workers)
+    eng = setup.engine
+    corpus = SyntheticCorpus(n_docs=n_docs, avg_doc_bytes=2048 * KB, seed=3)
+    populate_core = _populate_core(setup, stack)
+
+    def populate(eng):
+        yield from setup.fs.mkdir(populate_core, "/corpus")
+        for i in range(n_docs):
+            inode = yield from setup.fs.create(
+                populate_core, f"/corpus/{corpus.doc_name(i)}"
+            )
+            yield from setup.fs.write(
+                populate_core, inode, 0, data=corpus.doc_bytes(i)
+            )
+
+    eng.run_process(populate(eng))
+
+    indexer = TextIndexer(eng, setup.vfs)
+    result = eng.run_process(
+        indexer.run(setup.cores[:workers], "/corpus"), name="index"
+    )
+    assert result.docs_indexed == n_docs
+    if setup.system is not None:
+        setup.system.shutdown()
+    return result.elapsed_ns / 1e9
+
+
+def imagesearch_run(stack: str):
+    """k-NN search over a 16 MB feature database (64-dim, 64 K
+    vectors, 192 queries, 8 workers) on one stack; returns the
+    SearchResult."""
+    dim = 64
+    workers = 8
+    setup = setup_fs_stack(stack, max_threads=workers)
+    eng = setup.engine
+    ds = FeatureDataset(n_vectors=64 * 1024, dim=dim, seed=21)
+    queries = ds.queries(192)
+    populate_core = _populate_core(setup, stack)
+
+    def populate(eng):
+        inode = yield from setup.fs.create(populate_core, "/features.db")
+        yield from setup.fs.write(populate_core, inode, 0, data=ds.to_bytes())
+
+    eng.run_process(populate(eng))
+
+    search = ImageSearch(eng, setup.vfs, dim=dim)
+    result = eng.run_process(
+        search.run(setup.cores[:workers], "/features.db", queries, k=5),
+        name="search",
+    )
+    if setup.system is not None:
+        setup.system.shutdown()
+    return result
+
+
+# ----------------------------------------------------------------------
+# Ablations: one Solros mechanism on or off
+# ----------------------------------------------------------------------
+def ring_combining_pairs_per_sec(combining: bool, n_threads: int) -> float:
+    """Fig. 8's Phi-local Solros ring with combining on, or swapped
+    for MCS locks (``RingPolicy.combining=False``)."""
+    iters = 50
+    eng = Engine()
+    m = build_machine(eng)
+    phi = m.phi(0)
+    rb = RingBuffer(
+        eng, m.fabric, 1 << 20,
+        master_cpu=phi, sender_cpu=phi, receiver_cpu=phi,
+        policy=RingPolicy(combining=combining),
+    )
+
+    def worker(i):
+        core = phi.core(i)
+        for _ in range(iters):
+            yield from rb.send(core, b"x", 64)
+            yield from rb.recv(core)
+
+    procs = [eng.spawn(worker(i)) for i in range(n_threads)]
+    eng.run()
+    assert all(p.ok for p in procs)
+    return n_threads * iters * 1e9 / eng.now
+
+
+def datapath_gbps(phi_numa: str, force) -> float:
+    """Cold 512 KB random reads (GB/s) by 8 threads from a Phi on the
+    SSD's NUMA domain (``"same"``) or the other one, with the data
+    path forced to ``P2P``/``BUFFERED`` or left to the policy
+    (``None``)."""
+    threads = 8
+    ops = 6
+    block = 512 * KB
+    stack = "solros" if phi_numa == "same" else "solros-xnuma"
+    setup = setup_fs_stack(stack, max_threads=threads)
+    setup.system.control.policy.force_mode = force
+    eng = setup.engine
+    file_bytes = 96 * MB
+    host_core = setup.system.machine.host_core(0)
+    eng.run_process(setup.fs.preallocate(host_core, BENCH_FILE, file_bytes))
+    rng = random.Random(5)
+    n_blocks = file_bytes // block
+    # Unique offsets: every read is cold, so the comparison isolates
+    # the data *path*, not cache-hit luck.
+    offsets = [b * block for b in rng.sample(range(n_blocks), ops * threads)]
+    moved = [0]
+
+    def worker(core, mine):
+        fd = yield from setup.vfs.open(core, BENCH_FILE, O_RDWR)
+        for offset in mine:
+            data = yield from setup.vfs.pread(core, fd, block, offset)
+            moved[0] += len(data)
+        yield from setup.vfs.close(core, fd)
+
+    start = eng.now
+    procs = [
+        eng.spawn(worker(setup.cores[t], offsets[t::threads]))
+        for t in range(threads)
+    ]
+    eng.run()
+    assert all(p.ok for p in procs)
+    gbps = moved[0] / (eng.now - start)
+    setup.system.shutdown()
+    return gbps
+
+
+COALESCE_FRAGMENTS = 16  # 8 KB extents per read call
+
+
+def nvme_coalescing_run(coalesce: bool):
+    """Fragmented reads by 12 workers straight on the NVMe driver, with
+    io-vector coalescing on or off; returns calls/s, doorbells and
+    interrupts."""
+    n_calls = 48
+    workers = 12
+    eng = Engine()
+    m = build_machine(eng)
+    dev = BlockDevice(m.nvme, 128 * 1024)
+    rng = random.Random(2)
+
+    def worker(w):
+        core = m.host_core(w)
+        for _ in range(n_calls // workers):
+            extents = [
+                (rng.randrange(100_000), 8 * KB // 4096)
+                for _ in range(COALESCE_FRAGMENTS)
+            ]
+            yield from dev.submit_read(core, extents, "numa0", coalesce=coalesce)
+
+    procs = [eng.spawn(worker(w)) for w in range(workers)]
+    eng.run()
+    assert all(p.ok for p in procs)
+    stats = m.nvme.stats
+    calls = workers * (n_calls // workers)
+    calls_per_sec = calls * 1e9 / eng.now
+    return calls_per_sec, stats.doorbells, stats.interrupts
+
+
+def shared_cache_two_readers(cache_bytes: Optional[int]):
+    """Phi 2 streams a 64 MB file in buffered mode, then phi 3 reads it
+    again; returns both passes' GB/s and the cache hit rate."""
+    file_bytes = 64 * MB
+    block = 512 * KB
+    threads = 4
+    eng = Engine()
+    cfg = SolrosConfig(
+        disk_blocks=48 * 1024, max_inodes=32, buffer_cache_bytes=cache_bytes
+    )
+    system = SolrosSystem(eng, cfg)
+    eng.run_process(system.boot(n_phis=4))
+    # Force buffered mode so the cache is on-path for both planes.
+    system.control.policy.force_mode = BUFFERED
+    host_core = system.machine.host_core(0)
+    eng.run_process(
+        system.control.fs.preallocate(host_core, "/shared.dat", file_bytes)
+    )
+
+    def worker(dp, t):
+        core = dp.core(t)
+        fd = yield from dp.fs.open(core, "/shared.dat", O_RDWR)
+        for i in range(t, file_bytes // block, threads):
+            yield from dp.fs.pread(core, fd, block, i * block)
+        yield from dp.fs.close(core, fd)
+
+    def stream(dp):
+        t0 = eng.now
+        yield eng.all_of([eng.spawn(worker(dp, t)) for t in range(threads)])
+        return eng.now - t0
+
+    first = eng.run_process(stream(system.dataplane(2)))
+    second = eng.run_process(stream(system.dataplane(3)))
+    hit_rate = (
+        system.control.cache.stats.hit_rate
+        if system.control.cache is not None
+        else 0.0
+    )
+    system.shutdown()
+    return file_bytes / first, file_bytes / second, hit_rate
+
+
+def prefetch_scan(prefetch: bool):
+    """Phis 0 and 1 sample a 48 MB dataset (marking it hot), then
+    phis 2 and 3 scan it in full; returns the scan GB/s, the cache hit
+    rate and the number of prefetches."""
+    path = "/dataset.bin"
+    file_bytes = 48 * MB
+    block = 512 * KB
+    eng = Engine()
+    cfg = SolrosConfig(
+        disk_blocks=48 * 1024, max_inodes=32, enable_prefetch=prefetch
+    )
+    system = SolrosSystem(eng, cfg)
+    eng.run_process(system.boot(n_phis=4))
+    host_core = system.machine.host_core(0)
+    eng.run_process(system.control.fs.preallocate(host_core, path, file_bytes))
+
+    def sample(phi_index):
+        dp = system.dataplane(phi_index)
+        core = dp.core(0)
+        fd = yield from dp.fs.open(core, path)
+        for k in range(3):
+            yield from dp.fs.pread(core, fd, 64 * KB, k * MB)
+        yield from dp.fs.close(core, fd)
+
+    for i in (0, 1):
+        eng.run_process(sample(i))
+    # Give the background prefetch (if any) time to complete.
+    eng.run()
+
+    def scan(phi_index, t):
+        dp = system.dataplane(phi_index)
+        core = dp.core(t)
+        stripe = (phi_index - 2) * 2 + t  # 4 disjoint stripes
+        fd = yield from dp.fs.open(core, path)
+        for i in range(stripe, file_bytes // block, 4):
+            yield from dp.fs.pread(core, fd, block, i * block)
+        yield from dp.fs.close(core, fd)
+
+    start = eng.now
+    procs = [eng.spawn(scan(p, t)) for p in (2, 3) for t in range(2)]
+    eng.run()
+    assert all(pr.ok for pr in procs)
+    gbps = file_bytes / (eng.now - start)
+    hit_rate = system.control.cache.stats.hit_rate
+    prefetches = (
+        system.control.prefetcher.stats.prefetches
+        if system.control.prefetcher
+        else 0
+    )
+    system.shutdown()
+    return gbps, hit_rate, prefetches
+
+
+# ----------------------------------------------------------------------
+# Table 1: lines of code
+# ----------------------------------------------------------------------
+def count_loc(subdir: str) -> int:
+    """Lines in the ``.py`` files under ``repro/<subdir>``."""
+    total = 0
+    for path in (Path(repro.__file__).parent / subdir).rglob("*.py"):
+        with path.open() as fh:
+            total += sum(1 for _ in fh)
+    return total

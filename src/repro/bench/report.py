@@ -1,8 +1,9 @@
 """Plain-text rendering of benchmark tables and series.
 
-Every figure bench prints its rows through these helpers so
-``bench_output.txt`` reads like the paper's tables: one experiment
-header, the measured series, and the paper-expected shape next to it.
+Every claim in :mod:`repro.bench.claims` prints its rows through these
+helpers so ``python -m repro.bench`` reads like the paper's tables: one
+experiment header, the measured series, and the paper-expected shape
+next to it.
 """
 
 from __future__ import annotations

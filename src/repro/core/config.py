@@ -38,8 +38,6 @@ class SolrosConfig:
     fault_plan: Optional[FaultPlan] = None
     # Cross-co-processor file prefetching (§4; needs the buffer cache).
     enable_prefetch: bool = False
-    prefetch_min_accesses: int = 4
-    prefetch_min_planes: int = 2
     # End-to-end observability (repro.obs).  Off by default: every hot
     # path then sees the shared NullTracer and no metrics registry.
     # ``python -m repro.bench --trace-out`` enables it globally via the

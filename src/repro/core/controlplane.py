@@ -102,8 +102,6 @@ class ControlPlaneOS:
                 self.fs,
                 self.cache,
                 self.host.cores[-3],
-                min_accesses=cfg.prefetch_min_accesses,
-                min_planes=cfg.prefetch_min_planes,
             )
             self.fs_proxy.prefetcher = self.prefetcher
         if cfg.sched is not None:

@@ -24,6 +24,11 @@ from ..sim.engine import Engine
 
 __all__ = ["Prefetcher", "PrefetchStats"]
 
+# A file is hot once it has seen MIN_ACCESSES reads from at least
+# MIN_PLANES distinct co-processors.
+MIN_ACCESSES = 4
+MIN_PLANES = 2
+
 
 class PrefetchStats:
     def __init__(self) -> None:
@@ -50,9 +55,6 @@ class Prefetcher:
         fs: ExtFS,
         cache: BufferCache,
         host_core: Core,
-        min_accesses: int = 4,
-        min_planes: int = 2,
-        max_file_bytes: int = 64 << 20,
     ):
         if cache is None:
             raise ValueError("prefetching requires the shared buffer cache")
@@ -60,9 +62,8 @@ class Prefetcher:
         self.fs = fs
         self.cache = cache
         self.host_core = host_core
-        self.min_accesses = min_accesses
-        self.min_planes = min_planes
-        self.max_file_bytes = max_file_bytes
+        # Larger files are never prefetched.
+        self.max_file_bytes = 64 << 20
         self.stats = PrefetchStats()
         self._heat: Dict[int, _FileHeat] = {}
         self._inflight: Set[int] = set()
@@ -89,9 +90,9 @@ class Prefetcher:
     def _should_prefetch(self, inode, heat: _FileHeat) -> bool:
         if heat.prefetched or inode.ino in self._inflight:
             return False
-        if heat.accesses < self.min_accesses:
+        if heat.accesses < MIN_ACCESSES:
             return False
-        if len(heat.planes) < self.min_planes:
+        if len(heat.planes) < MIN_PLANES:
             return False
         if inode.size > self.max_file_bytes:
             self.stats.skipped_too_large += 1

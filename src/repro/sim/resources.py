@@ -27,9 +27,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        # Utilization accounting.
-        self._busy_ns = 0
-        self._last_change = 0
 
     @property
     def in_use(self) -> int:
@@ -42,28 +39,20 @@ class Resource:
     def request(self) -> Union[int, Event]:
         """Something to ``yield`` that resumes once a slot is granted:
         ``0`` if it is granted at once, else an event."""
-        in_use = self._in_use
-        now = self.engine._now
-        self._busy_ns += in_use * (now - self._last_change)
-        self._last_change = now
-        if in_use < self.capacity and not self._waiters:
-            self._in_use = in_use + 1
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
             return 0
         ev = Event(self.engine)
         self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
-        in_use = self._in_use
-        now = self.engine._now
-        self._busy_ns += in_use * (now - self._last_change)
-        self._last_change = now
-        if in_use == 0:
+        if self._in_use == 0:
             raise SimError(f"release of idle resource {self.name!r}")
         if self._waiters:
             self._waiters.popleft().succeed()
         else:
-            self._in_use = in_use - 1
+            self._in_use -= 1
 
     def using(self, duration: int) -> Generator:
         """Hold one slot for ``duration`` ns.
@@ -75,22 +64,6 @@ class Resource:
             yield duration
         finally:
             self.release()
-
-    # ------------------------------------------------------------------
-    # Utilization accounting (busy slot-nanoseconds).
-    # ------------------------------------------------------------------
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_ns += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity in use since engine start."""
-        self._account()
-        elapsed = self.engine.now
-        if elapsed == 0:
-            return 0.0
-        return self._busy_ns / (elapsed * self.capacity)
 
 
 class BandwidthLink:
@@ -143,9 +116,6 @@ class BandwidthLink:
             finally:
                 lanes.release()
             self._bytes_moved += nbytes
-
-    def utilization(self) -> float:
-        return self._lanes.utilization()
 
     # ------------------------------------------------------------------
     # Low-level lane control, used by the PCIe fabric to hold several

@@ -1,11 +1,12 @@
 """Tests for the benchmark harness itself: stack setup, report
-rendering, the CLI discovery, and the workload generators' validation."""
+rendering, the CLI's claim registry, and the workload generators'
+validation."""
 
 import pytest
 
 from repro.apps import FeatureDataset, SyntheticCorpus
 from repro.bench import render_series, render_table, setup_fs_stack
-from repro.bench.cli import discover
+from repro.bench.claims import CLAIMS
 from repro.bench.report import fmt
 from repro.hw import KB
 
@@ -60,12 +61,11 @@ def test_fmt_number_styles():
 
 
 def test_cli_discovers_every_figure():
-    table = discover()
     for fig in ["fig01a", "fig01b", "fig04", "fig08", "fig09", "fig10",
                 "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "fig17", "fig18", "table1"]:
-        assert fig in table, f"{fig} missing from CLI discovery"
-    assert any(k.startswith("ablation_") for k in table)
+        assert fig in CLAIMS, f"{fig} missing from the claim registry"
+    assert any(k.startswith("ablation_") for k in CLAIMS)
 
 
 # ----------------------------------------------------------------------

@@ -440,26 +440,35 @@ def test_capture_hook_collects_systems():
 # ----------------------------------------------------------------------
 # The bench runner survives crashing experiments (repro.bench cli)
 # ----------------------------------------------------------------------
-def test_run_one_reports_errors_without_aborting(tmp_path, capsys):
-    from repro.bench.cli import run_one
+def test_run_one_reports_errors_without_aborting(tmp_path, capsys, monkeypatch):
+    from repro.bench.claims import CLAIMS
+    from repro.bench.cli import main
 
-    bench = tmp_path / "bench_broken.py"
-    bench.write_text(
-        "def test_a_crashes(benchmark):\n"
-        "    raise RuntimeError('boom')\n"
-        "\n"
-        "def test_b_fails_shape(benchmark):\n"
-        "    assert 1 == 2, 'shape'\n"
-        "\n"
-        "def test_c_passes(benchmark):\n"
-        "    pass\n"
-    )
-    ok = run_one("broken", str(bench))
+    ran = []
+
+    def a_crashes():
+        raise RuntimeError("boom")
+
+    def b_fails_shape():
+        assert 1 == 2, "shape"
+
+    def c_passes():
+        ran.append("c_passes")
+
+    for claim in (a_crashes, b_fails_shape, c_passes):
+        monkeypatch.setitem(CLAIMS, claim.__name__, claim)
+    metrics_path = tmp_path / "metrics.json"
+    assert main([
+        "a_crashes", "b_fails_shape", "c_passes",
+        "--metrics-out", str(metrics_path),
+    ]) == 1
     out = capsys.readouterr().out
-    assert ok is False
-    assert "ERROR: RuntimeError('boom')" in out
-    assert "SHAPE-CHECK FAILED: shape" in out
-    assert "test_c_passes: ok" in out
+    assert "[a_crashes] ERROR: RuntimeError('boom')" in out
+    assert "[b_fails_shape] SHAPE-CHECK FAILED: shape" in out
+    assert "[c_passes] ok" in out
+    # The crash aborted neither the later claims nor the export.
+    assert ran == ["c_passes"]
+    assert json.loads(metrics_path.read_text()) == {}
 
 
 def test_bench_cli_exports_trace_and_metrics(tmp_path):

@@ -7,14 +7,12 @@ from repro.hw import KB, MB
 from repro.sim import Engine
 
 
-def boot(prefetch=True, min_accesses=4, min_planes=2):
+def boot(prefetch=True):
     eng = Engine()
     cfg = SolrosConfig(
         disk_blocks=32 * 1024,
         max_inodes=32,
         enable_prefetch=prefetch,
-        prefetch_min_accesses=min_accesses,
-        prefetch_min_planes=min_planes,
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=4))

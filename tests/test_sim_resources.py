@@ -49,18 +49,6 @@ def test_resource_queue_length_visible():
     assert probe == [1]
 
 
-def test_resource_utilization_accounting():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-
-    def worker(eng):
-        yield from res.using(500)
-        yield 500  # idle tail
-
-    eng.run_process(worker(eng))
-    assert res.utilization() == pytest.approx(0.5, abs=0.01)
-
-
 def test_bandwidth_link_single_transfer_time():
     eng = Engine()
     # 1 byte/ns == 1 GB/s; 1000 bytes -> 1000 ns plus 50 ns latency.
