@@ -44,12 +44,25 @@ def render_table(
     subtitle: str = "",
     col_width: int = 12,
 ) -> str:
-    """A fixed-width table with a banner header."""
+    """A fixed-width table with a banner header.
+
+    Each column is ``col_width`` wide, or one wider than its longest
+    cell, so neighbouring cells always keep a space between them.
+    """
+    lines = [[fmt(cell, 0) for cell in line] for line in [columns, *rows]]
+    widths: list = []
+    for line in lines:
+        for i, text in enumerate(line):
+            need = max(col_width, len(text) + 1)
+            if i == len(widths):
+                widths.append(need)
+            elif need > widths[i]:
+                widths[i] = need
     out = [banner(title, subtitle)]
-    out.append("".join(fmt(c, col_width) for c in columns))
-    out.append("-" * (col_width * len(columns)))
-    for row in rows:
-        out.append("".join(fmt(cell, col_width) for cell in row))
+    for n, line in enumerate(lines):
+        out.append("".join(t.rjust(w) for t, w in zip(line, widths)))
+        if n == 0:
+            out.append("-" * sum(widths[: len(columns)]))
     return "\n".join(out)
 
 

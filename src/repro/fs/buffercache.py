@@ -53,6 +53,7 @@ class BufferCache:
         self.stats = stats = BufferCacheStats()
         metrics.view("cache.hits", lambda: stats.hits)
         metrics.view("cache.misses", lambda: stats.misses)
+        self._metered = metrics is not NULL_METRICS
         self._g_hit_rate = metrics.gauge("cache.hit_rate")
         self._g_resident = metrics.gauge("cache.resident_blocks")
 
@@ -104,7 +105,8 @@ class BufferCache:
         misses = sum(n for _s, n in missing)
         self.stats.hits += hits
         self.stats.misses += misses
-        self._g_hit_rate.set(self.stats.hit_rate)
+        if self._metered:
+            self._g_hit_rate.set(self.stats.hit_rate)
         return cached, missing
 
     # ------------------------------------------------------------------
@@ -122,7 +124,8 @@ class BufferCache:
                 if len(self._lru) > self.capacity_blocks:
                     self._lru.popitem(last=False)
                     self.stats.evictions += 1
-        self._g_resident.set(len(self._lru))
+        if self._metered:
+            self._g_resident.set(len(self._lru))
 
     def invalidate(self, device: BlockDevice, extents: List[Extent]) -> None:
         """Drop blocks (e.g. after a P2P write bypassed the cache)."""
@@ -130,7 +133,8 @@ class BufferCache:
             for first, count in extents:
                 for blockno in range(first, first + count):
                     self._lru.pop(self._key(device, blockno), None)
-        self._g_resident.set(len(self._lru))
+        if self._metered:
+            self._g_resident.set(len(self._lru))
 
     def clear(self) -> None:
         self._lru.clear()

@@ -263,10 +263,13 @@ class SolrosFsProxy:
             return b""
         if self.prefetcher is not None:
             self.prefetcher.record_access(inode, msg.target_node)
-        fs_span = self.tracer.child("fs.fiemap", "fs", ctx, core=core)
+        fs_span = None
+        if ctx is not None:
+            fs_span = self.tracer.child("fs.fiemap", "fs", ctx, core=core)
         extents = yield from self.fs.fiemap(core, inode, msg.offset, count)
         decision, missing = self._decide(msg.target_node, flags, extents)
-        self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
+        if fs_span is not None:
+            self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
 
         yield from self._transfer(
             core, "read", decision.mode == P2P, msg.target_node, count,
@@ -284,11 +287,16 @@ class SolrosFsProxy:
         if msg.count == 0:
             yield 0
             return 0
-        fs_span = self.tracer.child("fs.allocate+fiemap", "fs", ctx, core=core)
+        fs_span = None
+        if ctx is not None:
+            fs_span = self.tracer.child(
+                "fs.allocate+fiemap", "fs", ctx, core=core
+            )
         yield from self.fs._ensure_allocated(core, inode, msg.offset + msg.count)
         extents = yield from self.fs.fiemap(core, inode, msg.offset, msg.count)
         decision, _ = self._decide(msg.source_node, flags, extents)
-        self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
+        if fs_span is not None:
+            self.tracer.end(fs_span, mode=decision.mode, extents=len(extents))
 
         if msg.data is not None:
             # Functional truth: scatter the bytes into device blocks.
@@ -328,20 +336,23 @@ class SolrosFsProxy:
         submit = device.submit_write if write else device.submit_read
         p2p = p2p and self._p2p_allowed(device)
         if p2p:
-            span = self.tracer.child(
-                f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
-                path="p2p",
-            )
-            try:
-                yield from submit(
-                    core, extents, node, coalesce=True, ctx=ctx_of(span, ctx)
+            span = sub_ctx = None
+            if ctx is not None:
+                span = self.tracer.child(
+                    f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
+                    path="p2p",
                 )
+                sub_ctx = ctx_of(span, ctx)
+            try:
+                yield from submit(core, extents, node, coalesce=True, ctx=sub_ctx)
             except InjectedFault:
-                self.tracer.end(span, error=True)
+                if span is not None:
+                    self.tracer.end(span, error=True)
                 self._p2p_failed(device)
                 p2p, missing = False, extents
             else:
-                self.tracer.end(span)
+                if span is not None:
+                    self.tracer.end(span)
                 if write and self.cache is not None:
                     self.cache.invalidate(device, extents)
                 self._p2p_succeeded(device)
@@ -352,14 +363,16 @@ class SolrosFsProxy:
             pages = (nbytes + 4095) // 4096
             yield core.compute(FS_PAGE_UNITS * pages, "branchy")
             if missing:
-                span = self.tracer.child(
-                    f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
-                    path="buffered",
-                )
-                yield from submit(
-                    core, missing, host, coalesce=True, ctx=ctx_of(span, ctx)
-                )
-                self.tracer.end(span)
+                span = sub_ctx = None
+                if ctx is not None:
+                    span = self.tracer.child(
+                        f"nvme.{op}", "device", ctx, core=core, nbytes=nbytes,
+                        path="buffered",
+                    )
+                    sub_ctx = ctx_of(span, ctx)
+                yield from submit(core, missing, host, coalesce=True, ctx=sub_ctx)
+                if span is not None:
+                    self.tracer.end(span)
                 if self.cache is not None:
                     self.cache.insert(device, missing)
             if not write:
@@ -370,9 +383,14 @@ class SolrosFsProxy:
     def _dma(
         self, core: Core, name: str, src: str, dst: str, nbytes: int, ctx
     ) -> Generator:
-        span = self.tracer.child(name, "transport", ctx, core=core, nbytes=nbytes)
+        span = None
+        if ctx is not None:
+            span = self.tracer.child(
+                name, "transport", ctx, core=core, nbytes=nbytes
+            )
         yield from self.fabric.dma_copy(core, src, dst, nbytes)
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
 
     # ------------------------------------------------------------------
     # Policy glue

@@ -17,8 +17,8 @@ import random
 from typing import Any, Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..obs.tracer import ctx_of
 from ..sched.qos import QOS_NORMAL, Qos, RetryPolicy, SchedRejected
+from ..sim.engine import Delay
 from ..transport.rpc import RemoteCallError, RpcChannel
 from .ninep import Tclunk, Tfsync, Tmkdir, Topen, Tread, Treaddir, Tremove, Tstat, Twrite, wire_bytes
 from .vfs import FsBackend
@@ -28,6 +28,9 @@ __all__ = ["SolrosFsBackend"]
 # Stub CPU work (host-unit ns; runs on the Phi so pays its multiplier).
 STUB_BASE_UNITS = 350          # VFS glue + RPC marshalling
 STUB_PAGE_UNITS = 120          # per-page scatter-gather construction
+
+# ``(span, ctx)`` of a request when tracing is off.
+_UNTRACED = (None, None)
 
 
 class SolrosFsBackend(FsBackend):
@@ -70,20 +73,22 @@ class SolrosFsBackend(FsBackend):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _charge(self, core: Core, nbytes: int = 0) -> Generator:
+    def _charge(self, core: Core, nbytes: int = 0) -> Delay:
+        """The stub's CPU time for one call (a delay to ``yield``)."""
         pages = (nbytes + 4095) // 4096
-        yield core.compute(
-            STUB_BASE_UNITS + STUB_PAGE_UNITS * pages, "branchy"
-        )
+        return core.compute(STUB_BASE_UNITS + STUB_PAGE_UNITS * pages, "branchy")
 
     def _root(self, core: Core, op: str, **attrs):
-        """Open the request's root span (one per delegated syscall).
+        """Open the request's root span (one per delegated syscall);
+        returns it and its context.
 
         The stub is where a Solros request is born, so its span is the
         trace root; everything downstream (ring phases, proxy, devices)
-        hangs off the context returned here.  None when tracing is off.
+        hangs off the context returned here.  Callers test
+        ``tracer.enabled`` first and use ``_UNTRACED`` when it is off.
         """
-        return self.channel.tracer.root(f"fs.{op}", "stub", core=core, **attrs)
+        span = self.channel.tracer.root(f"fs.{op}", "stub", core=core, **attrs)
+        return span, span.ctx()
 
     def _call(self, core: Core, msg: Any, ctx=None) -> Generator:
         """Ship one 9P message, absorbing transient failures.
@@ -149,26 +154,36 @@ class SolrosFsBackend(FsBackend):
     # FsBackend interface
     # ------------------------------------------------------------------
     def open(self, core: Core, path: str, flags: int) -> Generator:
-        span = self._root(core, "open", path=path)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "open", path=path) if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core)
-            fid = yield from self._call(core, Topen(path, flags), ctx=ctx_of(span))
+            yield self._charge(core)
+            fid = yield from self._call(core, Topen(path, flags), ctx)
             return fid
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def close(self, core: Core, handle: Any) -> Generator:
-        span = self._root(core, "close")
+        tracer = self.channel.tracer
+        span, ctx = self._root(core, "close") if tracer.enabled else _UNTRACED
         try:
-            yield from self._charge(core)
-            yield from self._call(core, Tclunk(handle), ctx=ctx_of(span))
+            yield self._charge(core)
+            yield from self._call(core, Tclunk(handle), ctx)
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def pread(self, core: Core, handle: Any, offset: int, nbytes: int) -> Generator:
-        span = self._root(core, "pread", offset=offset, nbytes=nbytes)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "pread", offset=offset, nbytes=nbytes)
+            if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core, nbytes)
+            yield self._charge(core, nbytes)
             data = yield from self._call(
                 core,
                 Tread(
@@ -178,11 +193,12 @@ class SolrosFsBackend(FsBackend):
                     target_node=self.phi_cpu.node,
                     buffer_id=self._next_buffer(),
                 ),
-                ctx=ctx_of(span),
+                ctx,
             )
             return data
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def pwrite(
         self,
@@ -193,9 +209,13 @@ class SolrosFsBackend(FsBackend):
         length: Optional[int],
     ) -> Generator:
         nbytes = len(data) if data is not None else int(length or 0)
-        span = self._root(core, "pwrite", offset=offset, nbytes=nbytes)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "pwrite", offset=offset, nbytes=nbytes)
+            if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core, nbytes)
+            yield self._charge(core, nbytes)
             written = yield from self._call(
                 core,
                 Twrite(
@@ -206,50 +226,69 @@ class SolrosFsBackend(FsBackend):
                     buffer_id=self._next_buffer(),
                     data=data,
                 ),
-                ctx=ctx_of(span),
+                ctx,
             )
             return written
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def fsync(self, core: Core, handle: Any) -> Generator:
-        span = self._root(core, "fsync")
+        tracer = self.channel.tracer
+        span, ctx = self._root(core, "fsync") if tracer.enabled else _UNTRACED
         try:
-            yield from self._charge(core)
-            yield from self._call(core, Tfsync(handle), ctx=ctx_of(span))
+            yield self._charge(core)
+            yield from self._call(core, Tfsync(handle), ctx)
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def stat(self, core: Core, path: str) -> Generator:
-        span = self._root(core, "stat", path=path)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "stat", path=path) if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core)
-            result = yield from self._call(core, Tstat(path), ctx=ctx_of(span))
+            yield self._charge(core)
+            result = yield from self._call(core, Tstat(path), ctx)
             return result
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def unlink(self, core: Core, path: str) -> Generator:
-        span = self._root(core, "unlink", path=path)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "unlink", path=path) if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core)
-            yield from self._call(core, Tremove(path), ctx=ctx_of(span))
+            yield self._charge(core)
+            yield from self._call(core, Tremove(path), ctx)
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def mkdir(self, core: Core, path: str) -> Generator:
-        span = self._root(core, "mkdir", path=path)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "mkdir", path=path) if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core)
-            yield from self._call(core, Tmkdir(path), ctx=ctx_of(span))
+            yield self._charge(core)
+            yield from self._call(core, Tmkdir(path), ctx)
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def readdir(self, core: Core, path: str) -> Generator:
-        span = self._root(core, "readdir", path=path)
+        tracer = self.channel.tracer
+        span, ctx = (
+            self._root(core, "readdir", path=path) if tracer.enabled else _UNTRACED
+        )
         try:
-            yield from self._charge(core)
-            names = yield from self._call(core, Treaddir(path), ctx=ctx_of(span))
+            yield self._charge(core)
+            names = yield from self._call(core, Treaddir(path), ctx)
             return names
         finally:
-            self.channel.tracer.end(span)
+            if span is not None:
+                tracer.end(span)

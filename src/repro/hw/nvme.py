@@ -101,6 +101,7 @@ class NvmeDevice:
         self.faults = None
         obs = hub_of(engine)
         self.tracer = obs.tracer
+        self._metered = obs.enabled
         self._h_cmd_bytes = obs.metrics.histogram(f"nvme.{node}.cmd_bytes")
 
     # ------------------------------------------------------------------
@@ -218,11 +219,14 @@ class NvmeDevice:
         p = self.params
         # One span per NVMe command; parallel commands overlap, so
         # per-category accounting must use interval unions.
-        span = self.tracer.child(
-            f"nvme.cmd.{cmd.op}", "device", ctx, nbytes=cmd.nbytes,
-            target=cmd.target,
-        )
-        self._h_cmd_bytes.record(cmd.nbytes)
+        span = None
+        if ctx is not None:
+            span = self.tracer.child(
+                f"nvme.cmd.{cmd.op}", "device", ctx, nbytes=cmd.nbytes,
+                target=cmd.target,
+            )
+        if self._metered:
+            self._h_cmd_bytes.record(cmd.nbytes)
         yield self._slots.request()
         try:
             self.stats.commands += 1
@@ -245,7 +249,8 @@ class NvmeDevice:
                 self.stats.bytes_written += cmd.nbytes
         finally:
             self._slots.release()
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
         if interrupt:
             yield from self._interrupt()
 

@@ -386,11 +386,15 @@ class SolrosNetProxy:
                     if psock is None:
                         continue  # raced with close
                     nbytes = msg.nbytes
-                    span = self.tracer.child(
-                        "net.tcp_send", "net", msg.trace, core=core, nbytes=nbytes
-                    )
+                    span = None
+                    if msg.trace is not None:
+                        span = self.tracer.child(
+                            "net.tcp_send", "net", msg.trace, core=core,
+                            nbytes=nbytes,
+                        )
                     yield from psock.conn.send(core, msg.payload, nbytes)
-                    self.tracer.end(span)
+                    if span is not None:
+                        self.tracer.end(span)
                     self.stats.messages_out += 1
                     self.stats.bytes_out += nbytes
                 elif isinstance(msg, NetClose):
@@ -445,8 +449,7 @@ class SolrosNetProxy:
                 yield core.compute(STUB_NET_UNITS // 2, "branchy")
                 if event.kind == "accept":
                     # Tiny record: consume it here.
-                    yield from channel.inbound.copy_from(core, slot)
-                    yield from channel.inbound.set_done(core, slot)
+                    yield from channel.inbound.drain(core, slot)
                     store = channel.listener_stores.get(event.port)
                     if store is not None:
                         yield store.put(event)

@@ -7,7 +7,8 @@ call sends one typed message from ``net/packets.py``:
 ride the outbound ring, and ``recv``/``accept`` consume events the
 dispatcher routed to per-socket queues — with the application thread
 itself pulling payload bytes off the inbound ring (rb_copy_from_rb_buf
-+ rb_set_done), so copies parallelize across threads.
++ rb_set_done, one ``RingBuffer.drain``), so copies parallelize across
+threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..hw.cpu import Core
-from ..obs.tracer import ctx_of
 from ..sched.qos import QOS_NORMAL, Qos
 from ..sim.engine import SimError
 from ..sim.primitives import Store
@@ -65,18 +65,20 @@ class SolrosNetApi:
     def connect(self, core: Core, addr: SocketAddr) -> Generator:
         """Open an outbound connection; returns a SolrosSocket."""
         tracer = self.channel.tracer
-        span = tracer.root("net.connect", "net", core=core)
+        span = ctx = None
+        if tracer.enabled:
+            span = tracer.root("net.connect", "net", core=core)
+            ctx = span.ctx()
         try:
             yield core.syscall()
             yield core.compute(STUB_NET_UNITS, "branchy")
             sock_id = yield from self.channel.rpc.call(
-                core, "net", NetConnect(addr),
-                ctx=ctx_of(span),
-                **self._qos_kwargs(),
+                core, "net", NetConnect(addr), ctx=ctx, **self._qos_kwargs()
             )
             return SolrosSocket(self, sock_id)
         finally:
-            tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def listen(
         self,
@@ -161,11 +163,13 @@ class SolrosSocket:
         if nbytes < 0:
             raise SimError(f"negative send size: {nbytes}")
         tracer = self.api.channel.tracer
-        span = tracer.root("net.send", "net", core=core, nbytes=nbytes)
+        span = ctx = None
+        if tracer.enabled:
+            span = tracer.root("net.send", "net", core=core, nbytes=nbytes)
+            ctx = span.ctx()
         try:
             yield core.syscall()
             yield core.compute(STUB_NET_UNITS, "branchy")
-            ctx = ctx_of(span)
             yield from self.api.channel.outbound.send(
                 core,
                 NetSend(self.sock_id, payload, nbytes, ctx),
@@ -173,7 +177,8 @@ class SolrosSocket:
                 ctx=ctx,
             )
         finally:
-            tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def recv(self, core: Core) -> Generator:
         """Block for the next message; ``(None, 0)`` on EOF.
@@ -184,19 +189,20 @@ class SolrosSocket:
         if self._eof:
             return None, 0
         tracer = self.api.channel.tracer
-        span = tracer.root("net.recv", "net", core=core)
+        span = None
+        if tracer.enabled:
+            span = tracer.root("net.recv", "net", core=core)
         yield core.syscall()
         store = self.api.channel.route_store(self.sock_id)
         event, slot = yield store.get()
         yield core.compute(STUB_NET_UNITS, "branchy")
-        ring = self.api.channel.inbound
-        if slot.trace is None:
+        if span is not None and slot.trace is None:
             # Inbound events carry no sender context; adopt ours so the
             # copy-out phase appears under this recv.
-            slot.trace = ctx_of(span)
-        yield from ring.copy_from(core, slot)
-        yield from ring.set_done(core, slot)
-        tracer.end(span, nbytes=event.nbytes, kind=event.kind)
+            slot.trace = span.ctx()
+        yield from self.api.channel.inbound.drain(core, slot)
+        if span is not None:
+            tracer.end(span, nbytes=event.nbytes, kind=event.kind)
         if event.kind == "eof":
             self._eof = True
             self.api.channel.sock_stores.pop(self.sock_id, None)

@@ -19,13 +19,16 @@ Four metric types, all timestamped with ``engine.now``:
 All metrics are created lazily by name through
 :class:`MetricsRegistry`, which accepts a name only as the kind
 :mod:`repro.obs.catalog` declares for it.  Instrumented components
-cache the metric object once (at construction) so the hot path pays
-one method call.  A counter or meter that mirrors a component's own
-stats is a *view* instead (:meth:`MetricsRegistry.view`): it reads
-those fields when a snapshot is taken, so the hot path updates only
-the stats.  A disabled hub hands out :data:`NULL_METRICS` instead,
-whose metrics are one shared no-op object, so no call needs a
-``None`` guard.
+cache the metric object once (at construction).  A counter or meter
+that mirrors a component's own stats is a *view* instead
+(:meth:`MetricsRegistry.view`): it reads those fields when a snapshot
+is taken, so the hot path updates only the stats.  A disabled hub
+hands out :data:`NULL_METRICS` instead, whose metrics are one shared
+no-op object, so no call needs a ``None`` guard.  A component whose
+update runs once per message (ring occupancy, combining batches, RPC
+in-flight depth and calls, NVMe command sizes, buffer-cache gauges)
+also reads the hub's ``enabled`` once at construction and skips the
+update when it is off, so an unobserved run makes no call at all.
 """
 
 from __future__ import annotations

@@ -12,12 +12,19 @@ Design constraints:
 
 * **Zero simulated-time overhead.** Spans only *read* ``engine.now``;
   enabling tracing never changes a benchmark's simulated result.
-* **Near-zero cost when disabled.** Components built on an engine
-  without an enabled hub hold the shared :class:`NullTracer` and open
-  spans through :meth:`Tracer.root` / :meth:`Tracer.child`, which
-  return None when tracing is off (or the request carries no
-  context); ``end(None)`` is a no-op, so instrumented code needs no
-  ``if traced`` branches.
+* **No cost per message when disabled.** Components built on an
+  engine without an enabled hub hold the shared :class:`NullTracer`,
+  whose :meth:`~Tracer.root` / :meth:`~Tracer.child` return None, so
+  an untraced request carries no context.  A per-message site (ring
+  phases, combining waits, RPC calls, proxy and device steps, the
+  stub and socket calls) tests what it already holds before it calls
+  the tracer: the parent context (``ctx``, ``slot.trace``,
+  ``msg.trace``) before ``child``, the span before ``end``, and
+  ``tracer.enabled`` before ``root``.  The span name and attributes
+  are built inside that test, so an untraced request pays one
+  ``is None`` check per site.  Cold sites (setup, scheduler, workers,
+  faults, bench) call the tracer unconditionally: ``child`` still
+  returns None without a parent and ``end(None)`` is still a no-op.
 * **Explicit context propagation.** There is no ambient "current
   span": context crosses process boundaries as a
   :class:`SpanContext` riding on :class:`~repro.transport.rpc.RpcMessage`

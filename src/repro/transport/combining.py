@@ -130,6 +130,7 @@ class CombiningQueue:
         self.stats = CombiningStats()
         obs = hub_of(cpu.engine)
         self.tracer = obs.tracer
+        self._metered = obs.enabled
         self._h_batch = obs.metrics.histogram(f"combining.{name}.batch")
 
     def execute(
@@ -159,13 +160,17 @@ class CombiningQueue:
             req.status = MemCell(
                 cpu.engine, cpu.params, _WAITING, self._status_name, cpu.coherence
             )
-            span = self.tracer.child(
-                "combining.wait", "transport", ctx, core=core, queue=self.name
-            )
+            span = None
+            if ctx is not None:
+                span = self.tracer.child(
+                    "combining.wait", "transport", ctx, core=core,
+                    queue=self.name,
+                )
             # Join the queue behind prev and spin on our own line.
             yield from prev.exclusive(core, STORE, req, None)
             status = yield from req.status.wait_until(core, _not_waiting)
-            self.tracer.end(span, combined=status == _DONE)
+            if span is not None:
+                self.tracer.end(span, combined=status == _DONE)
             if status == _DONE:
                 return req.result
             # We were promoted to combiner: our op is still pending.
@@ -223,7 +228,8 @@ class CombiningQueue:
                         yield from current.status.exclusive(
                             core, STORE, _DONE, None
                         )
-                    self._h_batch.record(processed)
+                    if self._metered:
+                        self._h_batch.record(processed)
                     yield self.on_batch_end(core)
                     if self.after_batch_end is not None:
                         self.after_batch_end()
@@ -237,7 +243,8 @@ class CombiningQueue:
             if processed >= self.combine_max:
                 # Hand the combiner role to the successor.
                 stats.handoffs += 1
-                self._h_batch.record(processed)
+                if self._metered:
+                    self._h_batch.record(processed)
                 yield self.on_batch_end(core)
                 if self.after_batch_end is not None:
                     self.after_batch_end()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator, Optional, Union
 
 from ..hw.cpu import CPU, Core
 from ..hw.memory import STORE
@@ -172,9 +172,9 @@ class RingBuffer:
     ``_ready_start``, ``_done_start``) that checks the slot's state,
     and an end (``_copy_in_end``, ``_ready_end``, ``_done_end``; a
     copy out sets ``drained`` in place) that advances it.  ``send``/
-    ``recv`` and the decoupled ``copy_to``/``set_ready``/``copy_from``/
-    ``set_done`` share them, so both ways through a phase take the
-    same time and make the same checks.
+    ``recv``, ``drain`` and the decoupled ``copy_to``/``set_ready``/
+    ``copy_from``/``set_done`` share them, so every way through a phase
+    takes the same time and makes the same checks.
     """
 
     def __init__(
@@ -208,6 +208,7 @@ class RingBuffer:
         obs = hub_of(engine)
         metrics = obs.metrics
         self.tracer = obs.tracer
+        self._metered = obs.enabled
         self._g_occupancy = metrics.gauge(f"ring.{name}.occupancy_bytes")
         metrics.view(f"ring.{name}.copy.dma", lambda: stats.dma_copies)
         metrics.view(f"ring.{name}.copy.memcpy", lambda: stats.memcpy_copies)
@@ -254,9 +255,6 @@ class RingBuffer:
                 receiver_cpu, f"{name}.deq", self._push_head
             )
 
-    def _set_occupancy(self) -> None:
-        self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
-
     # ------------------------------------------------------------------
     # Locality helpers
     # ------------------------------------------------------------------
@@ -301,13 +299,18 @@ class RingBuffer:
         self._sender_freed_view = self._freed_bytes
         return self._remote_ctrl_post(core)
 
-    def _read_ctrl(self, core: Core, cell) -> Generator:
+    def _read_ctrl(self, core: Core, cell) -> Union[Delay, Generator]:
         """Read the other side's original control variable ``cell``: a
-        load of the line on a local ring, else one PCIe read.  The
-        caller then refreshes its replica."""
+        load of the line on a local ring, else one PCIe read.  Returns
+        the PCIe read's delay to ``yield``, or a generator to ``yield
+        from`` for the load or for a read that fault injection may
+        stall.  The caller then refreshes its replica."""
         if self._local_ring:
             return cell.load(core)
-        return self._remote_ctrl_tx(core)
+        if self.faults is not None:
+            return self._remote_ctrl_tx(core)
+        self.stats.pcie_tx += 1
+        return self.fabric.remote_tx(core, 1)
 
     # ------------------------------------------------------------------
     # Enqueue path (sender side)
@@ -330,10 +333,12 @@ class RingBuffer:
             raise SimError(f"element larger than ring: {size}")
         tracer = self.tracer
         while True:
-            span = tracer.child(
-                "rb.enqueue", "transport", ctx, core=core, ring=self.name,
-                size=size,
-            )
+            span = None
+            if ctx is not None:
+                span = tracer.child(
+                    "rb.enqueue", "transport", ctx, core=core, ring=self.name,
+                    size=size,
+                )
             yield core.compute(RB_OP_WORK_UNITS, "branchy")
             if self.faults is not None:
                 # Transient slot stall: the producer loses the slot for
@@ -347,7 +352,8 @@ class RingBuffer:
             if slot is not _WOULD_BLOCK:
                 break
             self.stats.would_blocks += 1
-            tracer.end(span, would_block=True)
+            if span is not None:
+                tracer.end(span, would_block=True)
             if not send:
                 return None
             # Full: sleep until a consumer frees space, wait one poll
@@ -360,8 +366,10 @@ class RingBuffer:
             yield ev
             yield RB_POLL_INTERVAL_NS
         slot.trace = ctx
-        self._set_occupancy()
-        tracer.end(span)
+        if self._metered:
+            self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
+        if span is not None:
+            tracer.end(span)
         if send:
             span, copy = self._copy_start(core, slot, into_ring=True)
             if type(copy) is int:
@@ -385,7 +393,11 @@ class RingBuffer:
             self._sender_freed_view = self._freed_bytes
         if self._enqueued_bytes - self._sender_freed_view + need > self.capacity:
             # Appears full: synchronize the head replica and re-check.
-            yield from self._read_ctrl(core, self._head_cell)
+            read = self._read_ctrl(core, self._head_cell)
+            if type(read) is int:
+                yield read
+            else:
+                yield from read
             self._sender_freed_view = self._freed_bytes
             if (
                 self._enqueued_bytes - self._sender_freed_view + need
@@ -444,8 +456,8 @@ class RingBuffer:
         oldest ready slot and return it.  When the ring looks empty,
         return None, or with ``block`` sleep until a producer readies a
         slot, wait one poll interval and try again.  With ``recv``,
-        copy the payload out and release the slot (the phases of
-        ``copy_from`` and ``set_done``), and return the payload."""
+        copy the payload out and release the slot (``drain``'s phases),
+        and return the payload."""
         while True:
             yield core.compute(RB_OP_WORK_UNITS, "branchy")
             if self.faults is not None:
@@ -477,7 +489,8 @@ class RingBuffer:
         else:
             yield from copy
         slot.state = _DRAINED
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
         yield self._done_start(core, slot)
         self._done_end(slot)
         return slot.data
@@ -489,7 +502,11 @@ class RingBuffer:
                 yield from self._remote_ctrl_tx(core)
             self._recv_visible_seq = self._seq
         if not self._head_ready():
-            yield from self._read_ctrl(core, self._tail_cell)
+            read = self._read_ctrl(core, self._tail_cell)
+            if type(read) is int:
+                yield read
+            else:
+                yield from read
             self._recv_visible_seq = self._seq
             if not self._head_ready():
                 return _WOULD_BLOCK
@@ -530,13 +547,29 @@ class RingBuffer:
         else:
             yield from copy
         slot.state = _DRAINED
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
         return slot.data
 
     def set_done(self, core: Core, slot: Slot) -> Generator:
         """Release the slot's space (rb_set_done)."""
         yield self._done_start(core, slot)
         self._done_end(slot)
+
+    def drain(self, core: Core, slot: Slot) -> Generator:
+        """``copy_from`` then ``set_done`` in one frame, for a slot a
+        ``dequeue_blocking`` caller handed on; returns the payload."""
+        span, copy = self._copy_start(core, slot, into_ring=False)
+        if type(copy) is int:
+            yield copy
+        else:
+            yield from copy
+        slot.state = _DRAINED
+        if span is not None:
+            self.tracer.end(span)
+        yield self._done_start(core, slot)
+        self._done_end(slot)
+        return slot.data
 
     # ------------------------------------------------------------------
     # Blocking conveniences
@@ -588,10 +621,12 @@ class RingBuffer:
                 raise SimError(f"copy_from on {slot.state} slot")
             name, side_cpu = "rb.copy_out", self.receiver_cpu
         size = slot.size
-        span = self.tracer.child(
-            name, "transport", slot.trace, core=core, ring=self.name,
-            size=size,
-        )
+        span = None
+        if slot.trace is not None:
+            span = self.tracer.child(
+                name, "transport", slot.trace, core=core, ring=self.name,
+                size=size,
+            )
         if self.master_cpu is side_cpu:
             # Ring memory is local to this side.
             return span, core.memcpy_local(size)
@@ -618,7 +653,8 @@ class RingBuffer:
         """The end of ``copy_to``: the slot holds ``data``."""
         slot.data = data
         slot.state = _FILLED
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
 
     def _ready_start(self, core: Core, slot: Slot) -> Delay:
         """The start of ``set_ready``: check the slot; returns the time
@@ -630,12 +666,13 @@ class RingBuffer:
     def _ready_end(self, core: Core, slot: Slot) -> None:
         """The end of ``set_ready``: the slot is dequeueable."""
         slot.state = _READY
-        # Queued-residency span: open now, ended when the receiver
-        # claims the slot.
-        slot.qspan = self.tracer.child(
-            "rb.queued", "transport", slot.trace, core=core, ring=self.name,
-            size=slot.size,
-        )
+        if slot.trace is not None:
+            # Queued-residency span: open now, ended when the receiver
+            # claims the slot.
+            slot.qspan = self.tracer.child(
+                "rb.queued", "transport", slot.trace, core=core,
+                ring=self.name, size=slot.size,
+            )
         self._wake(self._data_waiters)
 
     def _done_start(self, core: Core, slot: Slot) -> Delay:
@@ -658,7 +695,8 @@ class RingBuffer:
             if self._local_ring:
                 self._sender_freed_view = self._freed_bytes
         if freed_any:
-            self._set_occupancy()
+            if self._metered:
+                self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
             self._wake(self._space_waiters)
 
     def _slot_header_write(self, core: Core, writer_is_sender: bool) -> Delay:

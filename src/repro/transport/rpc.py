@@ -201,6 +201,7 @@ class RpcChannel:
         obs = hub_of(engine)
         metrics = obs.metrics
         self.tracer = obs.tracer
+        self._metered = obs.enabled
         self._g_inflight = metrics.gauge(f"rpc.{name}.inflight")
         self._m_calls = metrics.meter(f"rpc.{name}.calls")
 
@@ -263,12 +264,15 @@ class RpcChannel:
         done = self.engine.event()
         self._pending[req_id] = done
         self.calls += 1
-        span = self.tracer.child(
-            f"rpc.{method}", "transport", ctx, core=core, channel=self.name,
-            size=size,
-        )
-        send_ctx = ctx_of(span, ctx)
-        self._g_inflight.add(1)
+        span = send_ctx = None
+        if ctx is not None:
+            span = self.tracer.child(
+                f"rpc.{method}", "transport", ctx, core=core,
+                channel=self.name, size=size,
+            )
+            send_ctx = ctx_of(span, ctx)
+        if self._metered:
+            self._g_inflight.add(1)
         msg = RpcMessage(
             req_id, method, payload, size, trace=send_ctx,
             priority=priority, deadline=deadline, dedup=dedup,
@@ -282,15 +286,19 @@ class RpcChannel:
             )
             if which != 0:
                 self._pending.pop(req_id, None)
-                self._g_inflight.add(-1)
-                self.tracer.end(span, error=True, timeout=True)
+                if self._metered:
+                    self._g_inflight.add(-1)
+                if span is not None:
+                    self.tracer.end(span, error=True, timeout=True)
                 if self.faults is not None:
                     self.faults.rpc_timeout()
                 raise RemoteCallError(method, RpcTimeout(method, timeout_ns))
             response = value
-        self._g_inflight.add(-1)
-        self._m_calls.add(size + response.size)
-        self.tracer.end(span, error=response.is_error)
+        if self._metered:
+            self._g_inflight.add(-1)
+            self._m_calls.add(size + response.size)
+        if span is not None:
+            self.tracer.end(span, error=response.is_error)
         if response.is_error:
             raise RemoteCallError(method, response.payload)
         return response.payload
@@ -383,15 +391,18 @@ class RpcChannel:
         out so a control-plane scheduler can receive in one process and
         execute in another (its worker pool) with identical semantics.
         """
-        span = self.tracer.child(
-            f"rpc.serve.{msg.method}", "proxy", msg.trace, core=core,
-            channel=self.name,
-        )
-        hctx = ctx_of(span, msg.trace)
+        span = hctx = None
+        if msg.trace is not None:
+            span = self.tracer.child(
+                f"rpc.serve.{msg.method}", "proxy", msg.trace, core=core,
+                channel=self.name,
+            )
+            hctx = ctx_of(span, msg.trace)
         if self.faults is not None and self.faults.proxy_request(self.name):
             # Injected proxy crash: the request vanishes without a
             # reply.  The client recovers via timeout + re-issue.
-            self.tracer.end(span, error=True, dropped=True)
+            if span is not None:
+                self.tracer.end(span, error=True, dropped=True)
             return
         dedup = msg.dedup
         outcome = None
@@ -436,7 +447,8 @@ class RpcChannel:
             msg.req_id, msg.method, result, response_size,
             is_error=is_error, trace=msg.trace,
         )
-        self.tracer.end(span, error=reply.is_error)
+        if span is not None:
+            self.tracer.end(span, error=reply.is_error)
         yield from self.response_ring.send(
             core, reply, reply.size, ctx=msg.trace
         )

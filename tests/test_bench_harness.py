@@ -99,3 +99,19 @@ def test_corpus_doc_size_near_target():
     # Each doc lands within the 0.5x..1.5x envelope of the average.
     for size in sizes:
         assert 0.3 * 32 * KB < size < 1.7 * 32 * KB
+
+
+def test_render_table_keeps_a_space_between_long_cells():
+    text = render_table(
+        "T",
+        ["Phi-Solros", "Solros-xNUMA", "x"],
+        [["same", "always-buffered", 1.0], ["a", "b", 2.0]],
+    )
+    lines = text.splitlines()
+    header = next(ln for ln in lines if "Phi-Solros" in ln)
+    assert header.split() == ["Phi-Solros", "Solros-xNUMA", "x"]
+    row = next(ln for ln in lines if "always-buffered" in ln)
+    assert row.split() == ["same", "always-buffered", "1.00"]
+    # Every line of the table body has the widened columns' width.
+    rule = next(ln for ln in lines if set(ln) == {"-"})
+    assert len(header) == len(row) == len(rule) == 12 + 16 + 12

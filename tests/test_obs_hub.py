@@ -3,6 +3,8 @@ record into its hub from construction on, with no wiring call, and a
 disabled hub hands every component the same no-op tracer and metrics.
 """
 
+from collections import Counter
+
 from repro.bench.perfgate.suite import export_to_obs
 from repro.core import SolrosConfig, SolrosSystem
 from repro.faults import FaultPlan
@@ -149,6 +151,58 @@ def test_traced_system_registers_the_pinned_metric_names():
     eng, system, tb, _proxy, api = _full_system(trace=True)
     _fs_ops_and_one_echo(eng, system, tb, api)
     assert system.obs.metrics.names() == TRACED_SYSTEM_METRICS
+
+
+# Spans per name of the traced system after ``_fs_ops_and_one_echo``,
+# a buffered write, four contending stats and one outbound connect:
+# one or more of every span a per-message site opens.
+TRACED_SYSTEM_SPANS = {
+    "combining.wait": 4, "dma.pull": 1, "dma.push": 1,
+    "fs.allocate+fiemap": 2, "fs.close": 3, "fs.fiemap": 2, "fs.open": 3,
+    "fs.pread": 2, "fs.pwrite": 2, "fs.stat": 4, "net.connect": 1,
+    "net.recv": 1, "net.send": 2, "net.tcp_send": 2, "nvme.cmd.read": 2,
+    "nvme.cmd.write": 2, "nvme.read": 2, "nvme.write": 2, "rb.copy_in": 32,
+    "rb.copy_out": 33, "rb.enqueue": 32, "rb.queued": 32, "rpc.9p": 14,
+    "rpc.net": 1, "rpc.serve.9p": 14, "rpc.serve.net": 1,
+}
+
+
+def test_traced_system_emits_every_per_message_span():
+    """The per-message sites skip the tracer only for an untraced
+    request: traced, each still opens and closes its span."""
+    eng, system, tb, _proxy, api = _full_system(trace=True)
+    _fs_ops_and_one_echo(eng, system, tb, api)
+    phi = system.dataplane(0)
+
+    def buffered_write(eng):
+        core = phi.core(1)
+        fd = yield from phi.fs.open(core, "/f", O_RDWR | O_BUFFER)
+        yield from phi.fs.pwrite(core, fd, 0, length=4096)
+        yield from phi.fs.close(core, fd)
+
+    def stat(core):
+        yield from phi.fs.stat(core, "/f")
+
+    def client_server(eng):
+        c = tb.client_cpu.core(1)
+        conn = yield from tb.client.listen(7000).accept(c)
+        payload, _n = yield from conn.recv(c)
+        return payload
+
+    def phi_client(eng):
+        core = phi.core(6)
+        sock = yield from api.connect(core, SocketAddr("client", 7000))
+        yield from sock.send(core, "hi", 16)
+        yield from sock.close(core)
+
+    procs = [eng.spawn(buffered_write(eng))]
+    procs += [eng.spawn(stat(phi.core(2 + i))) for i in range(4)]
+    procs += [eng.spawn(client_server(eng)), eng.spawn(phi_client(eng))]
+    eng.run()
+    assert all(p.ok for p in procs) and procs[-2].value == "hi"
+    spans = system.obs.tracer.spans
+    assert all(s.finished for s in spans)
+    assert Counter(s.name for s in spans) == TRACED_SYSTEM_SPANS
 
 
 def test_every_catalog_row_has_an_emitter():
