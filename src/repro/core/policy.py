@@ -34,6 +34,16 @@ class PathDecision:
     reason: str
 
 
+# The decisions ``choose`` returns, one shared object per reason.
+_FORCED_P2P = PathDecision(P2P, "forced-p2p")
+_FORCED_BUFFERED = PathDecision(BUFFERED, "forced-buffered")
+_O_BUFFER = PathDecision(BUFFERED, "O_BUFFER")
+_NO_P2P_SUPPORT = PathDecision(BUFFERED, "no-p2p-support")
+_CACHE_HIT = PathDecision(BUFFERED, "cache-hit")
+_CROSS_NUMA = PathDecision(BUFFERED, "cross-numa")
+_P2P = PathDecision(P2P, "p2p")
+
+
 class DataPathPolicy:
     """The default Solros policy; ablations subclass or disable it."""
 
@@ -73,15 +83,15 @@ class DataPathPolicy:
         self, target_node: str, o_buffer: bool, cache_hit_fraction: float
     ) -> PathDecision:
         if self.force_mode == P2P:
-            return PathDecision(P2P, "forced-p2p")
+            return _FORCED_P2P
         if self.force_mode == BUFFERED:
-            return PathDecision(BUFFERED, "forced-buffered")
+            return _FORCED_BUFFERED
         if o_buffer:
-            return PathDecision(BUFFERED, "O_BUFFER")
+            return _O_BUFFER
         if not self.disk_supports_p2p:
-            return PathDecision(BUFFERED, "no-p2p-support")
+            return _NO_P2P_SUPPORT
         if cache_hit_fraction >= self.cache_hit_threshold:
-            return PathDecision(BUFFERED, "cache-hit")
+            return _CACHE_HIT
         if self.fabric.crosses_numa(self.disk_node, target_node):
-            return PathDecision(BUFFERED, "cross-numa")
-        return PathDecision(P2P, "p2p")
+            return _CROSS_NUMA
+        return _P2P

@@ -101,8 +101,11 @@ class BufferCache:
                 if run_hit is not None:
                     bucket = cached if run_hit else missing
                     bucket.append((run_start, first + count - run_start))
-        hits = sum(n for _s, n in cached)
-        misses = sum(n for _s, n in missing)
+        hits = misses = 0
+        for _s, n in cached:
+            hits += n
+        for _s, n in missing:
+            misses += n
         self.stats.hits += hits
         self.stats.misses += misses
         if self._metered:

@@ -17,6 +17,7 @@ executing core's processor kind) plus real device I/O.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, Generator, List, Optional
 
 from ..hw.cpu import Core
@@ -77,8 +78,7 @@ class ExtFS:
         sb = SuperBlock.compute(device, max_inodes)
         fs.sb = sb
         fs._bitmap = bytearray((sb.total_blocks + 7) // 8)
-        for blockno in range(sb.data_start):
-            fs._set_bit(blockno, True)
+        _fill(fs._bitmap, 0, sb.data_start, True)
         fs._alloc_hint = sb.data_start
         root = Inode(ino=0, kind=DIRECTORY)
         fs._inodes[0] = root
@@ -459,68 +459,89 @@ class ExtFS:
     def _get_bit(self, blockno: int) -> bool:
         return bool(self._bitmap[blockno >> 3] & (1 << (blockno & 7)))
 
-    def _set_bit(self, blockno: int, used: bool) -> None:
-        if used:
-            self._bitmap[blockno >> 3] |= 1 << (blockno & 7)
-        else:
-            self._bitmap[blockno >> 3] &= ~(1 << (blockno & 7))
-
     def _alloc(self, nblocks: int) -> List[Extent]:
         """Allocate ``nblocks``, preferring contiguity.
 
-        First-fit scan from a rotating hint; free runs are committed
-        (bits set) as soon as they close, so a wrap-around rescan can
-        never hand the same blocks out twice.
+        First fit, scanning from a rotating hint to the end of the disk
+        and then from the first data block up to the hint: every free
+        run met is taken, the last one cut to what is still needed.  A
+        request the free blocks cannot cover takes nothing and raises
+        :class:`NoSpace`.
         """
         self._require_sb()
         if nblocks < 1:
             raise InvalidArgument(f"bad allocation size: {nblocks}")
+        bitmap = self._bitmap
         total = self.sb.total_blocks
-        result: List[Extent] = []
-        state = {"remaining": nblocks, "run_start": -1, "run_len": 0}
-
-        def commit() -> None:
-            if state["run_len"]:
-                take = min(state["run_len"], state["remaining"])
-                if take:
-                    start = state["run_start"]
-                    for b in range(start, start + take):
-                        self._set_bit(b, True)
-                    result.append((start, take))
-                    state["remaining"] -= take
-            state["run_start"], state["run_len"] = -1, 0
-
-        pos = max(self._alloc_hint, self.sb.data_start)
+        data_start = self.sb.data_start
+        pos = max(self._alloc_hint, data_start)
         if pos >= total:
-            pos = self.sb.data_start
-        scanned = 0
-        while state["remaining"] > 0 and scanned <= total:
-            if pos >= total:
-                commit()
-                pos = self.sb.data_start
-            if not self._get_bit(pos):
-                if state["run_len"] == 0:
-                    state["run_start"] = pos
-                state["run_len"] += 1
-                if state["run_len"] >= state["remaining"]:
-                    commit()
-            else:
-                commit()
-            pos += 1
-            scanned += 1
-        commit()
-        if state["remaining"] > 0:
+            pos = data_start
+        result: List[Extent] = []
+        remaining = nblocks
+        for lo, hi in ((pos, total), (data_start, pos)):
+            while remaining:
+                lo = _find_bit(bitmap, lo, hi, False)
+                if lo == hi:
+                    break
+                end = _find_bit(bitmap, lo, min(hi, lo + remaining), True)
+                _fill(bitmap, lo, end, True)
+                result.append((lo, end - lo))
+                remaining -= end - lo
+                lo = end
+        if remaining:
             self._free_extents(result)  # roll back the partial grab
             raise NoSpace(f"cannot allocate {nblocks} blocks")
         self._bitmap_dirty = True
-        if result:
-            last = result[-1]
-            self._alloc_hint = last[0] + last[1]
+        last = result[-1]
+        self._alloc_hint = last[0] + last[1]
         return result
 
     def _free_extents(self, extents: List[Extent]) -> None:
         for start, count in extents:
-            for b in range(start, start + count):
-                self._set_bit(b, False)
+            _fill(self._bitmap, start, start + count, False)
         if extents:
             self._bitmap_dirty = True
+
+
+# A bitmap byte holding a used block (``True``), or a free one.
+_HOLDS = {True: re.compile(b"[^\x00]"), False: re.compile(b"[^\xff]")}
+
+
+def _find_bit(bitmap: bytearray, b: int, hi: int, used: bool) -> int:
+    """The first used (or free) block in ``[b, hi)``, or ``hi``; bytes
+    holding none are skipped whole."""
+    holds = _HOLDS[used]
+    while b < hi:
+        if not b & 7:
+            found = holds.search(bitmap, b >> 3, (hi + 7) >> 3)
+            if found is None:
+                return hi
+            b = found.start() << 3
+        if bitmap[b >> 3] >> (b & 7) & 1 == used:
+            return b
+        b += 1
+    return hi
+
+
+def _fill(bitmap: bytearray, b: int, end: int, used: bool) -> None:
+    """Mark blocks ``[b, end)`` used or free, whole bytes at a time."""
+    while b < end and b & 7:
+        _fill_bit(bitmap, b, used)
+        b += 1
+    whole = end & ~7
+    if b < whole:
+        bitmap[b >> 3 : whole >> 3] = (b"\xff" if used else b"\x00") * (
+            (whole - b) >> 3
+        )
+        b = whole
+    while b < end:
+        _fill_bit(bitmap, b, used)
+        b += 1
+
+
+def _fill_bit(bitmap: bytearray, b: int, used: bool) -> None:
+    if used:
+        bitmap[b >> 3] |= 1 << (b & 7)
+    else:
+        bitmap[b >> 3] &= ~(1 << (b & 7))

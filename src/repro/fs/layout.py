@@ -111,7 +111,10 @@ class Inode:
 
     @property
     def allocated_blocks(self) -> int:
-        return sum(count for _start, count in self.extents)
+        blocks = 0
+        for _start, count in self.extents:
+            blocks += count
+        return blocks
 
     def to_bytes(self) -> bytes:
         return json.dumps(
@@ -163,7 +166,9 @@ class Inode:
             logical += count
             if logical > last_lblock:
                 break
-        covered = sum(c for _s, c in result)
+        covered = 0
+        for _s, c in result:
+            covered += c
         if covered < wanted:
             raise InvalidArgument(
                 f"range [{offset}, {offset + length}) beyond allocation "

@@ -5,14 +5,17 @@ The paper implements its file-system stub/proxy RPC by extending the
 *physical address* of co-processor memory instead of data, enabling
 zero-copy transfers driven by the NVMe (or host) DMA engines.
 
-Messages here are small dataclasses with a ``wire_bytes`` accounting
-of their on-ring size; payload data never rides the RPC ring.
+Each message is an immutable ``NamedTuple`` record, built at tuple
+cost and equal only to a message of its own class
+(:mod:`repro.sim.record`).  ``wire_bytes`` accounts its on-ring size;
+payload data never rides the RPC ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from ..sim.record import record
 
 __all__ = [
     "Topen",
@@ -28,19 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Topen:
+@record
+class Topen(NamedTuple):
     path: str
     flags: int
 
 
-@dataclass(frozen=True)
-class Tclunk:
+@record
+class Tclunk(NamedTuple):
     fid: int
 
 
-@dataclass(frozen=True)
-class Tread:
+@record
+class Tread(NamedTuple):
     """Extended Tread: carries the co-processor's buffer address
     (here: its topology node + an opaque buffer id) for zero copy."""
 
@@ -51,8 +54,8 @@ class Tread:
     buffer_id: int = 0
 
 
-@dataclass(frozen=True)
-class Twrite:
+@record(uncompared=("data",))
+class Twrite(NamedTuple):
     """Extended Twrite: source address instead of inline data.
 
     ``data`` rides along functionally (the simulation's byte truth) but
@@ -64,31 +67,31 @@ class Twrite:
     count: int
     source_node: str
     buffer_id: int = 0
-    data: Optional[bytes] = field(default=None, compare=False)
+    data: Optional[bytes] = None
 
 
-@dataclass(frozen=True)
-class Tremove:
+@record
+class Tremove(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class Tstat:
+@record
+class Tstat(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class Tmkdir:
+@record
+class Tmkdir(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class Treaddir:
+@record
+class Treaddir(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class Tfsync:
+@record
+class Tfsync(NamedTuple):
     fid: int
 
 
@@ -98,8 +101,7 @@ _BASE = 24  # 9P header: size[4] type[1] tag[2] + alignment
 def wire_bytes(msg) -> int:
     """Approximate on-ring size of a message (control only)."""
     size = _BASE
-    for name in getattr(msg, "__dataclass_fields__", {}):
-        value = getattr(msg, name)
+    for value in msg:
         if isinstance(value, str):
             size += 2 + len(value)
         elif isinstance(value, bytes):

@@ -359,7 +359,11 @@ class SolrosFsProxy:
         if not p2p:
             host = self.host_cpu.node
             if write:
-                yield from self._dma(core, "dma.pull", node, host, nbytes, ctx)
+                pull = self.fabric.dma_copy(core, node, host, nbytes)
+                yield from (
+                    pull if ctx is None
+                    else self._traced_dma(pull, "dma.pull", core, nbytes, ctx)
+                )
             pages = (nbytes + 4095) // 4096
             yield core.compute(FS_PAGE_UNITS * pages, "branchy")
             if missing:
@@ -376,21 +380,24 @@ class SolrosFsProxy:
                 if self.cache is not None:
                     self.cache.insert(device, missing)
             if not write:
-                yield from self._dma(core, "dma.push", host, node, nbytes, ctx)
+                push = self.fabric.dma_copy(core, host, node, nbytes)
+                yield from (
+                    push if ctx is None
+                    else self._traced_dma(push, "dma.push", core, nbytes, ctx)
+                )
         field = f"{'p2p' if p2p else 'buffered'}_{op}s"
         setattr(self.stats, field, getattr(self.stats, field) + 1)
 
-    def _dma(
-        self, core: Core, name: str, src: str, dst: str, nbytes: int, ctx
+    def _traced_dma(
+        self, copy: Generator, name: str, core: Core, nbytes: int, ctx
     ) -> Generator:
-        span = None
-        if ctx is not None:
-            span = self.tracer.child(
-                name, "transport", ctx, core=core, nbytes=nbytes
-            )
-        yield from self.fabric.dma_copy(core, src, dst, nbytes)
-        if span is not None:
-            self.tracer.end(span)
+        """Run a ``Fabric.dma_copy`` inside its span (an untraced
+        request runs the copy itself, without this frame)."""
+        span = self.tracer.child(
+            name, "transport", ctx, core=core, nbytes=nbytes
+        )
+        yield from copy
+        self.tracer.end(span)
 
     # ------------------------------------------------------------------
     # Policy glue
@@ -399,12 +406,16 @@ class SolrosFsProxy:
         self, target_node: str, flags: int, extents
     ) -> Tuple[PathDecision, list]:
         """The path for ``extents`` and the ones missing from the cache."""
-        missing: list = list(extents)
         hit_fraction = 0.0
-        if self.cache is not None:
+        if self.cache is None:
+            missing = list(extents)
+        else:
             cached, missing = self.cache.split_extents(self.fs.device, extents)
-            total = sum(c for _s, c in extents)
-            hits = sum(c for _s, c in cached)
+            total = hits = 0
+            for _s, c in extents:
+                total += c
+            for _s, c in cached:
+                hits += c
             hit_fraction = hits / total if total else 0.0
         decision = self.policy.choose(
             target_node,

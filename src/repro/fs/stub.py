@@ -186,12 +186,10 @@ class SolrosFsBackend(FsBackend):
             yield self._charge(core, nbytes)
             data = yield from self._call(
                 core,
+                # fid, offset, count, target_node, buffer_id
                 Tread(
-                    fid=handle,
-                    offset=offset,
-                    count=nbytes,
-                    target_node=self.phi_cpu.node,
-                    buffer_id=self._next_buffer(),
+                    handle, offset, nbytes, self.phi_cpu.node,
+                    self._next_buffer(),
                 ),
                 ctx,
             )
@@ -218,13 +216,10 @@ class SolrosFsBackend(FsBackend):
             yield self._charge(core, nbytes)
             written = yield from self._call(
                 core,
+                # fid, offset, count, source_node, buffer_id, data
                 Twrite(
-                    fid=handle,
-                    offset=offset,
-                    count=nbytes,
-                    source_node=self.phi_cpu.node,
-                    buffer_id=self._next_buffer(),
-                    data=data,
+                    handle, offset, nbytes, self.phi_cpu.node,
+                    self._next_buffer(), data,
                 ),
                 ctx,
             )

@@ -25,12 +25,17 @@ _WORK_KINDS = ("scalar", "branchy", "simd")
 class Core:
     """One hardware thread's execution context."""
 
-    __slots__ = ("engine", "cpu", "cid", "slot")
+    __slots__ = ("engine", "cpu", "cid", "slot", "params", "kind", "work_mult")
 
     def __init__(self, engine: Engine, cpu: "CPU", cid: int):
         self.engine = engine
         self.cpu = cpu
         self.cid = cid
+        # Per-core constants read on every charge: the package's
+        # parameters, its kind ("host" | "phi") and per-kind multipliers.
+        self.params: CpuParams = cpu.params
+        self.kind: str = cpu.params.kind
+        self.work_mult = cpu.work_mult
         # Oversubscription: if several simulated threads share a core
         # they serialize through this slot (used by the dispatcher
         # experiments, not the ≤1-thread-per-core microbenchmarks).
@@ -40,17 +45,9 @@ class Core:
         return f"<Core {self.cpu.name}.c{self.cid}>"
 
     @property
-    def params(self) -> CpuParams:
-        return self.cpu.params
-
-    @property
     def node(self) -> str:
         """The topology node this core executes at."""
         return self.cpu.node
-
-    @property
-    def kind(self) -> str:
-        return self.cpu.params.kind
 
     # The pure-delay helpers below return the delay in ns; the caller
     # charges it with ``yield core.compute(...)``.
@@ -62,7 +59,7 @@ class Core:
         per-kind multiplier from their :class:`CpuParams`.
         """
         try:
-            mult = self.cpu.work_mult[kind]
+            mult = self.work_mult[kind]
         except KeyError:
             raise SimError(f"unknown work kind: {kind!r}") from None
         if units < 0:
@@ -71,14 +68,14 @@ class Core:
 
     def syscall(self) -> Delay:
         """Kernel entry/exit overhead."""
-        return self.cpu.params.syscall_ns
+        return self.params.syscall_ns
 
     def memcpy_local(self, nbytes: int) -> Delay:
         """The time to copy ``nbytes`` within this processor's local
         memory."""
         if nbytes < 0:
             raise SimError(f"negative copy size: {nbytes}")
-        return max(0, int(nbytes / self.cpu.params.local_memcpy_bytes_per_ns))
+        return max(0, int(nbytes / self.params.local_memcpy_bytes_per_ns))
 
 
 class CPU:

@@ -21,11 +21,11 @@ depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, NamedTuple, Optional, Sequence
 
 from ..obs.hub import hub_of
 from ..sim.engine import Engine, SimError
+from ..sim.record import record
 from ..sim.resources import BandwidthLink, Resource
 from .cpu import CPU, Core
 from .params import NvmeParams
@@ -34,24 +34,30 @@ from .topology import Fabric
 __all__ = ["NvmeOp", "NvmeDevice", "NvmeStats"]
 
 
-@dataclass(frozen=True)
-class NvmeOp:
-    """One I/O request: ``nbytes`` at byte ``offset``, data at ``target``.
-
-    ``target`` is a topology node name: host RAM ("numa0"/"numa1") for
-    buffered I/O, or a co-processor node ("phi2") for peer-to-peer.
-    """
-
+class _NvmeOpFields(NamedTuple):
     op: str            # 'read' | 'write'
     offset: int        # byte offset on the device
     nbytes: int
     target: str        # topology node receiving/supplying the data
 
-    def __post_init__(self) -> None:
-        if self.op not in ("read", "write"):
-            raise ValueError(f"bad NVMe op: {self.op!r}")
-        if self.offset < 0 or self.nbytes <= 0:
-            raise ValueError(f"bad NVMe extent: off={self.offset} n={self.nbytes}")
+
+@record
+class NvmeOp(_NvmeOpFields):
+    """One I/O request: ``nbytes`` at byte ``offset``, data at ``target``.
+
+    ``target`` is a topology node name: host RAM ("numa0"/"numa1") for
+    buffered I/O, or a co-processor node ("phi2") for peer-to-peer.
+    An immutable record (:mod:`repro.sim.record`), checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, offset: int, nbytes: int, target: str):
+        if op != "read" and op != "write":
+            raise ValueError(f"bad NVMe op: {op!r}")
+        if offset < 0 or nbytes <= 0:
+            raise ValueError(f"bad NVMe extent: off={offset} n={nbytes}")
+        return tuple.__new__(cls, (op, offset, nbytes, target))
 
 
 class NvmeStats:
@@ -255,8 +261,15 @@ class NvmeDevice:
             yield from self._interrupt()
 
     def _interrupt(self) -> Generator:
+        """Count one completion interrupt; returns its host work to
+        ``yield from``: the hold of the IRQ line that
+        ``CPU.handle_interrupt`` charges, with no frame of its own."""
         self.stats.interrupts += 1
-        if self.irq_cpu is not None:
-            yield from self.irq_cpu.handle_interrupt()
-        else:
-            yield 0
+        cpu = self.irq_cpu
+        if cpu is None:
+            return _no_irq_cpu()
+        return cpu.irq.using(cpu.params.interrupt_ns)
+
+
+def _no_irq_cpu() -> Generator:
+    yield 0

@@ -2,12 +2,19 @@
 
 The Solros protocol surface is machine-checkable (TabulaROSA-style
 interface contracts between heterogeneous engines).  Both delegated
-protocols are one dataclass per message, and one rule covers both:
-every message class in the protocol module must have *exactly one*
-``isinstance`` dispatch branch in its control-plane handler module and
-at least one construction site (emitter) outside those two modules —
-a handler-less message crashes the proxy at runtime, an emitter-less
-one is dead protocol surface.
+protocols declare one record class per message (a ``class`` statement,
+here ``NamedTuple`` records), and one rule covers both: every message
+class in the protocol module must have *exactly one* ``isinstance``
+dispatch branch in its control-plane handler module and at least one
+construction site (emitter) outside those two modules — a handler-less
+message crashes the proxy at runtime, an emitter-less one is dead
+protocol surface.
+
+The rule cannot be switched off by moving the protocol: a project that
+holds the ``repro`` package, or either module of a protocol, must hold
+both of that protocol's modules, and the message module must declare
+at least one message class (records built by a factory call, for
+example, declare none).  Each gap is a finding.
 
 * **9P** — the ``T*`` classes of ``repro/fs/ninep.py``, handled by
   ``repro/fs/proxy.py``.
@@ -86,16 +93,37 @@ class RpcConformance(Checker):
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
+        package = _find(project, "repro/__init__.py")
         for messages_suffix, prefix, handler_suffix in PROTOCOLS:
             messages = _find(project, messages_suffix)
             handler = _find(project, handler_suffix)
             if messages is not None and handler is not None:
                 yield from self._check(project, messages, prefix, handler)
+                continue
+            anchor = messages or handler or package
+            if anchor is None:
+                continue  # the project holds neither this protocol nor repro
+            for suffix, mod in (
+                (messages_suffix, messages), (handler_suffix, handler)
+            ):
+                if mod is None:
+                    yield Finding(
+                        RULE, anchor.path, 1, 0,
+                        f"protocol module {suffix} not found — its "
+                        f"{prefix}* messages go unchecked",
+                    )
 
     def _check(
         self, project: Project, messages: Module, prefix: str, proxy: Module
     ) -> Iterable[Finding]:
         ops = _opcode_classes(messages, prefix)
+        if not ops:
+            yield Finding(
+                RULE, messages.path, 1, 0,
+                f"no {prefix}* message class declared in {messages.path} "
+                f"— nothing to check against {proxy.path}",
+            )
+            return
         handled = _isinstance_targets(proxy)
         emitters: Set[str] = set()
         for mod in project.modules:

@@ -1,12 +1,17 @@
 """Wire-level message records: TCP segments, and one ``Net*`` message
 per data-plane socket call (§4.4.1), as ``fs/ninep.py`` has one ``T*``
 per 9P op.  ``NetConnect``/``NetListen``/``NetCloseListener`` are
-control RPCs; ``NetSend``/``NetClose`` ride the outbound ring."""
+control RPCs; ``NetSend``/``NetClose`` ride the outbound ring.
+
+The ``Net*`` messages and ``SocketAddr`` are immutable ``NamedTuple``
+records, like the ``T*`` messages (:mod:`repro.sim.record`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+
+from ..sim.record import record
 
 if TYPE_CHECKING:
     from ..obs.tracer import SpanContext
@@ -20,8 +25,8 @@ __all__ = [
 MSS = 1460  # TCP payload per segment (Ethernet MTU 1500 - headers)
 
 
-@dataclass(frozen=True)
-class SocketAddr:
+@record
+class SocketAddr(NamedTuple):
     """(host, port) endpoint address."""
 
     host: str
@@ -51,13 +56,13 @@ class Segment:
         return max(1, (self.nbytes + MSS - 1) // MSS)
 
 
-@dataclass(frozen=True)
-class NetConnect:
+@record
+class NetConnect(NamedTuple):
     addr: SocketAddr
 
 
-@dataclass(frozen=True)
-class NetListen:
+@record
+class NetListen(NamedTuple):
     """Join the shared listening socket on ``port``; the first member's
     ``balancer`` (None: round-robin) fixes the policy."""
 
@@ -65,19 +70,19 @@ class NetListen:
     balancer: Optional[LoadBalancer] = None
 
 
-@dataclass(frozen=True)
-class NetCloseListener:
+@record
+class NetCloseListener(NamedTuple):
     port: int
 
 
-@dataclass(frozen=True)
-class NetSend:
+@record
+class NetSend(NamedTuple):
     sock_id: int
     payload: Any
     nbytes: int
     trace: Optional[SpanContext] = None
 
 
-@dataclass(frozen=True)
-class NetClose:
+@record
+class NetClose(NamedTuple):
     sock_id: int

@@ -63,9 +63,12 @@ could run before that wake-up, so running it at once keeps the
 ``(time, seq)`` order.  The skipped entry draws no sequence number,
 which shifts later numbers by one but not their relative order.  Each
 in-place resume counts as one entry, so ``events_processed`` and the
-point where :class:`SimulationLimitExceeded` fires do not move.  Event
-waits, kick-offs, throws and invalid commands still go through
-:meth:`Process._step`.
+point where :class:`SimulationLimitExceeded` fires do not move.  When
+the wake-up cannot run in place but the now-queue is empty and the
+budget has room, the heap top is the next entry and the new wake-up
+sorts after it, so pushing the one and popping the other is a single
+``heapreplace``.  Event waits, kick-offs, throws and invalid commands
+still go through :meth:`Process._step`.
 
 An acquire that is granted at once (``Lock``/``Semaphore.acquire``,
 ``Resource.request``, a ``Store.put`` that does not block) returns
@@ -100,7 +103,7 @@ again is restored and fires at its deadline (at once if that passed).
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -627,13 +630,19 @@ class Engine:
             _NO_HORIZON if until is None else max(until, now) + 1, -1, None, None
         ]
         heappush(heap, horizon)
+        top = None  # the former heap top, popped by a fused hand-off
         try:
             while True:
                 # With the now-queue empty, the heap top is next and may
                 # move the clock.  Heap entries due now precede the
                 # now-queue: they were scheduled before the clock got here.
+                # A fused hand-off leaves the now-queue empty.
                 if not queue or heap[0][0] == now:
-                    when, entry_seq, fn, arg = heappop(heap)
+                    if top is None:
+                        when, entry_seq, fn, arg = heappop(heap)
+                    else:
+                        when, entry_seq, fn, arg = top
+                        top = None
                     if fn is None:
                         if entry_seq < 0:
                             horizon = None  # reached: nothing left by until
@@ -662,12 +671,19 @@ class Engine:
                             if type(command) is int and command >= 0:
                                 when = now + command
                                 if queue or heap[0][0] <= when or left == 1:
-                                    if command:
+                                    if not command:
+                                        queue.append((_wake, proc))
+                                    elif queue or left == 1:
                                         heappush(
                                             heap, [when, next(seq), _wake, proc]
                                         )
                                     else:
-                                        queue.append((_wake, proc))
+                                        # The heap top runs next, and the
+                                        # new entry sorts after it: push
+                                        # and pop in one step.
+                                        top = heapreplace(
+                                            heap, [when, next(seq), _wake, proc]
+                                        )
                                     break
                                 left -= 1
                                 self._now = now = when

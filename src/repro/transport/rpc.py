@@ -274,8 +274,8 @@ class RpcChannel:
         if self._metered:
             self._g_inflight.add(1)
         msg = RpcMessage(
-            req_id, method, payload, size, trace=send_ctx,
-            priority=priority, deadline=deadline, dedup=dedup,
+            req_id, method, payload, size, False, send_ctx, priority,
+            deadline, dedup,
         )
         yield from self.request_ring.send(core, msg, size, ctx=send_ctx)
         if timeout_ns is None:
@@ -444,8 +444,8 @@ class RpcChannel:
                     while len(self._dedup_done) > DEDUP_CACHE_SIZE:
                         self._dedup_done.popitem(last=False)
         reply = RpcMessage(
-            msg.req_id, msg.method, result, response_size,
-            is_error=is_error, trace=msg.trace,
+            msg.req_id, msg.method, result, response_size, is_error,
+            msg.trace,
         )
         if span is not None:
             self.tracer.end(span, error=reply.is_error)
@@ -467,8 +467,7 @@ class RpcChannel:
         wrapping it would get from a raising handler.
         """
         reply = RpcMessage(
-            msg.req_id, msg.method, error, response_size,
-            is_error=True, trace=msg.trace,
+            msg.req_id, msg.method, error, response_size, True, msg.trace
         )
         yield from self.response_ring.send(
             core, reply, reply.size, ctx=msg.trace

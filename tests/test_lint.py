@@ -270,6 +270,48 @@ def test_rpc_conformance_net_op_sets_must_agree(tmp_path):
     assert "opcode NetShutdown is never emitted" in messages[1]
 
 
+def test_rpc_conformance_flags_a_protocol_module_with_no_message_class(tmp_path):
+    """Records built by a factory call declare no ``class``: the rule
+    reports that, rather than passing with nothing to check."""
+    files = dict(_RPC_OK)
+    files["src/repro/fs/ninep.py"] = """
+        from collections import namedtuple
+
+        Topen = namedtuple("Topen", "path flags")
+        Tread = namedtuple("Tread", "fid offset count")
+    """
+    findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
+    assert len(findings) == 1
+    assert findings[0].path == "src/repro/fs/ninep.py"
+    assert "no T* message class declared" in findings[0].message
+
+
+@pytest.mark.parametrize("missing", [
+    "src/repro/fs/ninep.py", "src/repro/fs/proxy.py",
+])
+def test_rpc_conformance_flags_a_missing_protocol_module(tmp_path, missing):
+    files = {k: v for k, v in _RPC_OK.items() if k != missing}
+    findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
+    assert len(findings) == 1
+    assert f"protocol module {missing[len('src/repro/'):]} not found" in (
+        findings[0].message
+    )
+
+
+def test_rpc_conformance_expects_both_protocols_in_the_repro_package(tmp_path):
+    """With the ``repro`` package present, a protocol whose modules are
+    both gone (moved or renamed) is a finding per module."""
+    files = {**_RPC_OK, "src/repro/__init__.py": ""}
+    findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
+    messages = sorted(f.message for f in findings)
+    assert len(messages) == 2
+    assert "protocol module net/packets.py not found" in messages[0]
+    assert "protocol module net/service.py not found" in messages[1]
+    files.update(_NET_OK)
+    findings, _ = run_fixture(tmp_path, files, rules=["rpc-conformance"])
+    assert findings == []
+
+
 # ----------------------------------------------------------------------
 # lock-phase
 # ----------------------------------------------------------------------

@@ -8,14 +8,19 @@ Invariants under arbitrary operation sequences:
 * remount reproduces the same namespace and contents;
 * through the delegated Solros stack (stub -> RPC -> proxy), unaligned
   writes and reads over fragmented files match a ``bytearray`` oracle
-  on both the P2P and the buffered data path.
+  on both the P2P and the buffered data path;
+* the bitmap allocator hands out exactly the extents of a block-by-block
+  first-fit reference, with the same hint rotation, wrap-around and
+  ``NoSpace`` rollback.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SolrosConfig, SolrosSystem
-from repro.fs import O_CREAT, O_RDWR, BlockDevice, ExtFS, FileNotFound
+from repro.fs import O_CREAT, O_RDWR, BlockDevice, ExtFS, FileNotFound, NoSpace
 from repro.hw import build_machine
 from repro.sim import Engine
 
@@ -253,3 +258,124 @@ def test_solros_stack_matches_bytearray_oracle(phi_index, p2p, ops):
     else:
         assert stats.buffered_reads and stats.buffered_writes
         assert not (stats.p2p_reads or stats.p2p_writes)
+
+
+# ---------------------------------------------------------------------------
+# Bitmap allocator vs a block-by-block reference
+# ---------------------------------------------------------------------------
+def _reference_alloc(fs, nblocks):
+    """First fit, one bit at a time: runs are committed as they close,
+    the scan wraps from the end of the disk to the first data block and
+    looks at ``total_blocks + 1`` positions; a short grab is rolled back."""
+    bitmap, total, data_start = fs._bitmap, fs.sb.total_blocks, fs.sb.data_start
+
+    def get(b):
+        return bool(bitmap[b >> 3] & (1 << (b & 7)))
+
+    def put(b, used):
+        if used:
+            bitmap[b >> 3] |= 1 << (b & 7)
+        else:
+            bitmap[b >> 3] &= ~(1 << (b & 7))
+
+    result = []
+    state = {"remaining": nblocks, "run_start": -1, "run_len": 0}
+
+    def commit():
+        if state["run_len"]:
+            take = min(state["run_len"], state["remaining"])
+            if take:
+                start = state["run_start"]
+                for b in range(start, start + take):
+                    put(b, True)
+                result.append((start, take))
+                state["remaining"] -= take
+        state["run_start"], state["run_len"] = -1, 0
+
+    pos = max(fs._alloc_hint, data_start)
+    if pos >= total:
+        pos = data_start
+    scanned = 0
+    while state["remaining"] > 0 and scanned <= total:
+        if pos >= total:
+            commit()
+            pos = data_start
+        if not get(pos):
+            if state["run_len"] == 0:
+                state["run_start"] = pos
+            state["run_len"] += 1
+            if state["run_len"] >= state["remaining"]:
+                commit()
+        else:
+            commit()
+        pos += 1
+        scanned += 1
+    commit()
+    if state["remaining"] > 0:
+        for start, count in result:
+            for b in range(start, start + count):
+                put(b, False)
+        if result:
+            fs._bitmap_dirty = True
+        raise NoSpace(f"cannot allocate {nblocks} blocks")
+    fs._bitmap_dirty = True
+    if result:
+        fs._alloc_hint = result[-1][0] + result[-1][1]
+    return result
+
+
+def _bare_fs(total, data_start, used, hint):
+    fs = ExtFS(device=None, node="numa0")
+    fs.sb = SimpleNamespace(total_blocks=total, data_start=data_start)
+    fs._bitmap = bytearray((total + 7) // 8)
+    for b in list(range(data_start)) + [u % total for u in used]:
+        fs._bitmap[b >> 3] |= 1 << (b & 7)
+    fs._alloc_hint = hint
+    return fs
+
+
+def _snapshot(fs):
+    return bytes(fs._bitmap), fs._alloc_hint, fs._bitmap_dirty
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(min_value=1, max_value=300),
+    data_start=st.integers(min_value=0, max_value=40),
+    used=st.lists(st.integers(min_value=0, max_value=299), max_size=120),
+    hint=st.integers(min_value=0, max_value=320),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=1, max_value=120)),
+        min_size=1, max_size=25,
+    ),
+)
+def test_alloc_matches_block_by_block_reference(total, data_start, used, hint, ops):
+    """Random alloc/free sequences over random bitmaps, block counts that
+    are not byte multiples, and hints past the end of the disk."""
+    data_start = min(data_start, total - 1)
+    fs = _bare_fs(total, data_start, used, hint)
+    ref = _bare_fs(total, data_start, used, hint)
+    held = []
+    for alloc, n in ops:
+        if alloc or not held:
+            outcomes = []
+            for target, allocate in ((fs, fs._alloc), (ref, None)):
+                try:
+                    if allocate is None:
+                        got = _reference_alloc(target, n)
+                    else:
+                        got = allocate(n)
+                    outcomes.append(("ok", got))
+                except NoSpace:
+                    outcomes.append(("nospace", None))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0][0] == "ok":
+                held.append(outcomes[0][1])
+        else:
+            extents = held.pop(n % len(held))
+            fs._free_extents(extents)
+            for start, count in extents:
+                for b in range(start, start + count):
+                    ref._bitmap[b >> 3] &= ~(1 << (b & 7))
+            ref._bitmap_dirty = True
+        assert _snapshot(fs) == _snapshot(ref)

@@ -14,7 +14,18 @@ from repro.fs import (
     O_TRUNC,
     Vfs,
 )
-from repro.fs.ninep import Topen, Tread, Twrite, wire_bytes
+from repro.fs.ninep import (
+    Tclunk,
+    Tfsync,
+    Tmkdir,
+    Topen,
+    Tread,
+    Treaddir,
+    Tremove,
+    Tstat,
+    Twrite,
+    wire_bytes,
+)
 from repro.hw import build_machine
 from repro.sim import Engine
 
@@ -143,6 +154,26 @@ def test_twrite_data_not_counted_on_wire():
     assert wire_bytes(huge) < 200
 
 
+@pytest.mark.parametrize("msg,size", [
+    (Topen("/ab", 2), 37),
+    (Tclunk(3), 32),
+    (Tread(1, 2, 3, "phi2", 4), 62),
+    (Tread(1, 2, 3, "phi2"), 62),
+    (Twrite(1, 2, 3, "phi2", 4, b"xyz"), 62),
+    (Twrite(1, 2, 3, "phi2", 4), 70),
+    (Tremove("/ab"), 29),
+    (Tstat("/a/b/c"), 32),
+    (Tmkdir("/d"), 28),
+    (Treaddir("/"), 27),
+    (Tfsync(7), 32),
+], ids=lambda v: type(v).__name__ if not isinstance(v, int) else str(v))
+def test_wire_bytes_pinned_per_message(msg, size):
+    """Every 9P message's on-ring size: a 24-byte header, 2 + len for
+    each str field, 8 for every other field (None included), nothing
+    for bytes (moved by DMA)."""
+    assert wire_bytes(msg) == size
+
+
 def test_tread_carries_target_address():
     msg = Tread(fid=2, offset=4096, count=65536, target_node="phi3", buffer_id=9)
     assert msg.target_node == "phi3"
@@ -199,3 +230,27 @@ def test_policy_records_decision_histogram():
     policy.choose("phi0")
     policy.choose("phi2")
     assert policy.decisions == {"p2p": 2, "cross-numa": 1}
+
+
+def test_policy_returns_one_shared_decision_per_reason():
+    """``choose`` hands out one constant per reason and still counts
+    every call."""
+    calls = [
+        (dict(), ("phi0",), {}, "p2p"),
+        (dict(), ("phi2",), {}, "cross-numa"),
+        (dict(), ("phi0",), dict(o_buffer=True), "O_BUFFER"),
+        (dict(), ("phi0",), dict(cache_hit_fraction=0.9), "cache-hit"),
+        (dict(disk_supports_p2p=False), ("phi0",), {}, "no-p2p-support"),
+        (dict(force_mode=P2P), ("phi2",), {}, "forced-p2p"),
+        (dict(force_mode=BUFFERED), ("phi0",), {}, "forced-buffered"),
+    ]
+    seen = {}
+    for make_kw, args, kw, reason in calls:
+        policy = make_policy(**make_kw)
+        first = policy.choose(*args, **kw)
+        again = policy.choose(*args, **kw)
+        assert first.reason == reason
+        assert again is first
+        assert seen.setdefault(reason, first) is first  # across policies
+        assert policy.decisions == {reason: 2}
+    assert len({id(d) for d in seen.values()}) == 7
