@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..faults.plan import FaultPlan
@@ -15,7 +15,8 @@ __all__ = ["SolrosConfig"]
 
 @dataclass
 class SolrosConfig:
-    """Everything needed to boot a simulated Solros machine."""
+    """Everything needed to boot a simulated Solros machine; derive a
+    variant with ``dataclasses.replace``."""
 
     hw: HwParams = field(default_factory=default_params)
     # Storage.
@@ -28,8 +29,9 @@ class SolrosConfig:
     # Control-plane request scheduler (repro.sched).  None keeps the
     # legacy path: each channel drained FIFO by its own fixed worker
     # pool.  A SchedConfig routes every FS RPC through one shared
-    # RequestScheduler with admission control, deadline shedding, and
-    # an elastic worker pool.
+    # RequestScheduler with a dispatch policy ("fifo", "drr" or
+    # "drr+priority"), admission control, deadline shedding, and an
+    # elastic worker pool.
     sched: Optional[SchedConfig] = None
     # Deterministic fault injection + recovery (repro.faults), with
     # the RPC timeout and circuit-breaker bounds.  None keeps every
@@ -38,11 +40,8 @@ class SolrosConfig:
     fault_plan: Optional[FaultPlan] = None
     # Cross-co-processor file prefetching (§4; needs the buffer cache).
     enable_prefetch: bool = False
-    # End-to-end observability (repro.obs).  Off by default: every hot
-    # path then sees the shared NullTracer and no metrics registry.
+    # End-to-end observability (repro.obs).  Off by default: an
+    # untraced request then makes no call into the tracer or metrics.
     # ``python -m repro.bench --trace-out`` enables it globally via the
     # capture hook instead of this flag.
     trace: bool = False
-
-    def with_overrides(self, **kwargs) -> "SolrosConfig":
-        return replace(self, **kwargs)

@@ -162,8 +162,12 @@ class BlockDevice:
         return ops
 
     def _check_extent(self, first: int, count: int) -> None:
-        self._check_block(first)
-        self._check_block(first + count - 1)
+        """Raise unless both end blocks of the extent are on the device,
+        naming the first end that is not."""
+        last, cap = first + count - 1, self.capacity_blocks
+        if not (0 <= first < cap and 0 <= last < cap):
+            bad = last if 0 <= first < cap else first
+            raise SimError(f"block {bad} out of range (0..{cap - 1})")
 
     def _check_block(self, blockno: int) -> None:
         if not 0 <= blockno < self.capacity_blocks:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from ..lint.sanitize import SANITIZER
 from ..sim.engine import Delay, Engine, Event
 from .params import CpuParams
 
@@ -192,8 +191,6 @@ class MemCell:
         one line, every write wakes all N and their re-reads serialize
         through the line: the O(waiters) broadcast cost.
         """
-        if SANITIZER.enabled:
-            SANITIZER.on_wait(core, self)
         while True:
             value = yield from self.load(core)
             if predicate(value):

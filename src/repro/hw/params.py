@@ -25,7 +25,7 @@ Calibration sources (Solros, EuroSys'18):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["CpuParams", "PcieParams", "NvmeParams", "NicParams", "HwParams",
            "HOST_CPU", "PHI_CPU", "default_params", "KB", "MB", "GB",
@@ -172,7 +172,8 @@ class NicParams:
 
 @dataclass(frozen=True)
 class HwParams:
-    """Bundle of every hardware parameter; override with ``replace``."""
+    """Bundle of every hardware parameter; override with
+    ``dataclasses.replace``."""
 
     host: CpuParams = HOST_CPU
     phi: CpuParams = PHI_CPU
@@ -181,10 +182,6 @@ class HwParams:
     nic: NicParams = field(default_factory=NicParams)
     n_phis: int = 4
     host_sockets: int = 2
-
-    def with_overrides(self, **kwargs) -> "HwParams":
-        """A copy with top-level fields replaced."""
-        return replace(self, **kwargs)
 
 
 def default_params() -> HwParams:

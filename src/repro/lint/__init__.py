@@ -1,16 +1,15 @@
-"""repro.lint — protocol-aware static analysis + runtime sanitizer.
+"""repro.lint — protocol-aware static analysis.
 
-Static side (stdlib ``ast``): a checker registry enforcing the
+A checker registry over the stdlib ``ast`` enforcing the
 invariants the Solros design states but Python cannot — sim-coroutine
 discipline, determinism of simulated packages, RPC registry
 conformance, and lock acquire/release nesting.  Run it with
 ``python -m repro.lint [--json]``.
 
-Runtime side (:mod:`repro.lint.sanitize`): a lockdep-style acquisition
--order graph with cycle detection, armed by ``REPRO_SANITIZE=1`` and
-wired into the transport locks at near-zero cost when disabled.  The
-ring's slot phases need neither side: ``RingBuffer`` checks them on
-every run.
+Lock ordering needs no runtime check: no simulated path acquires a
+transport lock while its core holds another, so a lock-order graph
+would stay empty (``tests/test_sched.py`` pins that).  The ring's slot
+phases need no checker either: ``RingBuffer`` checks them on every run.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and the inline
 suppressions.
@@ -27,7 +26,6 @@ from .core import (
     repo_root,
     run_checkers,
 )
-from .sanitize import SANITIZER, Sanitizer, SanitizerError
 
 __all__ = [
     "Checker",
@@ -39,7 +37,4 @@ __all__ = [
     "register",
     "repo_root",
     "run_checkers",
-    "SANITIZER",
-    "Sanitizer",
-    "SanitizerError",
 ]

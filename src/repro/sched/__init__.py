@@ -9,9 +9,9 @@ workers and turns that knowledge into scheduling:
 
 * **Pluggable dispatch** (:mod:`repro.sched.policy`): FIFO (the
   baseline; arrival order, exactly what direct ring draining gives
-  you), strict priority classes, earliest-deadline-first, and
-  deficit-round-robin fair queueing per co-processor — plus the
-  combined ``drr+priority`` used by the QoS benchmark.
+  you), deficit-round-robin fair queueing per co-processor, and
+  ``drr+priority`` (strict priority between classes, DRR within one)
+  used by the QoS benchmark.
 * **Admission control** (:mod:`repro.sched.scheduler`): bounded
   per-class queues and per-source credit windows; rejected requests
   surface to the data-plane stub as an ``EWOULDBLOCK``-style
@@ -30,9 +30,7 @@ from .policy import (
     DispatchPolicy,
     DrrPolicy,
     DrrPriorityPolicy,
-    EdfPolicy,
     FifoPolicy,
-    PriorityPolicy,
     SCHED_POLICIES,
     make_policy,
 )
@@ -59,10 +57,8 @@ __all__ = [
     "DispatchPolicy",
     "DrrPolicy",
     "DrrPriorityPolicy",
-    "EdfPolicy",
     "ElasticWorkerPool",
     "FifoPolicy",
-    "PriorityPolicy",
     "Qos",
     "QOS_BULK",
     "QOS_NORMAL",

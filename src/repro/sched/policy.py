@@ -14,17 +14,14 @@ never head-of-line-blocks a foreground request behind a long scan.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from ..sim.engine import SimError
 
 __all__ = [
     "DispatchPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
-    "EdfPolicy",
     "DrrPolicy",
     "DrrPriorityPolicy",
     "SCHED_POLICIES",
@@ -47,7 +44,8 @@ class DispatchPolicy:
 
     def pop(self, now: int, max_class: Optional[int] = None):
         """Remove and return the next request, or None when (filtered)
-        empty.  ``now`` lets deadline-aware policies order their pick."""
+        empty.  ``now`` is the dispatch instant; no current policy
+        orders by it."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -82,61 +80,6 @@ class FifoPolicy(DispatchPolicy):
 
     def __len__(self) -> int:
         return len(self._q)
-
-
-class PriorityPolicy(DispatchPolicy):
-    """Strict priority: lowest class number first, FIFO within class."""
-
-    name = "priority"
-    class_aware = True
-
-    def __init__(self) -> None:
-        self._queues: Dict[int, Deque] = {}
-        self._len = 0
-
-    def push(self, req) -> None:
-        self._queues.setdefault(req.cls, deque()).append(req)
-        self._len += 1
-
-    def pop(self, now: int, max_class: Optional[int] = None):
-        for cls in sorted(self._queues):
-            if max_class is not None and cls > max_class:
-                break
-            q = self._queues[cls]
-            if q:
-                self._len -= 1
-                return q.popleft()
-        return None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def class_depth(self, cls: int) -> int:
-        q = self._queues.get(cls)
-        return len(q) if q else 0
-
-
-class EdfPolicy(DispatchPolicy):
-    """Earliest deadline first; deadline-less requests sort last, FIFO."""
-
-    name = "edf"
-
-    _NO_DEADLINE = float("inf")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, object]] = []
-
-    def push(self, req) -> None:
-        key = self._NO_DEADLINE if req.deadline is None else req.deadline
-        heapq.heappush(self._heap, (key, req.seq, req))
-
-    def pop(self, now: int, max_class: Optional[int] = None):
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class DrrPolicy(DispatchPolicy):
@@ -236,17 +179,13 @@ class DrrPriorityPolicy(DispatchPolicy):
         return len(ring) if ring else 0
 
 
-SCHED_POLICIES = ("fifo", "priority", "edf", "drr", "drr+priority")
+SCHED_POLICIES = ("fifo", "drr", "drr+priority")
 
 
 def make_policy(name: str) -> DispatchPolicy:
     """Instantiate a dispatch policy by config name."""
     if name == "fifo":
         return FifoPolicy()
-    if name == "priority":
-        return PriorityPolicy()
-    if name == "edf":
-        return EdfPolicy()
     if name == "drr":
         return DrrPolicy()
     if name == "drr+priority":

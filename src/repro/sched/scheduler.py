@@ -48,8 +48,8 @@ RT_RESERVE = 1       # workers pinned to CLASS_RT (class-aware policies)
 class SchedConfig:
     """How the control plane schedules delegated RPCs.
 
-    ``policy`` names the dispatch order ("fifo", "priority", "edf",
-    "drr", "drr+priority"); ``source_credits`` bounds the outstanding
+    ``policy`` names the dispatch order ("fifo", "drr" or
+    "drr+priority"); ``source_credits`` bounds the outstanding
     requests per co-processor; the ``workers_*``/``grow_*``/``idle_*``
     knobs size the elastic pool; ``record_decisions`` keeps a decision
     log for determinism checks.

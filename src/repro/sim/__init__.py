@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`repro.sim.engine` — the event loop, processes, process groups,
   events.
-* :mod:`repro.sim.primitives` — locks, semaphores, stores, gates.
+* :mod:`repro.sim.primitives` — FIFO item stores.
 * :mod:`repro.sim.resources` — capacity pools and bandwidth links.
 * :mod:`repro.sim.stats` — percentiles, CDFs, throughput meters.
 """
@@ -12,7 +12,7 @@ Submodules:
 from .engine import (
     Delay, Engine, Event, Interrupt, Process, ProcessGroup, SimError,
 )
-from .primitives import Gate, Lock, Semaphore, Store, WouldBlock
+from .primitives import Store, WouldBlock
 from .resources import BandwidthLink, Resource
 from .stats import Histogram, ThroughputMeter, cdf_points, percentile, summarize
 
@@ -24,10 +24,7 @@ __all__ = [
     "ProcessGroup",
     "Interrupt",
     "SimError",
-    "Lock",
-    "Semaphore",
     "Store",
-    "Gate",
     "WouldBlock",
     "Resource",
     "BandwidthLink",

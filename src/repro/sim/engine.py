@@ -70,10 +70,10 @@ sorts after it, so pushing the one and popping the other is a single
 ``heapreplace``.  Event waits, kick-offs, throws and invalid commands
 still go through :meth:`Process._step`.
 
-An acquire that is granted at once (``Lock``/``Semaphore.acquire``,
-``Resource.request``, a ``Store.put`` that does not block) returns
-``0`` instead of an already-triggered event, so ``yield
-lock.acquire()`` is a ``yield 0``: one now-queue wake-up, in the slot
+An acquire that is granted at once (``Resource.request``, so
+``BandwidthLink.acquire``, or a ``Store.put`` that does not block)
+returns ``0`` instead of an already-triggered event, so ``yield
+res.request()`` is a ``yield 0``: one now-queue wake-up, in the slot
 the event's delivery would have taken.  Waiting on an event that is
 already triggered also costs one entry, not two: if the event's own
 delivery is still the last queued entry, that entry is replaced by the

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..lint.sanitize import SANITIZER
 
 __all__ = ["TicketLock", "MCSLock", "MCSNode"]
 
@@ -34,12 +33,8 @@ class TicketLock:
     def acquire(self, core: Core) -> Generator:
         ticket = yield from self._next.fetch_and_add(core, 1)
         yield from self._serving.wait_until(core, lambda v: v == ticket)
-        if SANITIZER.enabled:
-            SANITIZER.on_acquire(core, self)
 
     def release(self, core: Core) -> Generator:
-        if SANITIZER.enabled:
-            SANITIZER.on_release(core, self)
         serving = yield from self._serving.load(core)
         yield from self._serving.store(core, serving + 1)
 
@@ -77,12 +72,8 @@ class MCSLock:
         if prev is not None:  # contended: queue behind prev
             yield from prev.next.store(core, node)
             yield from node.locked.wait_until(core, lambda v: not v)
-        if SANITIZER.enabled:
-            SANITIZER.on_acquire(core, self)
 
     def release(self, core: Core, node: MCSNode) -> Generator:
-        if SANITIZER.enabled:
-            SANITIZER.on_release(core, self)
         successor = yield from node.next.load(core)
         if successor is None:
             swapped = yield from self._tail.compare_and_swap(core, node, None)

@@ -13,7 +13,7 @@ from repro.fs import (
     NotADirectory,
 )
 from repro.hw import KB, MB, build_machine
-from repro.sim import Engine
+from repro.sim import Engine, SimError
 
 
 @pytest.fixture()
@@ -33,6 +33,27 @@ def env():
 
 def run(eng, gen):
     return eng.run_process(gen)
+
+
+@pytest.mark.parametrize("extent, bad", [
+    ((8, 1), 8),      # first block past the end
+    ((-1, 2), -1),    # first block below zero
+    ((6, 3), 8),      # first in range, last past the end
+])
+def test_extent_range_error_names_first_bad_block(extent, bad):
+    dev = BlockDevice(build_machine(Engine()).nvme, capacity_blocks=8)
+    message = rf"^block {bad} out of range \(0\.\.7\)$"
+    with pytest.raises(SimError, match=message):
+        dev.gather([extent], 0, 1)
+    with pytest.raises(SimError, match=message):
+        dev.scatter([extent], 0, b"x")
+
+
+def test_extent_ending_at_last_block_is_in_range():
+    dev = BlockDevice(build_machine(Engine()).nvme, capacity_blocks=8)
+    dev.scatter([(5, 3)], 0, b"z" * (3 * 4096))
+    assert dev.gather([(5, 3)], 0, 3 * 4096) == b"z" * (3 * 4096)
+    assert dev.read_block_data(7) == b"z" * 4096
 
 
 def test_mkfs_creates_root(env):

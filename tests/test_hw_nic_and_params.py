@@ -71,7 +71,7 @@ def test_cpu_params_asymmetry_invariants():
 
 
 def test_hwparams_override_round_trip():
-    params = default_params().with_overrides(n_phis=2)
+    params = replace(default_params(), n_phis=2)
     assert params.n_phis == 2
     assert default_params().n_phis == 4  # original untouched
 
@@ -79,7 +79,7 @@ def test_hwparams_override_round_trip():
 def test_machine_rejects_bad_sockets():
     eng = Engine()
     with pytest.raises(SimError):
-        Machine(eng, default_params().with_overrides(host_sockets=3))
+        Machine(eng, replace(default_params(), host_sockets=3))
 
 
 def test_core_compute_kinds():

@@ -1,5 +1,7 @@
 """Unit tests for the PCIe/NUMA fabric and machine assembly."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw import MB, Machine, build_machine, default_params
@@ -163,7 +165,7 @@ def test_duplicate_attach_raises(machine):
 
 def test_single_socket_machine():
     eng = Engine()
-    params = default_params().with_overrides(host_sockets=1, n_phis=2)
+    params = replace(default_params(), host_sockets=1, n_phis=2)
     m = Machine(eng, params)
     assert len(m.host_sockets) == 1
     assert m.phi_numa(0) == 0 and m.phi_numa(1) == 0

@@ -1,7 +1,6 @@
 """Tests for repro.lint: each checker against a true-positive fixture
 and a near-miss fixture, inline suppressions, the CLI
-exit-code contract, the repo-is-clean gate, and the runtime sanitizer's
-lockdep/phase machinery."""
+exit-code contract and the repo-is-clean gate."""
 
 import textwrap
 
@@ -9,7 +8,6 @@ import pytest
 
 from repro.lint.__main__ import main as lint_main
 from repro.lint.core import load_project, repo_root, run_checkers
-from repro.lint.sanitize import Sanitizer, SanitizerError
 from repro.sim import Engine, SimError
 
 
@@ -435,80 +433,6 @@ def test_repo_is_clean(capsys):
     with no finding suppressed inline."""
     assert lint_main(["--root", str(repo_root())]) == 0
     assert ", 0 suppressed," in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Runtime sanitizer
-# ----------------------------------------------------------------------
-class _L:
-    def __init__(self, name):
-        self.name = name
-
-
-def test_sanitizer_detects_abba_inversion():
-    s = Sanitizer(enabled=True)
-    a, b, core1, core2 = _L("A"), _L("B"), object(), object()
-    s.on_acquire(core1, a)
-    s.on_acquire(core1, b)
-    s.on_release(core1, b)
-    s.on_release(core1, a)
-    s.on_acquire(core2, b)
-    with pytest.raises(SanitizerError, match="inversion"):
-        s.on_acquire(core2, a)
-
-
-def test_sanitizer_detects_three_lock_cycle():
-    s = Sanitizer(enabled=True)
-    a, b, c = _L("A"), _L("B"), _L("C")
-    core = object()
-    for first, second in ((a, b), (b, c)):
-        s.on_acquire(core, first)
-        s.on_acquire(core, second)
-        s.on_release(core, second)
-        s.on_release(core, first)
-    s.on_acquire(core, c)
-    with pytest.raises(SanitizerError, match="cycle"):
-        s.on_acquire(core, a)
-
-
-def test_sanitizer_self_deadlock_and_bad_release():
-    s = Sanitizer(enabled=True)
-    a, core = _L("A"), object()
-    s.on_acquire(core, a)
-    with pytest.raises(SanitizerError, match="self-deadlock"):
-        s.on_acquire(core, a)
-    s.on_release(core, a)
-    with pytest.raises(SanitizerError, match="does not hold"):
-        s.on_release(core, a)
-
-
-def test_sanitizer_lock_classes_merge_by_label():
-    # Two instances with the same name are one lockdep class: taking
-    # them in opposite orders is an inversion even across instances.
-    s = Sanitizer(enabled=True)
-    a1, a2, b = _L("A"), _L("A"), _L("B")
-    core = object()
-    s.on_acquire(core, a1)
-    s.on_acquire(core, b)
-    s.on_release(core, b)
-    s.on_release(core, a1)
-    s.on_acquire(core, b)
-    with pytest.raises(SanitizerError, match="inversion"):
-        s.on_acquire(core, a2)
-
-
-def test_sanitizer_disabled_by_default_costs_nothing():
-    s = Sanitizer(enabled=False)
-    assert s.enabled is False
-
-
-def test_sanitizer_records_wait_while_holding():
-    s = Sanitizer(enabled=True)
-    lock, cell, core = _L("A"), _L("line0"), object()
-    s.on_wait(core, cell)          # not holding: not recorded
-    s.on_acquire(core, lock)
-    s.on_wait(core, cell)
-    assert s.waits_while_holding == [("_L(A)", "_L(line0)")]
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,7 @@ from repro.sched import (
     CLASS_RT,
     DrrPolicy,
     DrrPriorityPolicy,
-    EdfPolicy,
     FifoPolicy,
-    PriorityPolicy,
     QOS_BULK,
     QOS_RT,
     Qos,
@@ -100,29 +98,6 @@ def test_fifo_policy_is_arrival_order():
     assert p.pop(0) is None
 
 
-def test_priority_policy_strict_order_and_class_filter():
-    p = PriorityPolicy()
-    p.push(_req(0, cls=CLASS_BULK))
-    p.push(_req(1, cls=CLASS_RT))
-    p.push(_req(2, cls=CLASS_NORMAL))
-    p.push(_req(3, cls=CLASS_RT))
-    assert p.class_depth(CLASS_RT) == 2
-    # An RT-reserved worker never dequeues below its class.
-    assert p.pop(0, max_class=CLASS_RT).seq == 1
-    assert p.pop(0, max_class=CLASS_RT).seq == 3
-    assert p.pop(0, max_class=CLASS_RT) is None
-    assert _drain_order(p) == [2, 0]
-
-
-def test_edf_policy_orders_by_deadline():
-    p = EdfPolicy()
-    p.push(_req(0, deadline=None))      # deadline-less sorts last
-    p.push(_req(1, deadline=9_000))
-    p.push(_req(2, deadline=3_000))
-    p.push(_req(3, deadline=9_000))     # tie broken by submission seq
-    assert _drain_order(p) == [2, 1, 3, 0]
-
-
 def test_drr_policy_byte_fair_across_sources():
     p = DrrPolicy(quantum=64 * 1024)
     # One greedy source with large requests, one modest with small.
@@ -155,10 +130,13 @@ def test_drr_priority_policy_class_then_fairness():
 
 
 def test_make_policy_registry():
+    assert SCHED_POLICIES == ("fifo", "drr", "drr+priority")
     for name in SCHED_POLICIES:
         assert make_policy(name).name == name
-    with pytest.raises(SimError, match="unknown scheduler policy"):
-        make_policy("lottery")
+    for name in ("lottery", "priority", "edf"):
+        with pytest.raises(SimError, match="unknown scheduler policy") as exc:
+            make_policy(name)
+        assert str(SCHED_POLICIES) in str(exc.value)
 
 
 def test_bad_scheduler_parameters_rejected():
@@ -387,7 +365,7 @@ def test_drain_completes_queued_requests_then_rejects():
 
 
 def test_hard_stop_halts_workers():
-    eng, system = _boot("priority")
+    eng, system = _boot("drr+priority")
     phi = system.dataplane(0)
     _write_file(eng, phi, "/f.bin", b"q" * 4096)
     system.shutdown()  # SolrosSystem.shutdown() calls scheduler.stop()
@@ -412,7 +390,7 @@ def test_net_scheduled_path():
     from repro.net import SocketAddr
     from repro.net.testbed import NetTestbed
 
-    eng, system = _boot("priority")
+    eng, system = _boot("drr+priority")
     tb = NetTestbed(eng, system.machine)
     proxy = tb.solros_proxy(scheduler=system.scheduler)
     api = proxy.attach(system.dataplane(0))
@@ -534,7 +512,7 @@ def test_admitted_counter_matches_stats():
     eng = Engine()
     cfg = SolrosConfig(
         disk_blocks=8192, max_inodes=16, trace=True,
-        sched=SchedConfig("priority", source_credits=2),
+        sched=SchedConfig("drr+priority", source_credits=2),
     )
     system = SolrosSystem(eng, cfg)
     eng.run_process(system.boot(n_phis=1))
@@ -584,46 +562,70 @@ def test_captured_qos_run_exports_every_scheduler_series():
 
 
 # ----------------------------------------------------------------------
-# Sanitizer regression: the scheduled path never nests lock acquisition
+# No path nests transport locks
 # ----------------------------------------------------------------------
-def test_drr_priority_lock_order_graph_is_empty():
-    """Lock in the current (correct) acquisition-order graph of the
-    drr+priority bench: with MCS-locked rings (combining off, so the
-    transport actually takes locks) the stub -> ring -> proxy ->
-    scheduler handoff never holds two locks at once.  An empty order
-    graph makes ABBA deadlock structurally impossible; any future
-    nesting shows up here before it can become an inversion."""
-    from repro.lint.sanitize import SANITIZER
+@pytest.fixture
+def lock_probe(monkeypatch):
+    """Count ``TicketLock``/``MCSLock`` acquisitions and the most locks
+    any one core held at once.  A path that never holds two locks has
+    an empty acquisition-order graph, so it cannot deadlock ABBA."""
+    from repro.transport.locks import MCSLock, TicketLock
+
+    held = {}
+    probe = {"acquires": 0, "max_held": 0}
+    for cls in (TicketLock, MCSLock):
+        def acquire(self, core, *node, _acquire=cls.acquire):
+            yield from _acquire(self, core, *node)
+            probe["acquires"] += 1
+            held[core] = held.get(core, 0) + 1
+            probe["max_held"] = max(probe["max_held"], held[core])
+
+        def release(self, core, *node, _release=cls.release):
+            held[core] -= 1
+            yield from _release(self, core, *node)
+
+        monkeypatch.setattr(cls, "acquire", acquire)
+        monkeypatch.setattr(cls, "release", release)
+    return probe
+
+
+def test_drr_priority_path_never_nests_locks(lock_probe):
+    """With MCS-locked rings (combining off, so the transport actually
+    takes locks) the drr+priority stub -> ring -> proxy -> scheduler
+    handoff never holds two locks on one core."""
     from repro.transport.ringbuf import RingPolicy
 
-    was_enabled = SANITIZER.enabled
-    SANITIZER.enabled = True
-    try:
-        eng = Engine()
-        cfg = SolrosConfig(
-            disk_blocks=8192, max_inodes=16, sched=SchedConfig("drr+priority"),
-            ring_policy=RingPolicy(combining=False),
-        )
-        system = SolrosSystem(eng, cfg)
-        eng.run_process(system.boot(n_phis=2))
-        payload = b"w" * (64 * 1024)
-        for i in range(2):
-            _write_file(eng, system.dataplane(i), f"/f{i}.bin", payload)
-        rt = system.dataplane(0).fs_view(QOS_RT)
-        bulk = system.dataplane(1).fs_view(QOS_BULK)
+    eng = Engine()
+    cfg = SolrosConfig(
+        disk_blocks=8192, max_inodes=16, sched=SchedConfig("drr+priority"),
+        ring_policy=RingPolicy(combining=False),
+    )
+    system = SolrosSystem(eng, cfg)
+    eng.run_process(system.boot(n_phis=2))
+    payload = b"w" * (64 * 1024)
+    for i in range(2):
+        _write_file(eng, system.dataplane(i), f"/f{i}.bin", payload)
+    rt = system.dataplane(0).fs_view(QOS_RT)
+    bulk = system.dataplane(1).fs_view(QOS_BULK)
 
-        def tenant(vfs, phi, path, ops):
-            for _ in range(ops):
-                yield from _read_once(vfs, phi.core(0), path, len(payload))
+    def tenant(vfs, phi, path, ops):
+        for _ in range(ops):
+            yield from _read_once(vfs, phi.core(0), path, len(payload))
 
-        eng.spawn(tenant(rt, system.dataplane(0), "/f0.bin", 4))
-        eng.spawn(tenant(bulk, system.dataplane(1), "/f1.bin", 4))
-        eng.run()
-        # The hooks must actually have run for the empty graph to mean
-        # anything.
-        assert SANITIZER.acquires > 0
-        assert SANITIZER.lock_order_edges == set()
-        assert SANITIZER.waits_while_holding == []
-    finally:
-        SANITIZER.enabled = was_enabled
-        SANITIZER.reset()
+    eng.spawn(tenant(rt, system.dataplane(0), "/f0.bin", 4))
+    eng.spawn(tenant(bulk, system.dataplane(1), "/f1.bin", 4))
+    eng.run()
+    # The probe must actually have run for "never two" to mean anything.
+    assert lock_probe["acquires"] > 0
+    assert lock_probe["max_held"] == 1
+
+
+@pytest.mark.parametrize("algo", ["ticket", "mcs"])
+def test_two_lock_queue_never_nests_locks(lock_probe, algo):
+    """Fig. 8's contended two-lock queue takes its head and tail locks
+    one at a time on every core."""
+    from repro.bench.figures import ringbuf_local_pairs_per_sec
+
+    ringbuf_local_pairs_per_sec(algo, n_threads=8, iters=10)
+    assert lock_probe["acquires"] == 2 * 8 * 10
+    assert lock_probe["max_held"] == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
-    Engine, Interrupt, Lock, ProcessGroup, Resource, SimError, Store,
+    BandwidthLink, Engine, Interrupt, ProcessGroup, Resource, SimError, Store,
 )
 from repro.sim.engine import SimulationLimitExceeded
 
@@ -440,10 +440,14 @@ def _entries(body):
     return eng.events_processed
 
 
-@pytest.mark.parametrize("make", [Lock, Resource])
-def test_uncontended_acquire_costs_one_entry(make):
-    """Yielding an already-granted Lock/Resource event costs one entry,
-    the same as a ``yield 0``."""
+@pytest.mark.parametrize("make, grab", [
+    (Resource, Resource.request),
+    # topology._move's lane grab on every DMA and PCIe transfer.
+    (lambda eng: BandwidthLink(eng, bytes_per_ns=1.0), BandwidthLink.acquire),
+], ids=["Resource", "BandwidthLink"])
+def test_uncontended_acquire_costs_one_entry(make, grab):
+    """Yielding an already-granted Resource slot or link lane costs one
+    entry, the same as a ``yield 0``."""
 
     def empty(eng):
         return
@@ -456,7 +460,7 @@ def test_uncontended_acquire_costs_one_entry(make):
     def acquires(eng):
         sync = make(eng)
         for _ in range(10):
-            yield sync.acquire() if make is Lock else sync.request()
+            yield grab(sync)
             sync.release()
 
     base = _entries(empty)
@@ -831,8 +835,9 @@ _programs = st.lists(_bodies, min_size=1, max_size=4)
 
 def play(eng, program, lock, res, store, slices=(), budget=None, extra=None,
          stops=None):
-    """Run ``program`` on ``eng`` with a lock, a 2-slot resource and an
-    unbounded store, and return its ``(now, tag)`` log.
+    """Run ``program`` on ``eng`` with a lock (a 1-slot resource), a
+    2-slot resource and an unbounded store, and return its ``(now,
+    tag)`` log.
 
     On an :class:`Engine`: first ``run(max_events=budget)``, which
     raises :class:`SimulationLimitExceeded` after ``budget + 1`` entries
@@ -867,7 +872,7 @@ def play(eng, program, lock, res, store, slices=(), budget=None, extra=None,
                 elif kind == "ready":
                     yield eng.event().succeed(here)
                 elif kind == "lock":
-                    yield lock.acquire()
+                    yield lock.request()
                     try:
                         yield op[1]
                     finally:
@@ -939,7 +944,7 @@ def play(eng, program, lock, res, store, slices=(), budget=None, extra=None,
 
 def _play_engine(program, **run):
     eng = Engine()
-    return eng, play(eng, program, Lock(eng), Resource(eng, 2), Store(eng), **run)
+    return eng, play(eng, program, Resource(eng, 1), Resource(eng, 2), Store(eng), **run)
 
 
 def _play_reference(program, **run):

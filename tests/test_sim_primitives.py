@@ -1,83 +1,6 @@
-"""Unit tests for locks, semaphores, stores, and gates."""
+"""Unit tests for the FIFO item store."""
 
-import pytest
-
-from repro.sim import Engine, Lock, Semaphore, Store, Gate, WouldBlock
-
-
-def test_lock_mutual_exclusion_fifo():
-    eng = Engine()
-    lock = Lock(eng)
-    log = []
-
-    def worker(eng, tag):
-        yield lock.acquire()
-        log.append(("enter", tag, eng.now))
-        yield 100
-        log.append(("exit", tag, eng.now))
-        lock.release()
-
-    for tag in ["a", "b", "c"]:
-        eng.spawn(worker(eng, tag))
-    eng.run()
-
-    # Strictly serialized, FIFO order, no overlap.
-    assert [entry[1] for entry in log] == ["a", "a", "b", "b", "c", "c"]
-    enters = [t for kind, _, t in log if kind == "enter"]
-    exits = [t for kind, _, t in log if kind == "exit"]
-    assert all(e2 >= x1 for x1, e2 in zip(exits, enters[1:]))
-
-
-def test_lock_release_unlocked_raises():
-    eng = Engine()
-    lock = Lock(eng)
-    with pytest.raises(Exception):
-        lock.release()
-
-
-def test_lock_holding_releases_on_exception():
-    eng = Engine()
-    lock = Lock(eng)
-
-    def bad(eng):
-        try:
-            yield from lock.holding(-1)  # negative delay fails inside
-        except Exception:
-            pass
-        return lock.locked
-
-    # After the failed holding, the lock must be free again.
-    assert eng.run_process(bad(eng)) is False
-
-
-def test_semaphore_limits_concurrency():
-    eng = Engine()
-    sem = Semaphore(eng, value=2)
-    active = [0]
-    peak = [0]
-
-    def worker(eng):
-        yield sem.acquire()
-        active[0] += 1
-        peak[0] = max(peak[0], active[0])
-        yield 50
-        active[0] -= 1
-        sem.release()
-
-    for _ in range(6):
-        eng.spawn(worker(eng))
-    eng.run()
-    assert peak[0] == 2
-    assert sem.value == 2
-
-
-def test_semaphore_try_acquire():
-    eng = Engine()
-    sem = Semaphore(eng, value=1)
-    assert sem.try_acquire() is True
-    assert sem.try_acquire() is False
-    sem.release()
-    assert sem.try_acquire() is True
+from repro.sim import Engine, Store
 
 
 def test_store_fifo_ordering():
@@ -140,63 +63,3 @@ def test_bounded_store_put_blocks_when_full():
     eng.spawn(consumer(eng))
     eng.run()
     assert ("put-y", 100) in log
-
-
-def test_store_try_get_raises_when_empty():
-    eng = Engine()
-    store = Store(eng)
-    with pytest.raises(WouldBlock):
-        store.try_get()
-
-
-def test_store_try_put_raises_when_full():
-    eng = Engine()
-    store = Store(eng, capacity=1)
-    store.try_put(1)
-    with pytest.raises(WouldBlock):
-        store.try_put(2)
-
-
-def test_store_peek_does_not_consume():
-    eng = Engine()
-    store = Store(eng)
-    store.try_put("a")
-    assert store.peek() == "a"
-    assert store.try_get() == "a"
-
-
-def test_gate_broadcast_wakes_all():
-    eng = Engine()
-    gate = Gate(eng)
-    woken = []
-
-    def waiter(eng, tag):
-        yield gate.wait()
-        woken.append((tag, eng.now))
-
-    def opener(eng):
-        yield 42
-        gate.open()
-
-    for tag in range(3):
-        eng.spawn(waiter(eng, tag))
-    eng.spawn(opener(eng))
-    eng.run()
-    assert sorted(woken) == [(0, 42), (1, 42), (2, 42)]
-
-
-def test_gate_stays_open_until_reset():
-    eng = Engine()
-    gate = Gate(eng)
-    gate.open()
-    log = []
-
-    def late(eng):
-        yield gate.wait()  # returns immediately
-        log.append(eng.now)
-
-    eng.spawn(late(eng))
-    eng.run()
-    assert log == [0]
-    gate.reset()
-    assert not gate.is_open

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Resource, BandwidthLink
+from repro.sim import Engine, Resource, BandwidthLink, SimError
 
 
 def test_resource_serializes_beyond_capacity():
@@ -19,6 +19,42 @@ def test_resource_serializes_beyond_capacity():
     eng.run()
     # Two run 0-100, next two 100-200.
     assert finish_times == [100, 100, 200, 200]
+
+
+def test_resource_one_slot_is_a_fifo_lock():
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    log = []
+
+    def worker(eng, tag):
+        yield res.request()
+        log.append(("enter", tag, eng.now))
+        yield 100
+        log.append(("exit", tag, eng.now))
+        res.release()
+
+    for tag in ["a", "b", "c"]:
+        eng.spawn(worker(eng, tag))
+    eng.run()
+
+    # Strictly serialized, FIFO order, no overlap.
+    assert [entry[1] for entry in log] == ["a", "a", "b", "b", "c", "c"]
+    enters = [t for kind, _, t in log if kind == "enter"]
+    exits = [t for kind, _, t in log if kind == "exit"]
+    assert all(e2 >= x1 for x1, e2 in zip(exits, enters[1:]))
+
+
+def test_resource_using_releases_on_exception():
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+
+    def bad(eng):
+        with pytest.raises(SimError):
+            yield from res.using(-1)  # negative delay fails inside
+        return res.in_use
+
+    # After the failed hold, the slot must be free again.
+    assert eng.run_process(bad(eng)) == 0
 
 
 def test_resource_release_without_request_raises():
