@@ -1,6 +1,8 @@
-"""Unit tests for the FIFO item store."""
+"""Unit tests for the FIFO item store and Resource used as a lock or semaphore."""
 
-from repro.sim import Engine, Store
+import pytest
+
+from repro.sim import Engine, Resource, Store
 
 
 def test_store_fifo_ordering():
@@ -63,3 +65,31 @@ def test_bounded_store_put_blocks_when_full():
     eng.spawn(consumer(eng))
     eng.run()
     assert ("put-y", 100) in log
+
+
+def test_lock_release_unlocked_raises():
+    eng = Engine()
+    lock = Resource(eng, capacity=1)
+    with pytest.raises(Exception):
+        lock.release()
+
+
+def test_semaphore_limits_concurrency():
+    eng = Engine()
+    sem = Resource(eng, capacity=2)
+    active = [0]
+    peak = [0]
+
+    def worker(eng):
+        yield sem.request()
+        active[0] += 1
+        peak[0] = max(peak[0], active[0])
+        yield 50
+        active[0] -= 1
+        sem.release()
+
+    for _ in range(6):
+        eng.spawn(worker(eng))
+    eng.run()
+    assert peak[0] == 2
+    assert sem.in_use == 0
