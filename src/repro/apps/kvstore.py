@@ -13,8 +13,8 @@ This application composes both Solros services:
   FS stub (so a restarted shard recovers its keys from the SSD).
 
 The protocol is one request per connection (memcached-binary-flavoured
-but trivially simple): requests are tuples ``("get"|"put"|"delete"|
-"stats", key, value?)``; replies are ``("ok"|"miss"|"error", value?)``.
+but trivially simple): requests are tuples ``("get"|"put"|"stats",
+key, value?)``; replies are ``("ok"|"miss"|"error", value?)``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class KvShard:
         self.shard_index = shard_index
         self.snapshot_path = snapshot_path or f"/kv-shard{shard_index}.snap"
         self.data: Dict[str, str] = {}
-        self.stats = {"get": 0, "put": 0, "delete": 0, "miss": 0}
+        self.stats = {"get": 0, "put": 0, "miss": 0}
         self._procs = ProcessGroup(engine)
         self._running = True
 
@@ -126,10 +126,6 @@ class KvShard:
             self.stats["put"] += 1
             self.data[key] = request[2]
             return ("ok", None)
-        if op == "delete":
-            self.stats["delete"] += 1
-            existed = self.data.pop(key, None) is not None
-            return ("ok" if existed else "miss", None)
         if op == "stats":
             return ("ok", dict(self.stats, keys=len(self.data),
                                shard=self.shard_index))
@@ -202,9 +198,6 @@ class KvClient:
 
     def get(self, key: str) -> Generator:
         return self._request(("get", key))
-
-    def delete(self, key: str) -> Generator:
-        return self._request(("delete", key))
 
     def shard_stats(self, key: str) -> Generator:
         """Stats of whichever shard owns ``key``."""

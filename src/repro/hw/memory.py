@@ -209,13 +209,21 @@ class MemCell:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    # The coherence rules, as plain calls: the generators above and
-    # callers that run a line op in their own frame (the combining
-    # queue's tail and request lines, the ring's control variables)
-    # share them.  ``_grant`` and ``_release`` take and free the line;
-    # the combining queue inlines their free-line cases (``_busy =
-    # True``, then ``yield 0``; ``_busy = False``), and the busy cases
-    # go through ``_queue_transfer`` and ``_hand_off``.
+    # The coherence rules, as plain calls that the generators above
+    # run; the generators are their one reference.  ``_grant`` and
+    # ``_release`` take and free the line.  Two sites on the ring's
+    # per-message path run a rule's free-line case in their own frame,
+    # with the same yields, state changes and stats, and call here only
+    # for a busy line (``_queue_transfer``, ``_hand_off``) or a watched
+    # one (``_wake_watchers``):
+    #
+    # * ``CombiningQueue.execute``: the tail SWAP that joins
+    #   (``exclusive``), the load of each request's ``next`` pointer
+    #   (``load``) and the tail CAS that closes (``exclusive``);
+    # * ``RingBuffer._enqueue_op`` and ``_dequeue_op``: the store of
+    #   the ring's tail and of its head (``store``).
+    #
+    # tests/test_property_line_ops.py holds both to the generators.
     def _load_hit(self, core: Any) -> bool:
         """Whether ``core`` holds a copy of the line; counts the load
         as a local hit or a line transfer."""

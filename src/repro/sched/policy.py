@@ -6,7 +6,7 @@ A policy is a pure queueing discipline over admitted
 (ties broken by submission sequence), which is what makes two runs
 with the same seed produce identical decision traces.
 
-``pop(now, max_class=...)`` supports class-filtered dequeue so the
+``pop(max_class=...)`` supports class-filtered dequeue so the
 worker pool can reserve a worker for the latency-critical class
 (``max_class=CLASS_RT``): that worker never picks up bulk work and so
 never head-of-line-blocks a foreground request behind a long scan.
@@ -42,10 +42,9 @@ class DispatchPolicy:
     def push(self, req) -> None:
         raise NotImplementedError
 
-    def pop(self, now: int, max_class: Optional[int] = None):
+    def pop(self, max_class: Optional[int] = None):
         """Remove and return the next request, or None when (filtered)
-        empty.  ``now`` is the dispatch instant; no current policy
-        orders by it."""
+        empty."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -73,7 +72,7 @@ class FifoPolicy(DispatchPolicy):
     def push(self, req) -> None:
         self._q.append(req)
 
-    def pop(self, now: int, max_class: Optional[int] = None):
+    def pop(self, max_class: Optional[int] = None):
         if not self._q:
             return None
         return self._q.popleft()
@@ -112,7 +111,7 @@ class DrrPolicy(DispatchPolicy):
         q.append(req)
         self._len += 1
 
-    def pop(self, now: int, max_class: Optional[int] = None):
+    def pop(self, max_class: Optional[int] = None):
         if not self._active:
             return None
         # Each full rotation adds a quantum to every active source, so
@@ -161,11 +160,11 @@ class DrrPriorityPolicy(DispatchPolicy):
         ring.push(req)
         self._len += 1
 
-    def pop(self, now: int, max_class: Optional[int] = None):
+    def pop(self, max_class: Optional[int] = None):
         for cls in sorted(self._classes):
             if max_class is not None and cls > max_class:
                 break
-            req = self._classes[cls].pop(now)
+            req = self._classes[cls].pop()
             if req is not None:
                 self._len -= 1
                 return req

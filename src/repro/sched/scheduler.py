@@ -295,7 +295,7 @@ class RequestScheduler:
     def pop_ready(self, max_class: Optional[int] = None):
         """Next request per policy; expired ones come back flagged
         ``shed`` so the worker answers without executing."""
-        req = self.policy.pop(self.engine.now, max_class)
+        req = self.policy.pop(max_class)
         if req is None:
             return None
         self._gauge_depth(req.cls)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import CPU, Core
-from ..hw.memory import _NO_SHARERS, CAS, STORE, SWAP, MemCell
+from ..hw.memory import _NO_SHARERS, STORE, MemCell
 from ..obs.hub import hub_of
 from ..sim.engine import Delay
 
@@ -93,10 +93,12 @@ class CombiningQueue:
 
     The queue's own line operations (the tail ``SWAP`` that joins, the
     loads of the requests' ``next`` pointers, the tail ``CAS`` that
-    closes) run in ``execute``'s frame through ``MemCell``'s rule
-    helpers, with the same yields and state changes as the ``MemCell``
-    generators.  Ops on other requests' lines (link, status) still go
-    through those generators.
+    closes) run in ``execute``'s frame, with the same yields, state
+    changes and ``CoherenceStats`` counts as the ``MemCell``
+    generators; only a busy line (``_queue_transfer``, ``_hand_off``)
+    or a watched one (``_wake_watchers``) calls a ``MemCell`` helper.
+    Ops on other requests' lines (link, status) still go through those
+    generators.
 
     The combiner ends each batch (§4.2.4: "a combiner thread always
     updates original values at the end of combining"; the ring buffer
@@ -139,10 +141,18 @@ class CombiningQueue:
         """Run ``op(core, *args)`` under combining; returns the op's
         result.  A combiner runs the op as ``op(combiner_core, *args)``."""
         cpu = self.cpu
+        params = cpu.params
+        coherence = cpu.coherence
         req = _Request(cpu, self._next_name, op, args)
         # Join: the tail SWAP, as MemCell.exclusive runs it.
         tail = self._tail
-        cost = tail._exclusive_cost(core, SWAP)
+        if tail._owner is core and not tail._sharers:
+            coherence.local_hits += 1
+            cost = params.l1_ns + params.atomic_extra_ns
+        else:
+            coherence.line_transfers += 1
+            cost = params.line_transfer_ns + params.atomic_extra_ns
+        coherence.atomics += 1
         if tail._busy:
             yield tail._queue_transfer()
         else:
@@ -155,10 +165,15 @@ class CombiningQueue:
                 tail._hand_off()
             else:
                 tail._busy = False
-        prev: Optional[_Request] = tail._apply(core, SWAP, req, None)
+        prev: Optional[_Request] = tail._value
+        tail._owner = core
+        tail._sharers = _NO_SHARERS
+        tail._value = req
+        if tail._watchers:
+            tail._wake_watchers()
         if prev is not None:
             req.status = MemCell(
-                cpu.engine, cpu.params, _WAITING, self._status_name, cpu.coherence
+                cpu.engine, params, _WAITING, self._status_name, coherence
             )
             span = None
             if ctx is not None:
@@ -178,7 +193,6 @@ class CombiningQueue:
         # Combiner role: run our op, then our successors' ops.
         stats = self.stats
         stats.batches += 1
-        params = cpu.params
         current = req
         processed = 0
         while True:
@@ -190,9 +204,11 @@ class CombiningQueue:
             processed += 1
 
             # Load current's ``next`` pointer, as MemCell.load runs it.
-            if current._load_hit(core):
+            if core is current._owner or core in current._sharers:
+                coherence.local_hits += 1
                 yield params.l1_ns
             else:
+                coherence.line_transfers += 1
                 if current._busy:
                     yield current._queue_transfer()
                 else:
@@ -206,11 +222,20 @@ class CombiningQueue:
                     else:
                         current._busy = False
                 yield params.line_transfer_ns - params.line_share_ns
-                current._add_sharer(core)
+                if current._sharers:
+                    current._sharers.add(core)
+                else:
+                    current._sharers = {core}
             successor = current._value
             if successor is None:
                 # Try to close the queue: the tail CAS.
-                cost = tail._exclusive_cost(core, CAS)
+                if tail._owner is core and not tail._sharers:
+                    coherence.local_hits += 1
+                    cost = params.l1_ns + params.atomic_extra_ns
+                else:
+                    coherence.line_transfers += 1
+                    cost = params.line_transfer_ns + params.atomic_extra_ns
+                coherence.atomics += 1
                 if tail._busy:
                     yield tail._queue_transfer()
                 else:
@@ -223,7 +248,12 @@ class CombiningQueue:
                         tail._hand_off()
                     else:
                         tail._busy = False
-                if tail._apply(core, CAS, None, current):
+                tail._owner = core
+                tail._sharers = _NO_SHARERS
+                if tail._value is current:
+                    tail._value = None
+                    if tail._watchers:
+                        tail._wake_watchers()
                     if current is not req:
                         yield from current.status.exclusive(
                             core, STORE, _DONE, None

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Generator, Optional, Union
 
 from ..hw.cpu import CPU, Core
-from ..hw.memory import STORE
+from ..hw.memory import _NO_SHARERS
 from ..hw.topology import Fabric
 from ..obs.hub import hub_of
 from ..sim.engine import Delay, Engine, Event, SimError
@@ -274,7 +274,8 @@ class RingBuffer:
 
     def _remote_ctrl_post(self, core: Core) -> Delay:
         """The time of one control-variable *write* across PCIe
-        (posted; a delay to ``yield``)."""
+        (posted; a delay to ``yield``).  The batch ends, ``_push_tail``
+        and ``_push_head``, run it in their own frame."""
         if self._local_ring:
             return core.cpu.params.l1_ns
         self.stats.pcie_tx += 1
@@ -285,19 +286,28 @@ class RingBuffer:
     # ------------------------------------------------------------------
     def _push_tail(self, core: Core) -> Delay:
         """Sender-side batch end: publish tail to the receiver replica;
-        returns the posted write's delay."""
+        returns the delay of the posted write (``_remote_ctrl_post``,
+        in this frame)."""
         self._recv_visible_seq = self._seq
-        return self._remote_ctrl_post(core)
+        if self._local_ring:
+            return core.cpu.params.l1_ns
+        self.stats.pcie_tx += 1
+        return core.cpu.params.pcie_tx_ns // POSTED_WRITE_DIVISOR
 
     def _tail_pushed(self) -> None:
         """After the tail push's write: wake the sleeping receivers."""
-        self._wake(self._data_waiters)
+        if self._data_waiters:
+            self._wake(self._data_waiters)
 
     def _push_head(self, core: Core) -> Delay:
         """Receiver-side batch end: publish head to the sender replica;
-        returns the posted write's delay."""
+        returns the delay of the posted write (``_remote_ctrl_post``,
+        in this frame)."""
         self._sender_freed_view = self._freed_bytes
-        return self._remote_ctrl_post(core)
+        if self._local_ring:
+            return core.cpu.params.l1_ns
+        self.stats.pcie_tx += 1
+        return core.cpu.params.pcie_tx_ns // POSTED_WRITE_DIVISOR
 
     def _read_ctrl(self, core: Core, cell) -> Union[Delay, Generator]:
         """Read the other side's original control variable ``cell``: a
@@ -408,17 +418,29 @@ class RingBuffer:
         slot = Slot(self._seq, size)
         # Store the tail: MemCell.store's yields, in this frame.
         cell = self._tail_cell
-        cost = cell._exclusive_cost(core, STORE)
-        grant = cell._grant(core, STORE)
-        if grant is None:
-            yield cost
+        if cell._owner is core and not cell._sharers:
+            # A plain local write does not hold the line.
+            cell.stats.local_hits += 1
+            yield cell.params.l1_ns
         else:
-            yield grant
+            cell.stats.line_transfers += 1
+            if cell._busy:
+                yield cell._queue_transfer()
+            else:
+                cell._busy = True
+                yield 0
             try:
-                yield cost
+                yield cell.params.line_transfer_ns
             finally:
-                cell._release()
-        cell._apply(core, STORE, self._seq, None)
+                if cell._waiters:
+                    cell._hand_off()
+                else:
+                    cell._busy = False
+        cell._owner = core
+        cell._sharers = _NO_SHARERS
+        cell._value = self._seq
+        if cell._watchers:
+            cell._wake_watchers()
         if not self.policy.lazy_update:
             if self.master_cpu is not self.sender_cpu:
                 yield self._remote_ctrl_post(core)
@@ -515,17 +537,29 @@ class RingBuffer:
         self._unfreed.append(slot)
         # Store the head: MemCell.store's yields, in this frame.
         cell = self._head_cell
-        cost = cell._exclusive_cost(core, STORE)
-        grant = cell._grant(core, STORE)
-        if grant is None:
-            yield cost
+        if cell._owner is core and not cell._sharers:
+            # A plain local write does not hold the line.
+            cell.stats.local_hits += 1
+            yield cell.params.l1_ns
         else:
-            yield grant
+            cell.stats.line_transfers += 1
+            if cell._busy:
+                yield cell._queue_transfer()
+            else:
+                cell._busy = True
+                yield 0
             try:
-                yield cost
+                yield cell.params.line_transfer_ns
             finally:
-                cell._release()
-        cell._apply(core, STORE, slot.seq, None)
+                if cell._waiters:
+                    cell._hand_off()
+                else:
+                    cell._busy = False
+        cell._owner = core
+        cell._sharers = _NO_SHARERS
+        cell._value = slot.seq
+        if cell._watchers:
+            cell._wake_watchers()
         if not self.policy.lazy_update:
             if self.master_cpu is not self.receiver_cpu:
                 yield self._remote_ctrl_post(core)
@@ -594,8 +628,7 @@ class RingBuffer:
         return self._dequeue(core, block=True, recv=True)
 
     def _wake(self, waiters: list) -> None:
-        if not waiters:
-            return
+        """Wake every sleeper in the non-empty list ``waiters``."""
         pending, waiters[:] = waiters[:], []
         for ev in pending:
             if not ev.triggered:
@@ -673,7 +706,8 @@ class RingBuffer:
                 "rb.queued", "transport", slot.trace, core=core,
                 ring=self.name, size=slot.size,
             )
-        self._wake(self._data_waiters)
+        if self._data_waiters:
+            self._wake(self._data_waiters)
 
     def _done_start(self, core: Core, slot: Slot) -> Delay:
         """The start of ``set_done``: check the slot; returns the time
@@ -697,7 +731,8 @@ class RingBuffer:
         if freed_any:
             if self._metered:
                 self._g_occupancy.set(self._enqueued_bytes - self._freed_bytes)
-            self._wake(self._space_waiters)
+            if self._space_waiters:
+                self._wake(self._space_waiters)
 
     def _slot_header_write(self, core: Core, writer_is_sender: bool) -> Delay:
         """The time of one slot-header write (a delay to ``yield``)."""

@@ -62,23 +62,30 @@ def test_keys_land_on_their_hash_shard(kv_env):
                 assert key not in shards[other].data
 
 
-def test_delete_and_stats(kv_env):
+def test_shard_stats_count_requests(kv_env):
     eng, system, tb, proxy, shards, client = kv_env
 
     def flow(eng):
         yield from client.put("k", "v")
-        first = yield from client.delete("k")
-        second = yield from client.delete("k")
+        hit = yield from client.get("k")
         stats = yield from client.shard_stats("k")
-        return first, second, stats
+        return hit, stats
 
-    first, second, stats = eng.run_process(flow(eng))
-    assert first == ("ok", None)
-    assert second == ("miss", None)
+    hit, stats = eng.run_process(flow(eng))
+    assert hit == ("ok", "v")
     status, info = stats
     assert status == "ok"
     assert info["shard"] == key_shard("k", N_SHARDS)
-    assert info["delete"] == 2
+    assert (info["put"], info["get"], info["miss"]) == (1, 1, 0)
+    assert info["keys"] == 1
+    assert "delete" not in info
+
+
+def test_unknown_op_is_an_error(kv_env):
+    eng, system, tb, proxy, shards, client = kv_env
+
+    reply = eng.run_process(client._request(("delete", "k")))
+    assert reply == ("error", "unknown op 'delete'")
 
 
 def test_snapshot_and_recovery(kv_env):

@@ -80,10 +80,10 @@ def _req(seq, source="phi0", cls=CLASS_NORMAL, cost=4096, deadline=None):
     )
 
 
-def _drain_order(policy, now=0, max_class=None):
+def _drain_order(policy, max_class=None):
     out = []
     while True:
-        req = policy.pop(now, max_class)
+        req = policy.pop(max_class)
         if req is None:
             return out
         out.append(req.seq)
@@ -95,7 +95,7 @@ def test_fifo_policy_is_arrival_order():
         p.push(_req(i, cls=i % 3))
     assert len(p) == 4
     assert _drain_order(p) == [0, 1, 2, 3]
-    assert p.pop(0) is None
+    assert p.pop() is None
 
 
 def test_drr_policy_byte_fair_across_sources():
@@ -107,7 +107,7 @@ def test_drr_policy_byte_fair_across_sources():
         p.push(_req(i, source="small", cost=64 * 1024))
     served = {"big": 0, "small": 0}
     for _ in range(8):
-        req = p.pop(0)
+        req = p.pop()
         served[req.source] += req.cost
     # While both stay backlogged, served bytes match within a quantum
     # rotation (not request counts: 'big' gets 4x fewer pops).
@@ -123,9 +123,9 @@ def test_drr_priority_policy_class_then_fairness():
     p.push(_req(1, source="phi0", cls=CLASS_RT, cost=4096))
     p.push(_req(2, source="phi2", cls=CLASS_BULK, cost=64 * 1024))
     # RT always dispatches ahead of queued bulk.
-    assert p.pop(0).seq == 1
+    assert p.pop().seq == 1
     assert p.class_depth(CLASS_BULK) == 2
-    assert p.pop(0, max_class=CLASS_RT) is None
+    assert p.pop(max_class=CLASS_RT) is None
     assert sorted(_drain_order(p)) == [0, 2]
 
 
